@@ -20,7 +20,7 @@ Three questions about :class:`~repro.gateway.server.GatewayServer`:
    by the closed loop.
 
 Every streamed output is verified byte-identical
-(:func:`~repro.gateway.chunking.outputs_identical`) to one offline
+(:func:`~repro.analysis.verify.outputs_identical`) to one offline
 :meth:`~repro.core.partitioner.FpgaPartitioner.partition` call —
 throughput with divergence would not count.
 
@@ -39,17 +39,17 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.verify import outputs_identical
 from repro.bench import ExperimentTable, write_json_artifact
 from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
+from repro.core.pieces import piece_config
 from repro.gateway import (
     GatewayClient,
     GatewayServer,
     StreamAccounting,
-    chunk_config,
     global_payloads,
     iter_chunks,
-    outputs_identical,
     stitch_output,
     stream_partition,
 )
@@ -92,7 +92,7 @@ def _direct_chunked(
     same pipelining depth the credit window allows), stitch at the end.
     """
     accounting = StreamAccounting(config, on_overflow="hist")
-    data_config = chunk_config(config)
+    data_config = piece_config(config)
     pieces = []
     pending = deque()
 

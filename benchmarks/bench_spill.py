@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.verify import outputs_identical
 from repro.bench import ExperimentTable, shape_check, write_json_artifact
 from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
@@ -56,23 +57,6 @@ def _traced(fn):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return result, elapsed, peak
-
-
-def _identical(spill, mem) -> bool:
-    out = spill.to_output()
-    if not (
-        np.array_equal(out.counts, mem.counts)
-        and out.bytes_read == mem.bytes_read
-        and out.bytes_written == mem.bytes_written
-    ):
-        return False
-    return all(
-        np.array_equal(np.asarray(spill.partition(p)[0]),
-                       np.asarray(mem.partition(p)[0]))
-        and np.array_equal(np.asarray(spill.partition(p)[1]),
-                           np.asarray(mem.partition(p)[1]))
-        for p in range(mem.num_partitions)
-    )
 
 
 def spill_table(
@@ -115,7 +99,7 @@ def spill_table(
         spill, spill_s, spill_peak = _traced(
             lambda: spiller.run(store, run_dir)
         )
-        identical = _identical(spill, mem)
+        identical = bool(outputs_identical(spill.to_output(), mem))
         rows.append([
             f"spill {budget >> 10} KiB",
             n,

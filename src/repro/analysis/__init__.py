@@ -21,6 +21,7 @@ from repro.analysis.sketch import (
 )
 from repro.analysis.verify import (
     VerificationReport,
+    outputs_identical,
     verify_join_pairs,
     verify_partitioning,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "PartitionPlan",
     "StreamSketch",
     "VerificationReport",
+    "outputs_identical",
     "verify_partitioning",
     "verify_join_pairs",
 ]

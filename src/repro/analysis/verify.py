@@ -10,7 +10,11 @@ verify *their* runs (custom configs, their own data) the same way:
   partition function selects;
 * it is **layout-consistent**: per-partition line counts cover the
   tuples and respect PAD capacities;
-* a join result is **sound**: every reported pair shares its key.
+* a join result is **sound**: every reported pair shares its key;
+* two outputs are **byte-identical** (:func:`outputs_identical`) — the
+  one oracle behind the repo's defining invariant that every path
+  (engine, spill, cluster, isolation, gateway) reproduces the bytes of
+  one offline ``partition()`` call.
 
 Each check returns a :class:`VerificationReport`; ``raise_on_failure``
 turns violations into exceptions for pipeline use.
@@ -44,6 +48,11 @@ class VerificationReport:
     def ok(self) -> bool:
         """True when every check held."""
         return not self.failures
+
+    def __bool__(self) -> bool:
+        """A report is truthy when every check held, so
+        ``assert outputs_identical(a, b)`` shows the failure on a miss."""
+        return self.ok
 
     def raise_on_failure(self) -> "VerificationReport":
         """Raise :class:`VerificationError` when any check failed."""
@@ -128,6 +137,69 @@ def verify_partitioning(
             )
 
     return VerificationReport(checks_run=checks, failures=failures)
+
+
+def outputs_identical(
+    ours: PartitionedOutput,
+    reference: PartitionedOutput,
+    check_accounting: bool = True,
+    modulo_isolation: bool = False,
+) -> VerificationReport:
+    """The byte-identity oracle: is ``ours`` the output ``reference`` is?
+
+    Partition contents (keys and payloads, per partition, in order) and
+    counts must match exactly; with ``check_accounting`` so must the
+    cache-line layout, traffic, padding and effective config.  Anything
+    with the output's attributes is accepted (a
+    :class:`~repro.storage.spill.PartitionSpill` handle, say).  The
+    report is truthy on identity and otherwise names the first
+    differing partition and field.
+
+    ``modulo_isolation`` is for comparing a heavy-hitter-isolated run
+    against the static one: the regions carved out of the PAD grid
+    start elsewhere by design, so ``base_lines`` may differ in (at
+    most) ``ours.isolated_partitions`` partitions.
+    """
+    failure = _first_difference(
+        ours, reference, check_accounting, modulo_isolation
+    )
+    return VerificationReport(
+        checks_run=1, failures=[] if failure is None else [failure]
+    )
+
+
+def _first_difference(
+    ours, reference, check_accounting: bool, modulo_isolation: bool
+) -> Optional[str]:
+    num_partitions = len(reference.counts)
+    if len(ours.counts) != num_partitions:
+        return f"num_partitions: {len(ours.counts)} vs {num_partitions}"
+    layout_fields = ["counts"]
+    if check_accounting:
+        layout_fields += ["lines_per_partition", "base_lines"]
+    for field in layout_fields:
+        mine = np.asarray(getattr(ours, field))
+        theirs = np.asarray(getattr(reference, field))
+        differing = np.nonzero(mine != theirs)[0]
+        allowed = (
+            ours.isolated_partitions
+            if modulo_isolation and field == "base_lines"
+            else 0
+        )
+        if differing.size > allowed:
+            p = int(differing[0])
+            return f"partition {p}: {field} {mine[p]} vs {theirs[p]}"
+    for field in ("partition_keys", "partition_payloads"):
+        mine, theirs = getattr(ours, field), getattr(reference, field)
+        for p in range(num_partitions):
+            if not np.array_equal(mine[p], theirs[p]):
+                return f"partition {p}: {field} differ"
+    if check_accounting:
+        for field in ("bytes_read", "bytes_written", "dummy_slots", "config"):
+            mine, theirs = getattr(ours, field), getattr(reference, field)
+            if mine != theirs:
+                return f"{field}: {mine} vs {theirs}"
+    return None
 
 
 def verify_join_pairs(

@@ -389,8 +389,7 @@ def _check_serve_identity(requests, responses) -> int:
     identical across output modes and backends, so every successful
     response (optimized or not) must match it byte for byte.
     """
-    import numpy as np
-
+    from repro.analysis.verify import outputs_identical
     from repro.core.partitioner import FpgaPartitioner
     from repro.service import RequestStatus
 
@@ -406,18 +405,9 @@ def _check_serve_identity(requests, responses) -> int:
             reference = partitioners[key].partition(
                 request.relation, request.payloads, on_overflow="hist"
             )
-            output = response.output
-            same = np.array_equal(output.counts, reference.counts)
-            for p in range(request.config.num_partitions):
-                if not same:
-                    break
-                same = np.array_equal(
-                    output.partition_keys[p], reference.partition_keys[p]
-                ) and np.array_equal(
-                    output.partition_payloads[p],
-                    reference.partition_payloads[p],
-                )
-            if not same:
+            if not outputs_identical(
+                response.output, reference, check_accounting=False
+            ):
                 mismatches += 1
     finally:
         for partitioner in partitioners.values():
@@ -629,23 +619,14 @@ def cmd_spill(args) -> int:
               f"keys, max key share {100 * plan.max_key_share:.2f}%"
               f"{' (SKEWED)' if plan.skewed else ''}")
     if args.check_identity:
-        import numpy as np
+        from repro.analysis.verify import outputs_identical
 
         mem = FpgaPartitioner(config).partition(relation)
-        identical = all(
-            np.array_equal(
-                np.asarray(out.partition_keys[p]),
-                np.asarray(mem.partition_keys[p]),
-            )
-            and np.array_equal(
-                np.asarray(out.partition_payloads[p]),
-                np.asarray(mem.partition_payloads[p]),
-            )
-            for p in range(config.num_partitions)
-        ) and np.array_equal(out.counts, mem.counts)
+        report = outputs_identical(out, mem)
         print(f"  vs in-memory      : "
-              f"{'byte-identical' if identical else 'MISMATCH'}")
-        if not identical:
+              f"{'byte-identical' if report else 'MISMATCH'}"
+              + "".join(f" ({failure})" for failure in report.failures))
+        if not report:
             return 1
     if args.keep:
         print(f"  kept store + run under {base}")
@@ -663,6 +644,7 @@ def cmd_cluster(args) -> int:
     """Sharded cluster driver: ``serve`` a workload or ``bench`` scaling."""
     import numpy as np
 
+    from repro.analysis.verify import outputs_identical
     from repro.cluster import ShardRouter
     from repro.obs import Tracer
 
@@ -763,16 +745,12 @@ def cmd_cluster(args) -> int:
                 single = FpgaPartitioner(config).partition(
                     relation, on_overflow="hist"
                 )
-                for p in range(config.num_partitions):
-                    ck, cp = response.output.partition(p)
-                    sk, sp = single.partition(p)
-                    if not (
-                        np.array_equal(ck, sk) and np.array_equal(cp, sp)
-                    ):
-                        raise SystemExit(
-                            f"request {i}: partition {p} diverged "
-                            f"from single-node output"
-                        )
+                report = outputs_identical(response.output, single)
+                if not report:
+                    raise SystemExit(
+                        f"request {i}: {report.failures[0]} "
+                        f"(cluster vs single-node output)"
+                    )
                 identical += 1
         snap = router.snapshot()
         if args.prometheus_out:
@@ -983,11 +961,8 @@ async def _gateway_bench(args) -> int:
     import asyncio
     import dataclasses
 
-    from repro.gateway import (
-        GatewayClient,
-        GatewayServer,
-        outputs_identical,
-    )
+    from repro.analysis.verify import outputs_identical
+    from repro.gateway import GatewayClient, GatewayServer
 
     config = dataclasses.replace(
         _parse_mode(args.mode), num_partitions=args.partitions

@@ -15,11 +15,7 @@ from repro.cluster.handoff import HandoffResult, SpillHandoff
 from repro.cluster.node import ShardNode, ShardStats
 from repro.cluster.placement import PlacementPlan, PlacementPolicy
 from repro.cluster.ring import ConsistentHashRing
-from repro.cluster.router import (
-    ClusterResponse,
-    ShardRouter,
-    shard_config,
-)
+from repro.cluster.router import ClusterResponse, ShardRouter
 
 __all__ = [
     "ClusterResponse",
@@ -31,5 +27,4 @@ __all__ = [
     "ShardRouter",
     "ShardStats",
     "SpillHandoff",
-    "shard_config",
 ]

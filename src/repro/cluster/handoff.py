@@ -93,9 +93,9 @@ class SpillHandoff:
     ) -> HandoffResult:
         """Drain ``(keys, payloads)`` into ``peer``'s storage.
 
-        ``config`` must already be the shard-plane HIST/RID clone (the
-        router's :attr:`~repro.cluster.router.ShardRouter.shard_config`
-        for the request): HIST never overflows and explicit payloads
+        ``config`` must already be the request's
+        :func:`~repro.core.pieces.piece_config` (the HIST/RID clone the
+        shards run): HIST never overflows and explicit payloads
         carry the global positions, so the run cannot fail for
         mode-specific reasons and its partition files hold exactly the
         global partitions' content for this slice.

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+import shutil
 import tempfile
 import time
 from typing import Optional
@@ -61,7 +62,7 @@ class ShardNode:
             consistent-hash ring and its Prometheus ``shard`` label.
         storage_root: directory for this shard's on-disk state
             (spill-handoff stores/runs land here); a temporary
-            directory is created if omitted.
+            directory is created if omitted and removed by :meth:`stop`.
         service_kwargs: forwarded to :class:`PartitionService` (policy,
             queue bounds, batching, spill knobs ...).
         breaker: router-side circuit breaker; a short-cooldown default
@@ -86,6 +87,7 @@ class ShardNode:
         clock=time.monotonic,
     ):
         self.shard_id = str(shard_id)
+        self._owns_storage = storage_root is None
         if storage_root is None:
             storage_root = tempfile.mkdtemp(prefix=f"repro-shard-{shard_id}-")
         self.storage_root = pathlib.Path(storage_root)
@@ -112,9 +114,12 @@ class ShardNode:
         return self
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Drain in-flight work and stop the shard's service."""
+        """Drain in-flight work, stop the shard's service and remove a
+        storage root the node created itself."""
         self.service.stop(timeout)
         self._started = False
+        if self._owns_storage:
+            shutil.rmtree(self.storage_root, ignore_errors=True)
 
     def kill(self, timeout: Optional[float] = 30.0) -> None:
         """Take the shard down as a crash: drain in-flight work, then

@@ -11,7 +11,9 @@ partition contents in the same order, same counts, line layout, byte
 traffic and padding — regardless of shard count, replication, replica
 failover, or spill handoff.
 
-How the identity is held:
+How the identity is held — the router is one caller of the
+"partitioning in pieces" recipe of :mod:`repro.core.pieces`, its pieces
+being *partition subsets* rather than input sub-ranges:
 
 * **Routing is by partition, with a stable scatter.**  The router runs
   one global :func:`repro.kernels.hash_histogram` pass (the same fused
@@ -19,22 +21,19 @@ How the identity is held:
   partition and the exact global histogram before anything moves.
   Tuples are scattered to shards with the stable scatter kernel, so
   each shard receives its partitions' tuples in input order.
-* **Shards run a HIST/RID clone of the request config** (the same
-  trick as :class:`~repro.storage.spill.SpillPartitioner`): per-shard
-  PAD capacities or shard-local virtual record ids would be globally
-  wrong, so shards always partition in the robust mode and the router
-  supplies explicit global positions as payloads.  A shard's output
-  partition ``p`` is then exactly the global partition ``p`` — which
-  is also why *any* replica produces identical bytes, making failover
-  and replication invisible in the output.
-* **Accounting is computed globally by the router** from the lane-exact
-  histogram, mirroring the single-node math — including the PAD
-  overflow check, which runs against the *global* histogram before
-  routing (the hardware aborts before scattering; so does the
-  cluster), with the usual ``raise`` / ``hist`` / ``cpu`` policies.
-* **The output columns are lazy**: a :class:`_ClusterColumn` maps
-  partition ``p`` to the serving shard's (or handoff spill's) column,
-  so reassembly copies nothing.
+* **Shards run the request's** :func:`~repro.core.pieces.piece_config`
+  with global positions as payloads, so a shard's output partition
+  ``p`` is exactly the global partition ``p`` — which is also why *any*
+  replica produces identical bytes, making failover and replication
+  invisible in the output.
+* **Layout, traffic and the PAD overflow policy come from**
+  :meth:`Accounting.finalize <repro.core.pieces.Accounting.finalize>`
+  over the global histogram, *before* routing (the hardware aborts
+  before scattering; so does the cluster).
+* **The output columns are lazy**: a
+  :class:`~repro.core.pieces.PieceColumn` maps partition ``p`` to the
+  serving shard's (or handoff spill's) column, so reassembly copies
+  nothing.
 
 Failure handling: a dead shard (submit raises), a FAILED/timed-out
 response, or an OPEN router-side breaker sends the affected partitions
@@ -49,8 +48,10 @@ shard-level downgrade surfaces on the :class:`ClusterResponse`.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
+import pathlib
+import shutil
+import tempfile
 import time
 from typing import List, Optional, Tuple
 
@@ -61,17 +62,18 @@ from repro.cluster.handoff import DEFAULT_HANDOFF_BYTES, SpillHandoff
 from repro.cluster.node import ShardNode
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.ring import ConsistentHashRing
-from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
+from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import (
     OverflowPolicy,
     PartitionedOutput,
 )
-from repro.core.tuples import check_payloads_valid
-from repro.errors import (
-    ConfigurationError,
-    PartitionOverflowError,
-    ReproError,
+from repro.core.pieces import (
+    Accounting,
+    PieceColumn,
+    extract_columns,
+    piece_config,
 )
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.tracing import resolve_tracer
 from repro.service.service import (
     PartitionRequest,
@@ -79,64 +81,18 @@ from repro.service.service import (
 )
 from repro.workloads.relations import Relation
 
-__all__ = ["ClusterResponse", "ShardRouter", "shard_config"]
+__all__ = ["ClusterResponse", "ShardRouter"]
 
 
-def shard_config(config: PartitionerConfig) -> PartitionerConfig:
-    """The shard-plane clone of a request config: HIST/RID.
+def _serving_column(sources: List) -> PieceColumn:
+    """Partition ``p`` read from ``sources[p]``, the shard-output (or
+    handoff-spill) column that serves it; empty partitions have none."""
 
-    Same fan-out, tuple width and hash — so shard partition ``p`` is
-    global partition ``p`` — but HIST output (no per-shard PAD
-    capacities, no overflow) and RID layout (the router supplies
-    explicit global positions; shard-local VRIDs would be wrong).
-    """
-    return dataclasses.replace(
-        config, output_mode=OutputMode.HIST, layout_mode=LayoutMode.RID
-    )
+    def read(p: int) -> Optional[np.ndarray]:
+        source = sources[p]
+        return None if source is None else source[p]
 
-
-class _ClusterColumn(collections.abc.Sequence):
-    """Lazy partition→serving-column dispatch, cluster flavour.
-
-    The third sibling of
-    :class:`~repro.core.partitioner.PartitionSlices` (one contiguous
-    buffer) and :class:`~repro.storage.spill._SpillColumn` (memmapped
-    files): entry ``p`` reads partition ``p`` of whichever shard output
-    or handoff spill serves it.  Empty partitions need no source.
-    """
-
-    __slots__ = ("_sources", "_counts", "_overrides")
-
-    def __init__(self, sources: List, counts: np.ndarray):
-        self._sources = sources
-        self._counts = counts
-        self._overrides: Optional[dict] = None
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if self._overrides is not None and index in self._overrides:
-            return self._overrides[index]
-        source = self._sources[index]
-        if source is None:
-            return np.empty(0, dtype=np.uint32)
-        return source[index]
-
-    def __setitem__(self, index: int, value: np.ndarray) -> None:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if self._overrides is None:
-            self._overrides = {}
-        self._overrides[index] = value
+    return PieceColumn(len(sources), read)
 
 
 @dataclasses.dataclass
@@ -204,7 +160,9 @@ class ShardRouter:
         handoff_tuples: default memory-pressure threshold applied to
             every built shard (per-node override via ``ShardNode``).
         handoff_bytes_in_memory: spill budget for handoff runs.
-        storage_root: base directory for shard storage roots.
+        storage_root: base directory for shard storage roots; a
+            temporary one is created if omitted and removed by
+            :meth:`stop`.
         request_timeout_s: per-shard-call resolve timeout before the
             router treats the shard as failed.
         tracer / clock: shared across router, shards and handoffs.
@@ -231,6 +189,8 @@ class ShardRouter:
         self.optimizer = optimizer
         self._clock = clock
         self.request_timeout_s = request_timeout_s
+        #: storage root this router created itself (removed on stop)
+        self._owned_root: Optional[str] = None
         self._nodes: List[ShardNode] = self._build_nodes(
             shards, storage_root, service_kwargs, handoff_tuples, clock
         )
@@ -274,11 +234,10 @@ class ShardRouter:
         shards = list(shards)
         if shards and isinstance(shards[0], ShardNode):
             return shards
-        import pathlib
-        import tempfile
-
         if storage_root is None:
-            storage_root = tempfile.mkdtemp(prefix="repro-cluster-")
+            storage_root = self._owned_root = tempfile.mkdtemp(
+                prefix="repro-cluster-"
+            )
         root = pathlib.Path(storage_root)
         return [
             ShardNode(
@@ -313,10 +272,14 @@ class ShardRouter:
         return self
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Stop every shard node (killed shards are already down)."""
+        """Stop every shard node (killed shards are already down) and
+        remove a storage root the router created itself — columns served
+        from a spill handoff are readable until then."""
         for node in self._nodes:
             node.stop(timeout)
         self._started = False
+        if self._owned_root is not None:
+            shutil.rmtree(self._owned_root, ignore_errors=True)
 
     def kill_shard(self, shard_id: str) -> None:
         """Crash one shard (drains in-flight, refuses new work)."""
@@ -357,7 +320,7 @@ class ShardRouter:
         if not self._started:
             raise ReproError("router is not running (use start() or `with`)")
         cfg = config or PartitionerConfig()
-        keys, pays = _extract_columns(cfg, relation, payloads)
+        keys, pays = extract_columns(cfg, relation, payloads)
         n = int(keys.shape[0])
         self.stats["requests"] += 1
         with self.tracer.span(
@@ -396,28 +359,33 @@ class ShardRouter:
         timeout: Optional[float],
     ) -> ClusterResponse:
         P = cfg.num_partitions
-        per_line = cfg.tuples_per_line
 
         # 1. Global accounting pass — the same fused kernel the
         # single-node path runs, so counts and lane matrix are exact.
         with self.tracer.span("cluster.route", tuples=n, partitions=P):
-            parts, counts, lane_counts = kernels.hash_histogram(
+            parts, _, lane_counts = kernels.hash_histogram(
                 keys, P, cfg.uses_hash, lanes=cfg.num_lanes
             )
-            counts = counts.astype(np.int64, copy=False)
-            lines_per_partition = (-(-lane_counts // per_line)).sum(axis=1)
 
-            # 2. PAD overflow — checked globally BEFORE routing, like
-            # the hardware checks before scattering.
-            effective_cfg = cfg
-            extra_read = 0
-            fallback = self._check_overflow(
-                cfg, lines_per_partition, n, keys, pays, on_overflow
-            )
-            if isinstance(fallback, ClusterResponse):
-                return fallback
-            if fallback is not None:
-                effective_cfg, extra_read = fallback
+            # 2. Layout and PAD overflow policy — settled globally
+            # BEFORE routing, like the hardware checks before scattering.
+            layout = Accounting(cfg, lane_counts).finalize(on_overflow)
+            if layout.overflow is not None:
+                # The paper's software fallback aborts the accelerator
+                # path entirely; the cluster mirrors that by running the
+                # same local CPU partitioner a single node would.
+                from repro.cpu.partitioner import CpuPartitioner
+
+                cpu_out = CpuPartitioner.matching(cfg).partition(keys, pays)
+                cpu_out.fell_back_to_cpu = True
+                return ClusterResponse(
+                    status=RequestStatus.OK,
+                    output=cpu_out,
+                    backends=("cpu-local",),
+                    degraded=True,
+                    degrade_reasons=("pad-overflow-cpu",),
+                )
+            counts = layout.counts
 
             # 3. Placement: primaries from the ring, hot partitions
             # spread over their replica sets; partitions whose chosen
@@ -470,34 +438,12 @@ class ShardRouter:
                 error=str(exc),
             )
 
-        # 6. Assemble: lazy columns + global accounting identical to
-        # FpgaPartitioner._finalize_output under the effective config.
+        # 6. Assemble: lazy columns under the global layout.
         with self.tracer.span("cluster.assemble", partitions=P):
-            if effective_cfg.output_mode is OutputMode.PAD:
-                capacity_lines = (
-                    effective_cfg.partition_capacity(n) // per_line
-                )
-                base_lines = (
-                    np.arange(P, dtype=np.int64) * capacity_lines
-                )
-            else:
-                base_lines = np.zeros(P, dtype=np.int64)
-                np.cumsum(lines_per_partition[:-1], out=base_lines[1:])
-            bytes_read, bytes_written = effective_cfg.traffic_bytes(
-                n, int(lines_per_partition.sum())
-            )
-            output = PartitionedOutput(
-                config=effective_cfg,
-                partition_keys=_ClusterColumn(key_sources, counts),
-                partition_payloads=_ClusterColumn(pay_sources, counts),
-                counts=counts,
-                lines_per_partition=lines_per_partition,
-                base_lines=base_lines,
-                bytes_read=bytes_read + extra_read,
-                bytes_written=bytes_written,
-                dummy_slots=int(
-                    lines_per_partition.sum() * per_line - n
-                ),
+            output = PartitionedOutput.from_layout(
+                layout,
+                _serving_column(key_sources),
+                _serving_column(pay_sources),
                 produced_by="cluster",
             )
         return ClusterResponse(
@@ -515,63 +461,6 @@ class ShardRouter:
             backends=tuple(sorted(backends)),
             degraded=bool(reasons),
             degrade_reasons=tuple(sorted(set(reasons))),
-        )
-
-    # -- overflow -------------------------------------------------------
-
-    def _check_overflow(
-        self,
-        cfg: PartitionerConfig,
-        lines_per_partition: np.ndarray,
-        n: int,
-        keys: np.ndarray,
-        pays: np.ndarray,
-        on_overflow: OverflowPolicy,
-    ):
-        """Global PAD-capacity check, single-node policy semantics.
-
-        Returns None (no overflow), ``(effective_cfg, extra_read)`` for
-        the in-cluster HIST fallback, or a terminal
-        :class:`ClusterResponse` for the local CPU fallback.
-        """
-        if cfg.output_mode is not OutputMode.PAD:
-            return None
-        capacity_lines = cfg.partition_capacity(n) // cfg.tuples_per_line
-        overflowed = np.nonzero(lines_per_partition > capacity_lines)[0]
-        if not overflowed.size:
-            return None
-        if on_overflow == "raise":
-            raise PartitionOverflowError(
-                partition=int(overflowed[0]),
-                capacity=capacity_lines * cfg.tuples_per_line,
-                tuples_seen=n,
-            )
-        if on_overflow == "hist":
-            # Same accounting as the single-node retry: the run
-            # proceeds under the HIST clone, charged for the aborted
-            # PAD scan (worst case of Section 5.4).
-            effective = dataclasses.replace(
-                cfg, output_mode=OutputMode.HIST
-            )
-            return effective, cfg.traffic_bytes(n, 0)[0]
-        if on_overflow == "cpu":
-            # The paper's software fallback aborts the accelerator
-            # path entirely; the cluster mirrors that by running the
-            # same local CPU partitioner a single node would.
-            from repro.cpu.partitioner import CpuPartitioner
-
-            cpu_out = CpuPartitioner.matching(cfg).partition(keys, pays)
-            cpu_out.fell_back_to_cpu = True
-            return ClusterResponse(
-                status=RequestStatus.OK,
-                output=cpu_out,
-                backends=("cpu-local",),
-                degraded=True,
-                degrade_reasons=("pad-overflow-cpu",),
-            )
-        raise ConfigurationError(
-            f"unknown overflow policy {on_overflow!r}; "
-            "expected 'raise', 'hist' or 'cpu'"
         )
 
     # -- placement + scatter --------------------------------------------
@@ -672,7 +561,7 @@ class ShardRouter:
         timeout: Optional[float],
     ):
         P = cfg.num_partitions
-        request_cfg = shard_config(cfg)
+        request_cfg = piece_config(cfg)
         key_sources: List = [None] * P
         pay_sources: List = [None] * P
         serving: List[Optional[str]] = [None] * P
@@ -841,31 +730,3 @@ class ShardRouter:
         pages = ["\n".join(lines) + "\n"] if lines else []
         pages.extend(node.prometheus() for node in self._nodes)
         return "".join(pages)
-
-
-def _extract_columns(
-    cfg: PartitionerConfig,
-    relation: "Relation | np.ndarray",
-    payloads: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Input normalisation, mirroring
-    :meth:`FpgaPartitioner._extract_columns` exactly: the router must
-    compute the same effective payload column a single node would
-    (VRID and bare-array inputs get positional ids)."""
-    if isinstance(relation, Relation):
-        keys = relation.keys
-        payloads = relation.payloads
-    else:
-        keys = np.ascontiguousarray(relation, dtype=np.uint32)
-        if cfg.layout_mode is LayoutMode.VRID or payloads is None:
-            payloads = np.arange(keys.shape[0], dtype=np.uint32)
-        else:
-            payloads = np.ascontiguousarray(payloads, dtype=np.uint32)
-    if cfg.layout_mode is LayoutMode.VRID:
-        payloads = np.arange(keys.shape[0], dtype=np.uint32)
-    if keys.shape != payloads.shape:
-        raise ConfigurationError("keys and payloads must align")
-    if keys.size == 0:
-        raise ConfigurationError("cannot partition an empty relation")
-    check_payloads_valid(payloads)
-    return keys, payloads

@@ -188,6 +188,41 @@ class PartitionerConfig:
         bytes_written = lines_written * CACHE_LINE_BYTES
         return bytes_read, bytes_written
 
+    def to_dict(self) -> dict:
+        """JSON-native form: the ``config`` entry of the spill manifest
+        and of the gateway's HELLO / HELLO_OK / MANIFEST frames."""
+        return {
+            "num_partitions": self.num_partitions,
+            "tuple_bytes": self.tuple_bytes,
+            "output_mode": self.output_mode.value,
+            "layout_mode": self.layout_mode.value,
+            "hash_kind": self.hash_kind.value,
+            "pad_tuples": self.pad_tuples,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "PartitionerConfig":
+        """Inverse of :meth:`to_dict`.
+
+        The input may come off the network (a HELLO frame), so anything
+        malformed — not a mapping, a missing key, a value of the wrong
+        type, an unknown mode — raises :class:`ConfigurationError`.
+        """
+        try:
+            pad_tuples = data["pad_tuples"]
+            return cls(
+                num_partitions=int(data["num_partitions"]),
+                tuple_bytes=int(data["tuple_bytes"]),
+                output_mode=OutputMode(data["output_mode"]),
+                layout_mode=LayoutMode(data["layout_mode"]),
+                hash_kind=HashKind(data["hash_kind"]),
+                pad_tuples=None if pad_tuples is None else int(pad_tuples),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed partitioner config {data!r}: {exc!r}"
+            ) from exc
+
     def read_write_ratio(self) -> float:
         """``r`` — sequential-read to random-write byte ratio (Table 3).
 

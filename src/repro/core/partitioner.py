@@ -25,9 +25,9 @@ import numpy as np
 
 from repro import kernels
 from repro.core.circuit import CircuitResult, PartitionerCircuit
-from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
-from repro.core.tuples import check_payloads_valid
-from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.core.modes import LayoutMode, PartitionerConfig
+from repro.core.pieces import Accounting, Layout, extract_columns
+from repro.errors import ConfigurationError
 from repro.platform.machine import XeonFpgaPlatform
 from repro.platform.coherence import Socket
 from repro.workloads.relations import Relation
@@ -118,6 +118,32 @@ class PartitionedOutput:
     #: regions carved out of the PAD grid for sketch-detected heavy
     #: hitters (see :func:`repro.optimize.isolation.partition_isolated`)
     isolated_partitions: int = 0
+
+    @classmethod
+    def from_layout(
+        cls,
+        layout: Layout,
+        partition_keys: Sequence[np.ndarray],
+        partition_payloads: Sequence[np.ndarray],
+        produced_by: str,
+        fell_back_to_cpu: bool = False,
+    ) -> "PartitionedOutput":
+        """The output of a run whose accounting is ``layout`` and whose
+        partition contents the two columns serve."""
+        return cls(
+            config=layout.config,
+            partition_keys=partition_keys,
+            partition_payloads=partition_payloads,
+            counts=layout.counts,
+            lines_per_partition=layout.lines_per_partition,
+            base_lines=layout.base_lines,
+            bytes_read=layout.bytes_read,
+            bytes_written=layout.bytes_written,
+            dummy_slots=layout.dummy_slots,
+            produced_by=produced_by,
+            fell_back_to_cpu=fell_back_to_cpu,
+            isolated_partitions=layout.isolated_partitions,
+        )
 
     @property
     def num_partitions(self) -> int:
@@ -253,17 +279,17 @@ class FpgaPartitioner:
             payloads: payload column when ``relation`` is a bare array.
                 Ignored in VRID mode (virtual record ids are generated).
             on_overflow: PAD-mode overflow policy — ``"raise"`` (default,
-                :class:`PartitionOverflowError`), ``"hist"`` (retry the
-                run in HIST mode, the robust two-pass fallback), or
-                ``"cpu"`` (fall back to the software partitioner, as the
-                paper describes).
+                :class:`PartitionOverflowError`), ``"hist"`` (finish the
+                run in HIST mode, the robust two-pass fallback, charged
+                the aborted PAD scan), or ``"cpu"`` (fall back to the
+                software partitioner, as the paper describes).
             region_name: label for coherence tracking when a platform is
                 attached (defaults to an internal counter).
 
         Returns:
             A :class:`PartitionedOutput`.
         """
-        keys, payloads = self._extract_columns(relation, payloads)
+        keys, payloads = extract_columns(self.config, relation, payloads)
         with self.tracer.span(
             "fpga.partition",
             tuples=int(keys.shape[0]),
@@ -287,11 +313,19 @@ class FpgaPartitioner:
         payloads: np.ndarray,
         on_overflow: OverflowPolicy,
         region_name: Optional[str],
+        hot: Sequence[int] = (),
     ) -> PartitionedOutput:
-        """The :meth:`partition` kernel body (span-wrapped by caller)."""
-        cfg = self.config
-        per_line = cfg.tuples_per_line
+        """The :meth:`partition` kernel body (span-wrapped by caller).
 
+        One histogram pass, the layout and overflow policy *before* any
+        data moves — mirroring the hardware's HIST pass, which aborts
+        without scattering — then one stable scatter.  The HIST fallback
+        keeps the histogram: contents do not depend on the output mode,
+        so it is the same scatter under the HIST layout.  ``hot`` are
+        the partitions :func:`~repro.optimize.isolation.partition_isolated`
+        carves out of the PAD grid.
+        """
+        cfg = self.config
         if self.engine is not None:
             task = self.engine.begin_partition(
                 keys,
@@ -301,42 +335,28 @@ class FpgaPartitioner:
                 lanes=cfg.num_lanes,
             )
             try:
-                counts = task.counts
-                # task.lane_counts is (partition, lane), same
-                # orientation as _lane_counts.
-                lines_per_partition = (
-                    -(-task.lane_counts // per_line)
-                ).sum(axis=1)
-                overflow = self._check_pad_overflow(
-                    lines_per_partition, int(keys.shape[0])
+                layout = Accounting(cfg, task.lane_counts).finalize(
+                    on_overflow, hot
                 )
-                if overflow is not None:
-                    return self._handle_overflow(
-                        keys, payloads, overflow[0], overflow[1], on_overflow
-                    )
+                if layout.overflow is not None:
+                    return self._cpu_fallback(keys, payloads)
                 sorted_keys, sorted_payloads = task.scatter()
             finally:
                 task.close()
         else:
             # Engine-less reference path, on the compiled primitives:
             # one fused hash+histogram pass (with the per-lane counts
-            # the line accounting needs), the overflow check *before*
-            # any data moves — mirroring the hardware's HIST pass —
-            # then one stable scatter straight into the output columns.
+            # the line accounting needs), then one stable scatter
+            # straight into the output columns.
             parts, counts, lane_counts = kernels.hash_histogram(
                 keys,
                 cfg.num_partitions,
                 cfg.uses_hash,
                 lanes=cfg.num_lanes,
             )
-            lines_per_partition = (-(-lane_counts // per_line)).sum(axis=1)
-            overflow = self._check_pad_overflow(
-                lines_per_partition, int(keys.shape[0])
-            )
-            if overflow is not None:
-                return self._handle_overflow(
-                    keys, payloads, overflow[0], overflow[1], on_overflow
-                )
+            layout = Accounting(cfg, lane_counts).finalize(on_overflow, hot)
+            if layout.overflow is not None:
+                return self._cpu_fallback(keys, payloads)
             n = int(keys.shape[0])
             partition_base = np.zeros(cfg.num_partitions, dtype=np.int64)
             np.cumsum(counts[:-1], out=partition_base[1:])
@@ -346,16 +366,7 @@ class FpgaPartitioner:
                 keys, payloads, parts, partition_base,
                 cfg.num_partitions, sorted_keys, sorted_payloads,
             )
-
-        output = self._finalize_output(
-            int(keys.shape[0]),
-            counts,
-            lines_per_partition,
-            sorted_keys,
-            sorted_payloads,
-        )
-        self._account_platform(output, region_name)
-        return output
+        return self._output(layout, sorted_keys, sorted_payloads, region_name)
 
     def partition_many(
         self,
@@ -401,7 +412,7 @@ class FpgaPartitioner:
                 "payloads must align with relations when given"
             )
         columns = [
-            self._extract_columns(rel, pay)
+            extract_columns(cfg, rel, pay)
             for rel, pay in zip(relations, payloads)
         ]
         # The packed (request, partition) index must fit uint16 for the
@@ -470,7 +481,6 @@ class FpgaPartitioner:
         cfg = self.config
         num_partitions = cfg.num_partitions
         lanes = cfg.num_lanes
-        per_line = cfg.tuples_per_line
         batch = len(columns)
         keys = np.concatenate([k for k, _ in columns])
         pays = np.concatenate([p for _, p in columns])
@@ -506,7 +516,6 @@ class FpgaPartitioner:
             lane_packed, minlength=batch * num_partitions * lanes
         ).reshape(batch, num_partitions, lanes)
         counts_matrix = lane_matrix.sum(axis=2)
-        lines_matrix = (-(-lane_matrix // per_line)).sum(axis=2)
 
         # One stable scatter orders the whole batch by (request,
         # partition); each request's slice is then exactly its own
@@ -525,28 +534,23 @@ class FpgaPartitioner:
         bounds = np.zeros(batch + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
 
+        # Layout and overflow policy per request.  An overflowing
+        # request falls back individually: under ``hist`` its slice of
+        # the batch scatter already holds the contents.
         outputs: List[PartitionedOutput] = []
         for i in range(batch):
-            size_i = int(sizes[i])
-            overflow = self._check_pad_overflow(lines_matrix[i], size_i)
-            if overflow is not None:
-                req_keys, req_pays = columns[i]
-                outputs.append(
-                    self._handle_overflow(
-                        req_keys, req_pays, overflow[0], overflow[1],
-                        on_overflow,
-                    )
-                )
+            layout = Accounting(cfg, lane_matrix[i]).finalize(on_overflow)
+            if layout.overflow is not None:
+                outputs.append(self._cpu_fallback(*columns[i]))
                 continue
-            output = self._finalize_output(
-                size_i,
-                counts_matrix[i],
-                lines_matrix[i],
-                sorted_keys[bounds[i] : bounds[i + 1]],
-                sorted_payloads[bounds[i] : bounds[i + 1]],
+            outputs.append(
+                self._output(
+                    layout,
+                    sorted_keys[bounds[i] : bounds[i + 1]],
+                    sorted_payloads[bounds[i] : bounds[i + 1]],
+                    None,
+                )
             )
-            self._account_platform(output, None)
-            outputs.append(output)
         return outputs
 
     # ------------------------------------------------------------------
@@ -571,7 +575,7 @@ class FpgaPartitioner:
         :mod:`repro.exec.fast_forward` where applicable — identical
         results and stats, much faster wall clock.
         """
-        keys, payloads = self._extract_columns(relation, payloads)
+        keys, payloads = extract_columns(self.config, relation, payloads)
         if qpi_bandwidth_gbs is None and self.platform is not None:
             qpi_bandwidth_gbs = self.platform.fpga_bandwidth_gbs(
                 self.config.read_write_ratio()
@@ -590,165 +594,48 @@ class FpgaPartitioner:
     # Internals
     # ------------------------------------------------------------------
 
-    def _finalize_output(
+    def _output(
         self,
-        num_tuples: int,
-        counts: np.ndarray,
-        lines_per_partition: np.ndarray,
+        layout: Layout,
         sorted_keys: np.ndarray,
         sorted_payloads: np.ndarray,
+        region_name: Optional[str],
     ) -> PartitionedOutput:
-        """Build a :class:`PartitionedOutput` from the kernel results.
-
-        Shared tail of :meth:`partition` and :meth:`partition_many`:
-        region layout, per-partition slices, traffic and padding
-        accounting — everything downstream of counts + sorted data.
-        """
-        cfg = self.config
-        per_line = cfg.tuples_per_line
-        if cfg.output_mode is OutputMode.PAD:
-            capacity_lines = cfg.partition_capacity(num_tuples) // per_line
-            base_lines = (
-                np.arange(cfg.num_partitions, dtype=np.int64) * capacity_lines
+        """Wrap one run's sorted columns and layout, and account it on
+        the attached platform: QPI traffic, and the output region marked
+        FPGA-written in the coherence directory."""
+        boundaries = np.zeros(self.config.num_partitions + 1, dtype=np.int64)
+        np.cumsum(layout.counts, out=boundaries[1:])
+        output = PartitionedOutput.from_layout(
+            layout,
+            PartitionSlices(sorted_keys, boundaries),
+            PartitionSlices(sorted_payloads, boundaries),
+            produced_by=(
+                "fpga-isolated"
+                if layout.isolated_partitions
+                else "fpga-functional"
+            ),
+        )
+        if self.platform is not None:
+            name = region_name or f"fpga-partitions-{id(output):x}"
+            # the link carried the run that completed; an aborted PAD
+            # scan is charged to the output's byte count only
+            self.platform.qpi.bytes_read += (
+                layout.bytes_read - layout.aborted_scan_bytes
             )
-        else:
-            base_lines = np.zeros(cfg.num_partitions, dtype=np.int64)
-            np.cumsum(lines_per_partition[:-1], out=base_lines[1:])
+            self.platform.qpi.bytes_written += layout.bytes_written
+            self.platform.coherence.record_region_write(name, Socket.FPGA)
+            output.produced_by = f"fpga-functional@{name}"
+        return output
 
-        boundaries = np.zeros(cfg.num_partitions + 1, dtype=np.int64)
-        np.cumsum(counts, out=boundaries[1:])
-        partition_keys = PartitionSlices(sorted_keys, boundaries)
-        partition_payloads = PartitionSlices(sorted_payloads, boundaries)
-
-        bytes_read, bytes_written = self._traffic(
-            num_tuples, int(lines_per_partition.sum())
-        )
-        dummy_slots = int(
-            lines_per_partition.sum() * per_line - num_tuples
-        )
-        return PartitionedOutput(
-            config=cfg,
-            partition_keys=partition_keys,
-            partition_payloads=partition_payloads,
-            counts=counts,
-            lines_per_partition=lines_per_partition,
-            base_lines=base_lines,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            dummy_slots=dummy_slots,
-        )
-
-    def _extract_columns(
-        self,
-        relation: Relation | np.ndarray,
-        payloads: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if isinstance(relation, Relation):
-            keys = relation.keys
-            payloads = relation.payloads
-        else:
-            keys = np.ascontiguousarray(relation, dtype=np.uint32)
-            if self.config.layout_mode is LayoutMode.VRID or payloads is None:
-                payloads = np.arange(keys.shape[0], dtype=np.uint32)
-            else:
-                payloads = np.ascontiguousarray(payloads, dtype=np.uint32)
-        if self.config.layout_mode is LayoutMode.VRID:
-            # Column-store input: only keys exist; virtual record ids
-            # are the positions, appended on the FPGA.
-            payloads = np.arange(keys.shape[0], dtype=np.uint32)
-        if keys.shape != payloads.shape:
-            raise ConfigurationError("keys and payloads must align")
-        if keys.size == 0:
-            raise ConfigurationError("cannot partition an empty relation")
-        check_payloads_valid(payloads)
-        return keys, payloads
-
-    def _check_pad_overflow(
-        self, lines_per_partition: np.ndarray, n: int
-    ) -> Optional[Tuple[int, int]]:
-        """PAD-mode capacity check before any data is moved.
-
-        Returns ``(partition, capacity_tuples)`` of the first
-        overflowing partition, or None (always None in HIST mode) —
-        mirroring the hardware, which aborts on overflow without
-        completing the scatter.
-        """
-        cfg = self.config
-        if cfg.output_mode is not OutputMode.PAD:
-            return None
-        per_line = cfg.tuples_per_line
-        capacity_lines = cfg.partition_capacity(n) // per_line
-        overflowed = np.nonzero(lines_per_partition > capacity_lines)[0]
-        if overflowed.size:
-            return int(overflowed[0]), capacity_lines * per_line
-        return None
-
-    def _lane_counts(self, parts: np.ndarray) -> np.ndarray:
-        """Per-(partition, lane) tuple counts.
-
-        Tuple ``i`` rides lane ``i mod num_lanes`` (its slot in the
-        input cache line), and each lane's write combiner emits
-        ``ceil(count / tuples_per_line)`` lines per partition — this is
-        what makes the functional line/padding accounting exactly match
-        the circuit.
-        """
-        lanes = self.config.num_lanes
-        lane = np.arange(parts.shape[0], dtype=np.int64) % lanes
-        combined = parts * lanes + lane
-        flat = np.bincount(
-            combined, minlength=self.config.num_partitions * lanes
-        )
-        return flat.reshape(self.config.num_partitions, lanes)
-
-    def _traffic(self, n_tuples: int, lines_written: int) -> Tuple[int, int]:
-        return self.config.traffic_bytes(n_tuples, lines_written)
-
-    def _handle_overflow(
-        self,
-        keys: np.ndarray,
-        payloads: np.ndarray,
-        partition: int,
-        capacity_tuples: int,
-        on_overflow: OverflowPolicy,
+    def _cpu_fallback(
+        self, keys: np.ndarray, payloads: np.ndarray
     ) -> PartitionedOutput:
-        if on_overflow == "raise":
-            raise PartitionOverflowError(
-                partition=partition,
-                capacity=capacity_tuples,
-                tuples_seen=int(keys.shape[0]),
-            )
-        if on_overflow == "hist":
-            hist_config = dataclasses.replace(
-                self.config, output_mode=OutputMode.HIST
-            )
-            retried = FpgaPartitioner(hist_config, self.platform).partition(
-                keys, payloads
-            )
-            # The aborted PAD attempt still paid (part of) a scan; we
-            # charge the full failed pass, the worst case of Section 5.4
-            # ("in the worst case, this might happen at the very end").
-            retried.bytes_read += self._traffic(int(keys.shape[0]), 0)[0]
-            return retried
-        if on_overflow == "cpu":
-            from repro.cpu.partitioner import CpuPartitioner
+        """The paper's software fallback for an overflowed PAD run."""
+        from repro.cpu.partitioner import CpuPartitioner
 
-            cpu_out = CpuPartitioner.matching(self.config).partition(
-                keys, payloads
-            )
-            cpu_out.fell_back_to_cpu = True
-            return cpu_out
-        raise ConfigurationError(
-            f"unknown overflow policy {on_overflow!r}; "
-            "expected 'raise', 'hist' or 'cpu'"
+        cpu_out = CpuPartitioner.matching(self.config).partition(
+            keys, payloads
         )
-
-    def _account_platform(
-        self, output: PartitionedOutput, region_name: Optional[str]
-    ) -> None:
-        if self.platform is None:
-            return
-        name = region_name or f"fpga-partitions-{id(output):x}"
-        self.platform.qpi.bytes_read += output.bytes_read
-        self.platform.qpi.bytes_written += output.bytes_written
-        self.platform.coherence.record_region_write(name, Socket.FPGA)
-        output.produced_by = f"fpga-functional@{name}"
+        cpu_out.fell_back_to_cpu = True
+        return cpu_out

@@ -12,7 +12,7 @@ makes the stitched client-side output **byte-identical** to one offline
 * :mod:`~repro.gateway.protocol` — the length-prefixed frame protocol
   (JSON control frames + raw little-endian data frames);
 * :mod:`~repro.gateway.chunking` — global accounting + stitching (the
-  spill partitioner's byte-identity recipe, carried over a socket);
+  wire adapter over :mod:`repro.core.pieces`);
 * :mod:`~repro.gateway.server` — :class:`GatewayServer`: accept,
   chunk-submit, stream back, drain on SIGTERM;
 * :mod:`~repro.gateway.client` — :class:`GatewayClient`: the asyncio
@@ -27,10 +27,8 @@ protocol spec and backpressure/drain contracts live in
 
 from repro.gateway.chunking import (
     StreamAccounting,
-    chunk_config,
     global_payloads,
     iter_chunks,
-    outputs_identical,
     stitch_output,
 )
 from repro.gateway.client import GatewayClient, GatewayStream, stream_partition
@@ -58,10 +56,8 @@ __all__ = [
     "GatewayStreamError",
     "PROTOCOL_VERSION",
     "StreamAccounting",
-    "chunk_config",
     "global_payloads",
     "iter_chunks",
-    "outputs_identical",
     "stitch_output",
     "stream_partition",
 ]

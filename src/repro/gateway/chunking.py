@@ -1,103 +1,40 @@
 """Chunked-stream accounting and client-side stitching.
 
-The gateway's byte-identity trick is the spill partitioner's
-(:mod:`repro.storage.spill`), carried over a socket: every chunk is
-partitioned under a HIST/RID clone of the stream's config with explicit
-*global-position* payloads, and because the partitioner is stable,
-concatenating each partition's tuples across chunks in arrival order
-reproduces exactly what one offline :meth:`FpgaPartitioner.partition`
-call over the whole stream would have emitted.
+The gateway is the "partitioning in pieces" recipe of
+:mod:`repro.core.pieces` carried over a socket: every chunk is
+partitioned under the stream's :func:`~repro.core.pieces.piece_config`
+with explicit *global-position* payloads, and because the partitioner
+is stable, concatenating each partition's tuples across chunks in
+arrival order reproduces exactly what one offline
+:meth:`FpgaPartitioner.partition` call over the whole stream would have
+emitted.
 
 Only the *accounting* (cache-line layout, traffic bytes, PAD overflow)
 depends on the global tuple count, which is unknowable until the stream
-ends.  :class:`StreamAccounting` therefore folds every chunk into a
-lane-exact global ``(partition, lane)`` histogram — a tuple's lane is
-its global input index mod lanes, so
-``kernels.hash_histogram(..., global_offset=offset)`` makes misaligned
-chunks account exactly like one big run — and :meth:`finalize` replays
-the offline layout math (the same code path as
-``SpillPartitioner._merge`` and the cluster router) to produce the
-MANIFEST frame.  :func:`stitch_output` is the client-side inverse: chunk
-frames + manifest → a :class:`PartitionedOutput` indistinguishable from
-the offline call.
+ends.  :class:`StreamAccounting` is the wire adapter over the shared
+:class:`~repro.core.pieces.Accounting`: it folds every chunk in and
+serialises the final :class:`~repro.core.pieces.Layout` as the MANIFEST
+frame.  :func:`stitch_output` is the client-side inverse: chunk frames +
+manifest → a :class:`PartitionedOutput` indistinguishable from the
+offline call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
+from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import PartitionedOutput
-from repro.errors import PartitionOverflowError
-from repro.storage.spill import config_from_dict, config_to_dict
+from repro.core.pieces import Accounting, Layout
 
 __all__ = [
     "StreamAccounting",
-    "chunk_config",
     "global_payloads",
     "iter_chunks",
-    "manifest_config",
-    "outputs_identical",
     "stitch_output",
 ]
-
-
-def outputs_identical(
-    ours: PartitionedOutput,
-    reference: PartitionedOutput,
-    check_accounting: bool = True,
-) -> bool:
-    """Byte-identity predicate used by tests, the bench and the CLI.
-
-    Partition contents (keys and payloads, per partition, in order)
-    must match exactly; with ``check_accounting`` the full layout and
-    traffic accounting (counts, cache-line layout, bytes, dummy slots,
-    effective config) must match too.
-    """
-    if ours.num_partitions != reference.num_partitions:
-        return False
-    if not np.array_equal(ours.counts, reference.counts):
-        return False
-    for p in range(ours.num_partitions):
-        if not np.array_equal(
-            ours.partition_keys[p], reference.partition_keys[p]
-        ):
-            return False
-        if not np.array_equal(
-            ours.partition_payloads[p], reference.partition_payloads[p]
-        ):
-            return False
-    if not check_accounting:
-        return True
-    return (
-        ours.config == reference.config
-        and np.array_equal(
-            ours.lines_per_partition, reference.lines_per_partition
-        )
-        and np.array_equal(ours.base_lines, reference.base_lines)
-        and ours.bytes_read == reference.bytes_read
-        and ours.bytes_written == reference.bytes_written
-        and ours.dummy_slots == reference.dummy_slots
-    )
-
-
-def chunk_config(config: PartitionerConfig) -> PartitionerConfig:
-    """The data-plane clone of a stream config: HIST output, RID layout.
-
-    Same fan-out, tuple width and hash — chunk partition ``p`` is global
-    partition ``p`` — but no per-chunk PAD capacities (overflow is a
-    *global* property checked at end of stream) and explicit payloads
-    (chunk-local VRIDs would be wrong; the gateway supplies global
-    positions).  The same clone the cluster router's ``shard_config``
-    uses for the same reason.
-    """
-    return dataclasses.replace(
-        config, output_mode=OutputMode.HIST, layout_mode=LayoutMode.RID
-    )
 
 
 def global_payloads(
@@ -138,26 +75,18 @@ class StreamAccounting:
     def __init__(self, config: PartitionerConfig, on_overflow: str = "raise"):
         self.config = config
         self.on_overflow = on_overflow
-        self.tuples = 0
         self.chunks = 0
-        self.lane_counts = np.zeros(
-            (config.num_partitions, config.num_lanes), dtype=np.int64
-        )
+        self._accounting = Accounting(config)
+
+    @property
+    def tuples(self) -> int:
+        """Tuples observed so far."""
+        return self._accounting.tuples
 
     def observe(self, keys: np.ndarray) -> int:
         """Fold one chunk in; returns the chunk's global tuple offset."""
-        offset = self.tuples
-        _, _, lane_hist = kernels.hash_histogram(
-            np.asarray(keys),
-            self.config.num_partitions,
-            self.config.uses_hash,
-            lanes=self.config.num_lanes,
-            global_offset=offset,
-        )
-        self.lane_counts += lane_hist
-        self.tuples += int(keys.shape[0])
         self.chunks += 1
-        return offset
+        return self._accounting.observe(keys)
 
     def finalize(self) -> dict:
         """The MANIFEST payload: global layout + traffic accounting.
@@ -165,64 +94,15 @@ class StreamAccounting:
         Raises :class:`PartitionOverflowError` when a PAD stream under
         the ``"raise"`` policy overflowed — the server turns that into
         a structured ERROR frame, matching the offline call's raise.
+        Under ``"hist"`` the chunk data is already HIST-identical; only
+        the accounting switches mode.
         """
-        cfg = self.config
-        n = self.tuples
-        counts = self.lane_counts.sum(axis=1)
-        per_line = cfg.tuples_per_line
-        lines_per_partition = (-(-self.lane_counts // per_line)).sum(axis=1)
-        effective = cfg
-        extra_read = 0
-
-        if cfg.output_mode is OutputMode.PAD:
-            capacity_lines = cfg.partition_capacity(n) // per_line
-            overflowed = np.nonzero(lines_per_partition > capacity_lines)[0]
-            if overflowed.size:
-                if self.on_overflow == "raise":
-                    raise PartitionOverflowError(
-                        partition=int(overflowed[0]),
-                        capacity=capacity_lines * per_line,
-                        tuples_seen=n,
-                    )
-                # "hist": chunk data is already HIST-identical; only the
-                # accounting switches mode, and the aborted PAD scan is
-                # still charged (Section 5.4 worst case)
-                effective = dataclasses.replace(
-                    cfg, output_mode=OutputMode.HIST
-                )
-                extra_read = cfg.traffic_bytes(n, 0)[0]
-
-        if effective.output_mode is OutputMode.PAD:
-            capacity_lines = effective.partition_capacity(n) // per_line
-            base_lines = (
-                np.arange(cfg.num_partitions, dtype=np.int64) * capacity_lines
-            )
-        else:
-            base_lines = np.zeros(cfg.num_partitions, dtype=np.int64)
-            np.cumsum(lines_per_partition[:-1], out=base_lines[1:])
-
-        bytes_read, bytes_written = effective.traffic_bytes(
-            n, int(lines_per_partition.sum())
-        )
+        layout = self._accounting.finalize(self.on_overflow)
         return {
             "chunks": self.chunks,
-            "tuples": n,
-            "counts": counts.tolist(),
-            "lines_per_partition": lines_per_partition.tolist(),
-            "base_lines": base_lines.tolist(),
-            "bytes_read": int(bytes_read) + int(extra_read),
-            "bytes_written": int(bytes_written),
-            "dummy_slots": int(
-                lines_per_partition.sum() * per_line - counts.sum()
-            ),
-            "config": config_to_dict(cfg),
-            "effective_config": config_to_dict(effective),
+            "tuples": self.tuples,
+            **layout.to_dict(),
         }
-
-
-def manifest_config(manifest: dict) -> PartitionerConfig:
-    """The effective config a MANIFEST describes (post PAD→HIST)."""
-    return config_from_dict(manifest["effective_config"])
 
 
 def stitch_output(
@@ -239,8 +119,8 @@ def stitch_output(
     per-partition concatenation across chunks in stream order equals
     the offline single-call output byte for byte.
     """
-    effective = manifest_config(manifest)
-    num_partitions = effective.num_partitions
+    layout = Layout.from_dict(manifest)
+    num_partitions = layout.config.num_partitions
     empty = np.empty(0, dtype=np.uint32)
     slices_keys: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
     slices_pays: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
@@ -257,25 +137,16 @@ def stitch_output(
     partition_payloads = [
         np.concatenate(parts) if parts else empty for parts in slices_pays
     ]
-    counts = np.asarray(manifest["counts"], dtype=np.int64)
     stitched = np.asarray([k.shape[0] for k in partition_keys], dtype=np.int64)
-    if not np.array_equal(counts, stitched):
+    if not np.array_equal(layout.counts, stitched):
         raise ValueError(
             "stitched partition sizes disagree with the manifest "
             "(missing or reordered chunk frames?)"
         )
-    return PartitionedOutput(
-        config=effective,
-        partition_keys=partition_keys,
-        partition_payloads=partition_payloads,
-        counts=counts,
-        lines_per_partition=np.asarray(
-            manifest["lines_per_partition"], dtype=np.int64
-        ),
-        base_lines=np.asarray(manifest["base_lines"], dtype=np.int64),
-        bytes_read=int(manifest["bytes_read"]),
-        bytes_written=int(manifest["bytes_written"]),
-        dummy_slots=int(manifest["dummy_slots"]),
+    return PartitionedOutput.from_layout(
+        layout,
+        partition_keys,
+        partition_payloads,
         produced_by=produced_by,
         fell_back_to_cpu=degraded,
     )

@@ -38,7 +38,6 @@ from repro.gateway.protocol import (
     GatewayProtocolError,
     GatewayStreamError,
 )
-from repro.storage.spill import config_to_dict
 
 __all__ = ["GatewayClient", "GatewayStream", "stream_partition"]
 
@@ -219,7 +218,7 @@ class GatewayClient:
             protocol.encode_json(
                 FrameType.HELLO,
                 {
-                    "config": config_to_dict(config),
+                    "config": config.to_dict(),
                     "on_overflow": on_overflow,
                     "has_payloads": has_payloads,
                     "priority": priority,

@@ -40,24 +40,20 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.errors import PartitionOverflowError, ReproError
+from repro.core.pieces import piece_config
+from repro.errors import ConfigurationError, PartitionOverflowError, ReproError
 from repro.gateway import protocol
-from repro.gateway.chunking import (
-    StreamAccounting,
-    chunk_config,
-    global_payloads,
-)
+from repro.gateway.chunking import StreamAccounting, global_payloads
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.protocol import ErrorCode, FrameType, GatewayProtocolError
 from repro.analysis.sketch import StreamSketch
-from repro.core.modes import LayoutMode
+from repro.core.modes import LayoutMode, PartitionerConfig
 from repro.obs.tracing import resolve_tracer
 from repro.service.service import (
     PartitionRequest,
     RequestStatus,
     ServiceDrainingError,
 )
-from repro.storage.spill import config_from_dict, config_to_dict
 
 #: frame header bytes, counted into bytes_in/bytes_out alongside payloads
 _HEADER_BYTES = 5
@@ -299,8 +295,8 @@ class _Connection:
             )
         hello = protocol.decode_json(payload)
         try:
-            self.config = config_from_dict(hello["config"])
-        except (KeyError, TypeError, ValueError) as exc:
+            self.config = PartitionerConfig.from_dict(hello["config"])
+        except (KeyError, ConfigurationError) as exc:
             raise GatewayProtocolError(f"bad HELLO config: {exc}") from exc
         self.on_overflow = hello.get("on_overflow", "raise")
         if self.on_overflow not in _VALID_OVERFLOW:
@@ -321,7 +317,7 @@ class _Connection:
             if hello.get("deadline_s") is not None
             else None
         )
-        self.backend_config = chunk_config(self.config)
+        self.backend_config = piece_config(self.config)
         self.accounting = StreamAccounting(self.config, self.on_overflow)
         self._stream_open = True
         self.metrics.increment("streams_opened")
@@ -333,7 +329,7 @@ class _Connection:
                     "stream_id": self.stream_id,
                     "credits": self.server.credits,
                     "chunk_tuples": self.server.chunk_tuples,
-                    "config": config_to_dict(self.config),
+                    "config": self.config.to_dict(),
                     "server": f"repro-gateway/{protocol.PROTOCOL_VERSION}",
                 },
             )

@@ -35,7 +35,7 @@ from repro.core.partitioner import (
     OverflowPolicy,
     PartitionedOutput,
 )
-from repro.errors import PartitionOverflowError
+from repro.core.pieces import extract_columns
 from repro.workloads.relations import Relation
 
 __all__ = ["hot_partitions", "partition_isolated"]
@@ -84,68 +84,24 @@ def partition_isolated(
     if cfg.output_mode is not OutputMode.PAD or not len(hot_keys):
         return partitioner.partition(relation, payloads, on_overflow)
 
-    keys, payloads = partitioner._extract_columns(relation, payloads)
-    n = int(keys.shape[0])
-    per_line = cfg.tuples_per_line
-
+    keys, payloads = extract_columns(cfg, relation, payloads)
     with partitioner.tracer.span(
         "fpga.partition_isolated",
-        tuples=n,
+        tuples=int(keys.shape[0]),
         partitions=cfg.num_partitions,
         mode=cfg.mode_label,
         hot_keys=len(hot_keys),
     ) as span:
-        parts, counts, lane_counts = kernels.hash_histogram(
-            keys, cfg.num_partitions, cfg.uses_hash, lanes=cfg.num_lanes
+        # The PAD capacity check then applies to cold partitions only;
+        # should one of those overflow anyway, ``on_overflow`` decides
+        # as usual and nothing is isolated.
+        output = partitioner._partition_traced(
+            keys,
+            payloads,
+            on_overflow,
+            None,
+            hot=hot_partitions(hot_keys, cfg.num_partitions, cfg.uses_hash),
         )
-        lines_per_partition = (-(-lane_counts // per_line)).sum(axis=1)
-        hot = hot_partitions(hot_keys, cfg.num_partitions, cfg.uses_hash)
-
-        # PAD capacity check on cold partitions only — the isolated
-        # regions are exact-fit by construction and cannot overflow.
-        capacity_lines = cfg.partition_capacity(n) // per_line
-        cold_over = np.nonzero(lines_per_partition > capacity_lines)[0]
-        cold_over = np.setdiff1d(cold_over, hot, assume_unique=False)
-        if cold_over.size:
-            if on_overflow == "raise":
-                raise PartitionOverflowError(
-                    partition=int(cold_over[0]),
-                    capacity=capacity_lines * per_line,
-                    tuples_seen=n,
-                )
-            return partitioner._handle_overflow(
-                keys,
-                payloads,
-                int(cold_over[0]),
-                capacity_lines * per_line,
-                on_overflow,
-            )
-
-        partition_base = np.zeros(cfg.num_partitions, dtype=np.int64)
-        np.cumsum(counts[:-1], out=partition_base[1:])
-        sorted_keys = np.empty(n, dtype=np.uint32)
-        sorted_payloads = np.empty(n, dtype=np.uint32)
-        kernels.stable_scatter(
-            keys, payloads, parts, partition_base,
-            cfg.num_partitions, sorted_keys, sorted_payloads,
-        )
-
-        output = partitioner._finalize_output(
-            n, counts, lines_per_partition, sorted_keys, sorted_payloads
-        )
-        # Re-point the isolated regions: cold partitions keep their PAD
-        # grid slot, hot partitions move to exact-fit regions appended
-        # after the grid.  Contents, counts and traffic are untouched.
-        base_lines = output.base_lines.copy()
-        grid_end = cfg.num_partitions * capacity_lines
-        hot_lines = lines_per_partition[hot]
-        offsets = np.zeros(hot.size, dtype=np.int64)
-        np.cumsum(hot_lines[:-1], out=offsets[1:])
-        base_lines[hot] = grid_end + offsets
-        output.base_lines = base_lines
-        output.produced_by = "fpga-isolated"
-        output.isolated_partitions = int(hot.size)
-        partitioner._account_platform(output, None)
         span.set_attributes(
             isolated_partitions=output.isolated_partitions,
             bytes_read=output.bytes_read,

@@ -22,11 +22,13 @@ worker pool** — intermediates are never assembled into a full
   exactly one partition, stable scatter preserves within-partition
   order, and the final stable sort runs over *distinct* group keys.
 
-PAD overflow inside the fused pass keeps the staged policies: partition
-*contents* are mode- and backend-independent (pinned repo-wide), so the
-``hist``/``cpu`` fallbacks proceed with the already-computed scatter and
-only the effective mode label (for cost-model timing) changes;
-``raise`` aborts before the scatter exactly like the hardware.
+PAD overflow inside the fused pass keeps the staged policies, settled by
+the shared :meth:`Accounting.finalize
+<repro.core.pieces.Accounting.finalize>`: partition *contents* are
+mode- and backend-independent (pinned repo-wide), so the ``hist``/``cpu``
+fallbacks proceed with the already-computed scatter and only the
+effective mode label (for cost-model timing) changes; ``raise`` aborts
+before the scatter exactly like the hardware.
 
 The staged path (``fused=False``, or a :class:`FusionDeclined` plan)
 runs the same chain through the classic materializing operators —
@@ -43,16 +45,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
+from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner, PartitionedOutput
-from repro.core.tuples import check_payloads_valid
-from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.core.pieces import Accounting, extract_columns
+from repro.errors import ConfigurationError
 from repro.join.hash_table import BucketChainingHashTable
 from repro.obs.tracing import operator_times, resolve_tracer
 from repro.ops.groupby import _aggregate_runs, _group_starts
 from repro.plan.compiler import CompiledSchedule, FusionDeclined, compile_plan
-from repro.plan.nodes import LogicalPlan, ScanNode
-from repro.workloads.relations import Relation
+from repro.plan.nodes import LogicalPlan
 
 __all__ = ["InputSummary", "QueryResult", "execute_plan"]
 
@@ -200,47 +201,6 @@ def _staged_schedule(plan, engine, threads, tracer, optimizer):
 
 
 # ----------------------------------------------------------------------
-# Shared input normalization
-# ----------------------------------------------------------------------
-
-def _extract_columns(
-    scan: ScanNode, config: PartitionerConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Mirror of ``FpgaPartitioner._extract_columns`` for plan scans."""
-    source = scan.source
-    if isinstance(source, Relation):
-        keys, payloads = source.keys, source.payloads
-    else:
-        keys = np.ascontiguousarray(source, dtype=np.uint32)
-        if config.layout_mode is LayoutMode.VRID or scan.payloads is None:
-            payloads = np.arange(keys.shape[0], dtype=np.uint32)
-        else:
-            payloads = np.ascontiguousarray(scan.payloads, dtype=np.uint32)
-    if config.layout_mode is LayoutMode.VRID:
-        payloads = np.arange(keys.shape[0], dtype=np.uint32)
-    if keys.shape != payloads.shape:
-        raise ConfigurationError("keys and payloads must align")
-    if keys.size == 0:
-        raise ConfigurationError("cannot partition an empty relation")
-    check_payloads_valid(payloads)
-    return keys, payloads
-
-
-def _check_overflow(
-    config: PartitionerConfig, lines_per_partition: np.ndarray, n: int
-) -> Optional[Tuple[int, int]]:
-    """PAD capacity check (same arithmetic as the partitioner's)."""
-    if config.output_mode is not OutputMode.PAD:
-        return None
-    per_line = config.tuples_per_line
-    capacity_lines = config.partition_capacity(n) // per_line
-    overflowed = np.nonzero(lines_per_partition > capacity_lines)[0]
-    if overflowed.size:
-        return int(overflowed[0]), capacity_lines * per_line
-    return None
-
-
-# ----------------------------------------------------------------------
 # The fused pass
 # ----------------------------------------------------------------------
 
@@ -259,11 +219,8 @@ def _prepare_fused_input(scan, config, on_overflow, engine, ops):
         )
         return _SpillColumns(spill), summary
 
-    keys, payloads = _extract_columns(scan, config)
+    keys, payloads = extract_columns(config, scan.source, scan.payloads)
     n = int(keys.shape[0])
-    per_line = config.tuples_per_line
-    effective = config
-    fell_back = False
 
     if engine is not None:
         task = engine.begin_partition(
@@ -275,12 +232,8 @@ def _prepare_fused_input(scan, config, on_overflow, engine, ops):
         )
         try:
             with ops.time("partition.histogram"):
-                counts = task.counts
-                lines = (-(-task.lane_counts // per_line)).sum(axis=1)
-            overflow = _check_overflow(config, lines, n)
-            if overflow is not None:
-                effective, fell_back = _overflow_labels(
-                    config, overflow, n, on_overflow
+                layout = Accounting(config, task.lane_counts).finalize(
+                    on_overflow
                 )
             with ops.time("partition.scatter"):
                 sorted_keys, sorted_payloads = task.scatter()
@@ -294,12 +247,7 @@ def _prepare_fused_input(scan, config, on_overflow, engine, ops):
                 config.uses_hash,
                 lanes=config.num_lanes,
             )
-        lines = (-(-lane_counts // per_line)).sum(axis=1)
-        overflow = _check_overflow(config, lines, n)
-        if overflow is not None:
-            effective, fell_back = _overflow_labels(
-                config, overflow, n, on_overflow
-            )
+        layout = Accounting(config, lane_counts).finalize(on_overflow)
         with ops.time("partition.scatter"):
             partition_base = np.zeros(config.num_partitions, dtype=np.int64)
             np.cumsum(counts[:-1], out=partition_base[1:])
@@ -311,43 +259,18 @@ def _prepare_fused_input(scan, config, on_overflow, engine, ops):
             )
 
     boundaries = np.zeros(config.num_partitions + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
+    np.cumsum(layout.counts, out=boundaries[1:])
     summary = InputSummary(
         name=scan.name,
         tuples=n,
-        counts=np.asarray(counts, dtype=np.int64),
-        config=effective,
+        counts=layout.counts,
+        # the hist fallback demotes the effective config, the cpu
+        # fallback only flags it: both keep the scatter above
+        config=layout.config,
         requested_config=config,
-        fell_back_to_cpu=fell_back,
+        fell_back_to_cpu=layout.overflow is not None,
     )
     return _FusedColumns(sorted_keys, sorted_payloads, boundaries), summary
-
-
-def _overflow_labels(config, overflow, n, on_overflow):
-    """Apply a PAD-overflow policy inside the fused pass.
-
-    Partition contents are identical across modes and backends (same
-    hash, same stable order — pinned by the kernel identity tests), so
-    the ``hist`` and ``cpu`` fallbacks keep the already-computed
-    scatter and only change the *labels* the cost models see:
-    ``hist`` demotes the effective config, ``cpu`` flags the fallback.
-    ``raise`` aborts before any data moves, like the hardware.
-    """
-    if on_overflow == "raise":
-        raise PartitionOverflowError(
-            partition=overflow[0], capacity=overflow[1], tuples_seen=n
-        )
-    if on_overflow == "hist":
-        return (
-            dataclasses.replace(config, output_mode=OutputMode.HIST),
-            False,
-        )
-    if on_overflow == "cpu":
-        return config, True
-    raise ConfigurationError(
-        f"unknown overflow policy {on_overflow!r}; "
-        "expected 'raise', 'hist' or 'cpu'"
-    )
 
 
 def _execute_fused(schedule: CompiledSchedule) -> QueryResult:
@@ -601,7 +524,7 @@ def _materialize_input(scan, config, on_overflow, engine, platform):
             spilled=True,
         )
         return output, summary
-    keys, payloads = _extract_columns(scan, config)
+    keys, payloads = extract_columns(config, scan.source, scan.payloads)
     partitioner = FpgaPartitioner(config, platform=platform, engine=engine)
     output = partitioner.partition(keys, payloads, on_overflow=on_overflow)
     summary = InputSummary(

@@ -18,12 +18,7 @@ See ``docs/STORAGE.md`` for the on-disk formats and the recovery
 protocol.
 """
 
-from repro.storage.spill import (
-    PartitionSpill,
-    SpillPartitioner,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.storage.spill import PartitionSpill, SpillPartitioner
 from repro.storage.store import (
     ChunkMeta,
     RelationStore,
@@ -37,7 +32,5 @@ __all__ = [
     "RelationStore",
     "SpillPartitioner",
     "StorageError",
-    "config_from_dict",
-    "config_to_dict",
     "write_json_atomic",
 ]

@@ -30,19 +30,17 @@ files back to the committed offsets and redoes only the chunks after
 run at any point, including *between* the data append and the manifest
 commit (the torn-write case).
 
-The accounting (counts, cache-line layout, byte traffic, padding) is
-computed from the lane-exact global histogram, so a spilled
-:class:`PartitionSpill` reports the same numbers as the in-memory
-partitioner — including PAD-mode overflow, which is detected at merge
-time against the *global* histogram and handled per the usual policy
-(``"raise"`` or ``"hist"``; ``"cpu"`` is meaningless here since the
-spill path already runs in software).
+The accounting (counts, cache-line layout, byte traffic, padding) and
+the PAD overflow policy come from the shared
+:class:`~repro.core.pieces.Accounting` over the lane-exact global
+histogram, so a spilled :class:`PartitionSpill` reports the same
+numbers as the in-memory partitioner — overflow is detected at merge
+time and handled per ``"raise"`` or ``"hist"`` (``"cpu"`` is
+meaningless here since the spill path already runs in software).
 """
 
 from __future__ import annotations
 
-import collections.abc
-import dataclasses
 import json
 import os
 import pathlib
@@ -52,15 +50,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.core.modes import (
-    HashKind,
-    LayoutMode,
-    OutputMode,
-    PartitionerConfig,
-)
+from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import PartitionedOutput
-from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.core.pieces import Accounting, Layout, PieceColumn, piece_config
+from repro.errors import ConfigurationError
 from repro.obs.tracing import resolve_tracer
 from repro.storage.store import (
     RelationStore,
@@ -68,12 +61,7 @@ from repro.storage.store import (
     write_json_atomic,
 )
 
-__all__ = [
-    "PartitionSpill",
-    "SpillPartitioner",
-    "config_from_dict",
-    "config_to_dict",
-]
+__all__ = ["PartitionSpill", "SpillPartitioner"]
 
 SPILL_MANIFEST_NAME = "SPILL_MANIFEST.json"
 SPILL_MANIFEST_VERSION = 1
@@ -83,69 +71,6 @@ DEFAULT_MAX_BYTES_IN_MEMORY = 64 << 20
 
 _RUNS_DIR = "runs"
 _PARTITIONS_DIR = "partitions"
-
-
-def config_to_dict(config: PartitionerConfig) -> dict:
-    """JSON-native form of a :class:`PartitionerConfig` (manifests)."""
-    return {
-        "num_partitions": config.num_partitions,
-        "tuple_bytes": config.tuple_bytes,
-        "output_mode": config.output_mode.value,
-        "layout_mode": config.layout_mode.value,
-        "hash_kind": config.hash_kind.value,
-        "pad_tuples": config.pad_tuples,
-    }
-
-
-def config_from_dict(data: dict) -> PartitionerConfig:
-    """Rebuild a :class:`PartitionerConfig` from its manifest form."""
-    return PartitionerConfig(
-        num_partitions=int(data["num_partitions"]),
-        tuple_bytes=int(data["tuple_bytes"]),
-        output_mode=OutputMode(data["output_mode"]),
-        layout_mode=LayoutMode(data["layout_mode"]),
-        hash_kind=HashKind(data["hash_kind"]),
-        pad_tuples=(
-            None if data["pad_tuples"] is None else int(data["pad_tuples"])
-        ),
-    )
-
-
-class _SpillColumn(collections.abc.Sequence):
-    """Lazy per-partition memmap views over final partition files.
-
-    The disk twin of :class:`~repro.core.partitioner.PartitionSlices`:
-    indexing memory-maps one partition file on demand, so touching one
-    partition of a spilled terabyte costs one ``mmap``, not a read of
-    the whole output.
-    """
-
-    __slots__ = ("_directory", "_counts", "_suffix")
-
-    def __init__(self, directory: pathlib.Path, counts, suffix: str):
-        self._directory = directory
-        self._counts = counts
-        self._suffix = suffix
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        count = int(self._counts[index])
-        if count == 0:
-            return np.empty(0, dtype=np.uint32)
-        return np.memmap(
-            self._directory / f"partition-{index:06d}.{self._suffix}",
-            dtype=np.uint32,
-            mode="r",
-            shape=(count,),
-        )
 
 
 class PartitionSpill:
@@ -162,18 +87,15 @@ class PartitionSpill:
     def __init__(self, path, manifest: dict):
         self.path = pathlib.Path(path)
         self._manifest = manifest
-        self.config = config_from_dict(manifest["effective_config"])
-        self.requested_config = config_from_dict(manifest["config"])
-        self.counts = np.asarray(manifest["counts"], dtype=np.int64)
-        self.lines_per_partition = np.asarray(
-            manifest["lines_per_partition"], dtype=np.int64
-        )
-        self.base_lines = np.asarray(
-            manifest["base_lines"], dtype=np.int64
-        )
-        self.bytes_read = int(manifest["bytes_read"])
-        self.bytes_written = int(manifest["bytes_written"])
-        self.dummy_slots = int(manifest["dummy_slots"])
+        layout = self.layout = Layout.from_dict(manifest)
+        self.config = layout.config
+        self.requested_config = layout.requested_config
+        self.counts = layout.counts
+        self.lines_per_partition = layout.lines_per_partition
+        self.base_lines = layout.base_lines
+        self.bytes_read = layout.bytes_read
+        self.bytes_written = layout.bytes_written
+        self.dummy_slots = layout.dummy_slots
         self.num_chunks = int(manifest["next_chunk"])
 
     @classmethod
@@ -202,13 +124,31 @@ class PartitionSpill:
     def partitions_dir(self) -> pathlib.Path:
         return self.path / _PARTITIONS_DIR
 
-    @property
-    def partition_keys(self) -> _SpillColumn:
-        return _SpillColumn(self.partitions_dir, self.counts, "keys")
+    def _column(self, suffix: str) -> PieceColumn:
+        """Lazy column memory-mapping one final partition file per
+        access — touching one partition of a spilled terabyte costs one
+        ``mmap``, not a read of the whole output."""
+
+        def read(p: int) -> Optional[np.ndarray]:
+            count = int(self.counts[p])
+            if count == 0:
+                return None
+            return np.memmap(
+                self.partitions_dir / f"partition-{p:06d}.{suffix}",
+                dtype=np.uint32,
+                mode="r",
+                shape=(count,),
+            )
+
+        return PieceColumn(self.num_partitions, read)
 
     @property
-    def partition_payloads(self) -> _SpillColumn:
-        return _SpillColumn(self.partitions_dir, self.counts, "pay")
+    def partition_keys(self) -> PieceColumn:
+        return self._column("keys")
+
+    @property
+    def partition_payloads(self) -> PieceColumn:
+        return self._column("pay")
 
     def partition(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """(keys, payloads) of one partition, memory-mapped."""
@@ -216,18 +156,11 @@ class PartitionSpill:
 
     def to_output(self) -> PartitionedOutput:
         """Adapt into the in-memory result shape (lazy columns)."""
-        return PartitionedOutput(
-            config=self.config,
-            partition_keys=self.partition_keys,
-            partition_payloads=self.partition_payloads,
-            counts=self.counts,
-            lines_per_partition=self.lines_per_partition,
-            base_lines=self.base_lines,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            dummy_slots=self.dummy_slots,
+        return PartitionedOutput.from_layout(
+            self.layout,
+            self.partition_keys,
+            self.partition_payloads,
             produced_by=f"spill@{self.path}",
-            fell_back_to_cpu=bool(self._manifest.get("fell_back", False)),
         )
 
     def verify(self) -> None:
@@ -328,10 +261,8 @@ class SpillPartitioner:
     Args:
         config: the *requested* partitioner configuration; accounting
             (line layout, traffic, PAD capacity) follows it exactly.
-            Chunk kernels run a HIST/RID clone internally — content is
-            identical across modes, and per-chunk PAD capacities or
-            chunk-local virtual record ids would be wrong globally
-            (the store supplies global positions as payloads instead).
+            Chunk kernels run its :func:`~repro.core.pieces.piece_config`
+            (the store supplies global positions as payloads).
         backend: ``"fpga"`` (default), ``"cpu"``, or a ready
             partitioner instance exposing ``partition(keys, payloads)``.
         engine / threads: forwarded to a string-spec backend.
@@ -382,11 +313,7 @@ class SpillPartitioner:
         self._engine = engine
         self._threads = threads
         #: HIST/RID clone driving the per-chunk kernels (see class doc)
-        self.backend_config = dataclasses.replace(
-            self.config,
-            output_mode=OutputMode.HIST,
-            layout_mode=LayoutMode.RID,
-        )
+        self.backend_config = piece_config(self.config)
         self.backend = self._resolve_backend(backend)
 
     def _resolve_backend(self, backend):
@@ -478,7 +405,7 @@ class SpillPartitioner:
         if manifest["state"] == "complete":
             return PartitionSpill(run_dir, manifest)
         store = RelationStore.open(manifest["store_path"])
-        config = config_from_dict(manifest["config"])
+        config = PartitionerConfig.from_dict(manifest["config"])
         if config != self.config:
             raise ConfigurationError(
                 "spill manifest was written with a different partitioner "
@@ -507,8 +434,6 @@ class SpillPartitioner:
             chunks=store.num_chunks,
             next_chunk=state.next_chunk,
         ):
-            lanes = cfg.num_lanes
-            offset = store.chunk_offset(state.next_chunk)
             prefetcher = (
                 _ChunkPrefetcher(store, state.next_chunk, store.num_chunks)
                 if self.prefetch
@@ -527,21 +452,8 @@ class SpillPartitioner:
                         "spill_chunk", chunk=index, tuples=n, bytes=n * 8
                     ):
                         output = self.backend.partition(keys, payloads)
-                        # lane-exact global histogram: a tuple's lane is
-                        # its *global* input index mod lanes, so
-                        # misaligned chunks still account exactly like
-                        # one big run; the fused kernel counts it in one
-                        # GIL-free pass over the chunk
-                        _, _, lane_hist = kernels.hash_histogram(
-                            np.asarray(keys),
-                            cfg.num_partitions,
-                            cfg.uses_hash,
-                            lanes=lanes,
-                            global_offset=offset,
-                        )
-                        state.lane_counts += lane_hist
+                        state.accounting.observe(keys)
                         state.buffer_output(output)
-                    offset += n
                     if state.buffered_bytes >= self.max_bytes_in_memory:
                         self._flush(state, next_chunk=index + 1)
             finally:
@@ -549,7 +461,7 @@ class SpillPartitioner:
                     prefetcher.close()
             if state.buffered_bytes or state.next_chunk < store.num_chunks:
                 self._flush(state, next_chunk=store.num_chunks)
-            return self._merge(store, state)
+            return self._merge(state)
 
     def _flush(self, state: "_RunState", next_chunk: int) -> None:
         """Append buffered outputs to the run files and checkpoint."""
@@ -583,67 +495,18 @@ class SpillPartitioner:
 
     # -- merge ----------------------------------------------------------
 
-    def _merge(
-        self, store: RelationStore, state: "_RunState"
-    ) -> PartitionSpill:
+    def _merge(self, state: "_RunState") -> PartitionSpill:
         """Seal run files into final contiguous partition files and
-        write the complete manifest (idempotent — resume re-enters)."""
-        cfg = self.config
-        n = store.num_tuples
-        counts = state.lane_counts.sum(axis=1)
-        per_line = cfg.tuples_per_line
-        lines_per_partition = (-(-state.lane_counts // per_line)).sum(axis=1)
-        effective = cfg
-        fell_back = False
-        extra_read = 0
+        write the complete manifest (idempotent — resume re-enters).
 
-        if cfg.output_mode is OutputMode.PAD:
-            capacity_lines = cfg.partition_capacity(n) // per_line
-            overflowed = np.nonzero(lines_per_partition > capacity_lines)[0]
-            if overflowed.size:
-                if state.on_overflow == "raise":
-                    raise PartitionOverflowError(
-                        partition=int(overflowed[0]),
-                        capacity=capacity_lines * per_line,
-                        tuples_seen=n,
-                    )
-                # "hist": the data is already HIST-identical on disk;
-                # only the accounting switches mode, and the aborted
-                # PAD scan is still charged (Section 5.4 worst case)
-                effective = dataclasses.replace(
-                    cfg, output_mode=OutputMode.HIST
-                )
-                extra_read = cfg.traffic_bytes(n, 0)[0]
-
-        if effective.output_mode is OutputMode.PAD:
-            capacity_lines = effective.partition_capacity(n) // per_line
-            base_lines = (
-                np.arange(cfg.num_partitions, dtype=np.int64)
-                * capacity_lines
-            )
-        else:
-            base_lines = np.zeros(cfg.num_partitions, dtype=np.int64)
-            np.cumsum(lines_per_partition[:-1], out=base_lines[1:])
-
-        bytes_read, bytes_written = effective.traffic_bytes(
-            n, int(lines_per_partition.sum())
-        )
-        total_bytes = int(counts.sum()) * 8
+        The data is already HIST-identical on disk, so a ``"hist"``
+        overflow fallback only switches the accounting.
+        """
+        layout = state.accounting.finalize(state.on_overflow)
+        total_bytes = int(layout.counts.sum()) * 8
         with self.tracer.span("spill_merge", bytes=total_bytes):
-            crcs = state.finalize_partitions(counts)
-            state.complete(
-                counts=counts,
-                lines_per_partition=lines_per_partition,
-                base_lines=base_lines,
-                bytes_read=bytes_read + extra_read,
-                bytes_written=bytes_written,
-                dummy_slots=int(
-                    lines_per_partition.sum() * per_line - counts.sum()
-                ),
-                effective_config=effective,
-                fell_back=fell_back,
-                partition_crc32=crcs,
-            )
+            crcs = state.finalize_partitions(layout.counts)
+            state.complete(layout, crcs)
         return PartitionSpill(state.run_dir, _read_manifest(state.run_dir))
 
 
@@ -658,7 +521,7 @@ class _RunState:
         on_overflow: str,
         max_bytes_in_memory: int,
         next_chunk: int,
-        lane_counts: np.ndarray,
+        lane_counts: Optional[np.ndarray],
         lane_file: Optional[str],
         presize_tuples: int,
     ):
@@ -668,12 +531,12 @@ class _RunState:
         self.on_overflow = on_overflow
         self.max_bytes_in_memory = max_bytes_in_memory
         self.next_chunk = next_chunk
-        #: accumulated (partition, lane) histogram over committed +
-        #: buffered chunks
-        self.lane_counts = lane_counts
+        #: global accounting: the (partition, lane) histogram over
+        #: committed + buffered chunks (``None`` starts a fresh run)
+        self.accounting = Accounting(config, lane_counts)
         self._lane_file = lane_file
         #: per-partition tuple counts already durably committed
-        self._committed = lane_counts.sum(axis=1)
+        self._committed = self.accounting.lane_counts.sum(axis=1)
         self.presize_tuples = presize_tuples
         self.buffered_bytes = 0
         self._buffers_keys: List[List[np.ndarray]] = [
@@ -708,9 +571,7 @@ class _RunState:
             on_overflow=on_overflow,
             max_bytes_in_memory=max_bytes_in_memory,
             next_chunk=0,
-            lane_counts=np.zeros(
-                (config.num_partitions, config.num_lanes), dtype=np.int64
-            ),
+            lane_counts=None,
             lane_file=None,
             presize_tuples=presize,
         )
@@ -721,7 +582,7 @@ class _RunState:
     def from_manifest(
         cls, run_dir: pathlib.Path, manifest: dict
     ) -> "_RunState":
-        config = config_from_dict(manifest["config"])
+        config = PartitionerConfig.from_dict(manifest["config"])
         lane_file = manifest["lane_file"]
         lane_path = run_dir / lane_file
         if not lane_path.exists():
@@ -806,7 +667,7 @@ class _RunState:
     def commit(self, next_chunk: int) -> None:
         """Checkpoint: lane histogram side file, then atomic manifest."""
         lane_file = f"lane_counts-{next_chunk:06d}.bin"
-        raw = np.ascontiguousarray(self.lane_counts).tobytes()
+        raw = np.ascontiguousarray(self.accounting.lane_counts).tobytes()
         lane_tmp = self.run_dir / (lane_file + ".tmp")
         with open(lane_tmp, "wb") as handle:
             handle.write(raw)
@@ -816,7 +677,7 @@ class _RunState:
         previous = self._lane_file
         self._lane_file = lane_file
         self.next_chunk = next_chunk
-        self._committed = self.lane_counts.sum(axis=1)
+        self._committed = self.accounting.lane_counts.sum(axis=1)
         self._write_manifest(state="running", lane_crc32=zlib.crc32(raw))
         if previous and previous != lane_file:
             (self.run_dir / previous).unlink(missing_ok=True)
@@ -869,33 +730,15 @@ class _RunState:
                 crcs[f"{p}:{suffix}"] = zlib.crc32(final_path.read_bytes())
         return crcs
 
-    def complete(
-        self,
-        counts: np.ndarray,
-        lines_per_partition: np.ndarray,
-        base_lines: np.ndarray,
-        bytes_read: int,
-        bytes_written: int,
-        dummy_slots: int,
-        effective_config: PartitionerConfig,
-        fell_back: bool,
-        partition_crc32: dict,
-    ) -> None:
+    def complete(self, layout: Layout, partition_crc32: dict) -> None:
         """Write the final manifest and drop intermediate state."""
         self._write_manifest(
             state="complete",
             lane_crc32=zlib.crc32(
-                np.ascontiguousarray(self.lane_counts).tobytes()
+                np.ascontiguousarray(self.accounting.lane_counts).tobytes()
             ),
-            counts=counts.tolist(),
-            lines_per_partition=lines_per_partition.tolist(),
-            base_lines=base_lines.tolist(),
-            bytes_read=int(bytes_read),
-            bytes_written=int(bytes_written),
-            dummy_slots=int(dummy_slots),
-            effective_config=config_to_dict(effective_config),
-            fell_back=fell_back,
             partition_crc32=partition_crc32,
+            **layout.to_dict(),
         )
         if self._lane_file:
             (self.run_dir / self._lane_file).unlink(missing_ok=True)
@@ -911,7 +754,7 @@ class _RunState:
             "version": SPILL_MANIFEST_VERSION,
             "state": state,
             "store_path": self.store_path,
-            "config": config_to_dict(self.config),
+            "config": self.config.to_dict(),
             "on_overflow": self.on_overflow,
             "max_bytes_in_memory": self.max_bytes_in_memory,
             "presize_tuples": self.presize_tuples,

@@ -20,16 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verify import outputs_identical
 from repro.cluster import (
     ConsistentHashRing,
     PlacementPolicy,
     ShardNode,
     ShardRouter,
-    shard_config,
 )
-from repro.cluster.router import _ClusterColumn
+from repro.cluster.router import _serving_column
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
+from repro.core.pieces import piece_config
 from repro.errors import ConfigurationError, PartitionOverflowError
 from repro.workloads.relations import Relation, make_relation
 
@@ -39,19 +40,8 @@ def _relation(n: int, seed: int = 0, distribution: str = "zipf") -> Relation:
 
 
 def _assert_identical(cluster_out, single_out, num_partitions: int):
-    assert np.array_equal(cluster_out.counts, single_out.counts)
-    assert np.array_equal(
-        cluster_out.lines_per_partition, single_out.lines_per_partition
-    )
-    assert np.array_equal(cluster_out.base_lines, single_out.base_lines)
-    assert cluster_out.bytes_read == single_out.bytes_read
-    assert cluster_out.bytes_written == single_out.bytes_written
-    assert cluster_out.dummy_slots == single_out.dummy_slots
-    for p in range(num_partitions):
-        ck, cp = cluster_out.partition(p)
-        sk, sp = single_out.partition(p)
-        assert np.array_equal(ck, sk), f"partition {p} keys diverged"
-        assert np.array_equal(cp, sp), f"partition {p} payloads diverged"
+    assert cluster_out.num_partitions == num_partitions
+    assert outputs_identical(cluster_out, single_out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +260,9 @@ class TestByteIdentity:
             if kill:
                 router.kill_shard(router.nodes[seed % 3].shard_id)
             resp = router.partition(rel, config=cfg, on_overflow="hist")
-        assert resp.ok, resp.error
-        _assert_identical(resp.output, single, 16)
+            assert resp.ok, resp.error
+            # handoff-served columns are readable until stop()
+            _assert_identical(resp.output, single, 16)
         if handoff:
             assert resp.handoffs >= 1
 
@@ -416,6 +407,34 @@ class TestFailover:
             )
             assert total_in == resp.handoffs
 
+    def test_stop_removes_self_created_storage(self, tmp_path):
+        # regression: every default-rooted router/node used to leave a
+        # /tmp/repro-cluster-* or /tmp/repro-shard-* directory behind
+        import glob
+        import os
+        import tempfile
+
+        def leftovers():
+            pattern = os.path.join(tempfile.gettempdir(), "repro-*-*")
+            return set(glob.glob(pattern))
+
+        before = leftovers()
+        cfg = PartitionerConfig(num_partitions=32)
+        rel = _relation(20_000, seed=7)
+        with ShardRouter(3, seed=1, handoff_tuples=64) as router:
+            resp = router.partition(rel, config=cfg)
+            assert resp.handoffs >= 1
+            assert leftovers() - before  # handoff runs live there
+        assert leftovers() == before
+        node = ShardNode("solo").start()
+        assert node.storage_root.is_dir()
+        node.stop()
+        assert leftovers() == before
+        # a caller-supplied root is the caller's to remove
+        with ShardRouter(2, storage_root=tmp_path / "mine") as router:
+            assert router.partition(rel, config=cfg).ok
+        assert (tmp_path / "mine").is_dir()
+
     def test_degradation_passthrough(self):
         from repro.service import DegradationPolicy, FaultInjector
 
@@ -482,9 +501,8 @@ class TestObservability:
 
 class TestClusterColumn:
     def test_dispatch_and_overrides(self):
-        col = _ClusterColumn(
-            [None, {1: np.array([5, 6], dtype=np.uint32)}],
-            np.array([0, 2], dtype=np.int64),
+        col = _serving_column(
+            [None, {1: np.array([5, 6], dtype=np.uint32)}]
         )
         assert len(col) == 2
         assert col[0].shape == (0,)
@@ -503,7 +521,7 @@ class TestShardConfig:
             output_mode=OutputMode.PAD,
             layout_mode=LayoutMode.VRID,
         )
-        clone = shard_config(cfg)
+        clone = piece_config(cfg)
         assert clone.output_mode is OutputMode.HIST
         assert clone.layout_mode is LayoutMode.RID
         assert clone.num_partitions == cfg.num_partitions

@@ -98,6 +98,7 @@ class TestPlan:
         assert router.placement._observed_imbalance == pytest.approx(
             plan.receive_imbalance
         )
+        router.stop()  # releases the storage root the router created
 
 
 class TestExecution:

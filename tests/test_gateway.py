@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verify import outputs_identical
 from repro.cluster import ShardRouter
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
@@ -41,7 +42,6 @@ from repro.gateway import (
     GatewayServer,
     GatewayStreamError,
     iter_chunks,
-    outputs_identical,
     stream_partition,
 )
 from repro.gateway import protocol
@@ -326,8 +326,6 @@ class TestFlowControl:
         reference = _offline(config, good_keys)
 
         async def body(server):
-            from repro.storage.spill import config_to_dict
-
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port
             )
@@ -336,7 +334,7 @@ class TestFlowControl:
                 protocol.encode_json(
                     FrameType.HELLO,
                     {
-                        "config": config_to_dict(config),
+                        "config": config.to_dict(),
                         "on_overflow": "hist",
                         "has_payloads": False,
                     },

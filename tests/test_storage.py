@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verify import outputs_identical
 from repro.core.modes import (
     HashKind,
     LayoutMode,
@@ -33,8 +34,6 @@ from repro.storage import (
     RelationStore,
     SpillPartitioner,
     StorageError,
-    config_from_dict,
-    config_to_dict,
 )
 
 
@@ -44,19 +43,7 @@ def random_keys(n, seed=0):
 
 
 def assert_byte_identical(spill: PartitionSpill, mem: PartitionedOutput):
-    out = spill.to_output()
-    assert np.array_equal(out.counts, mem.counts)
-    assert np.array_equal(out.lines_per_partition, mem.lines_per_partition)
-    assert np.array_equal(out.base_lines, mem.base_lines)
-    assert out.bytes_read == mem.bytes_read
-    assert out.bytes_written == mem.bytes_written
-    assert out.dummy_slots == mem.dummy_slots
-    for p in range(mem.num_partitions):
-        for side in (0, 1):
-            assert np.array_equal(
-                np.asarray(spill.partition(p)[side]),
-                np.asarray(mem.partition(p)[side]),
-            ), f"partition {p} column {side}"
+    assert outputs_identical(spill.to_output(), mem)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +453,8 @@ def test_config_dict_roundtrip():
         hash_kind=HashKind.RADIX,
         pad_tuples=77,
     )
-    assert config_from_dict(config_to_dict(cfg)) == cfg
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert PartitionerConfig.from_dict(cfg.to_dict()) == cfg
+    assert PartitionerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_completed_run_leaves_no_intermediate_files(tmp_path):
