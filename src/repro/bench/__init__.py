@@ -13,7 +13,6 @@ from repro.bench.reporting import (
     monotonically_increasing,
     relative_error,
     shape_check,
-    write_json_artifact,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "relative_error",
     "monotonically_increasing",
     "monotonically_decreasing",
-    "write_json_artifact",
 ]

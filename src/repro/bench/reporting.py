@@ -10,9 +10,7 @@ absolute numbers the simulation cannot promise.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -86,38 +84,6 @@ class ExperimentTable:
             )
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (see :func:`write_json_artifact`)."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "headers": list(self.headers),
-            "rows": [list(row) for row in self.rows],
-            "note": self.note,
-        }
-
-
-def write_json_artifact(
-    path: Union[str, pathlib.Path],
-    tables: Sequence[ExperimentTable],
-    extra: Optional[dict] = None,
-) -> pathlib.Path:
-    """Write benchmark tables (plus free-form metadata) as one JSON file.
-
-    The artifact schema is ``{"tables": [table.to_dict(), ...], **extra}``
-    — the standard machine-readable companion to the ASCII rendering,
-    used e.g. by ``benchmarks/bench_parallel_scaling.py`` to emit
-    ``BENCH_parallel.json``.  Values must already be JSON-native
-    (int/float/str/bool/None); NumPy scalars should be converted by the
-    caller.  Returns the path written.
-    """
-    path = pathlib.Path(path)
-    payload = {"tables": [t.to_dict() for t in tables]}
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def shape_check(

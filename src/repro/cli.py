@@ -82,14 +82,6 @@ _EXPERIMENTS = {
     "fig12e": ("bench_fig12_distributions", lambda m: m.figure12_table("E")),
     "fig13": ("bench_fig13_skew", lambda m: m.figure13_table()),
     "future": ("bench_future_platforms", lambda m: m.sweep_table()),
-    "parallel": (
-        "bench_parallel_scaling",
-        lambda m: m.scaling_table(quick=True),
-    ),
-    "service": (
-        "bench_service_load",
-        lambda m: m.service_table(quick=True),
-    ),
 }
 
 
@@ -641,7 +633,7 @@ def cmd_spill(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    """Sharded cluster driver: ``serve`` a workload or ``bench`` scaling."""
+    """Sharded cluster driver: ``serve`` a workload through a router."""
     import numpy as np
 
     from repro.analysis.verify import outputs_identical
@@ -655,64 +647,6 @@ def cmd_cluster(args) -> int:
         layout_mode=mode.layout_mode,
     )
 
-    if args.action == "bench":
-        rows = []
-        for shards in args.shards_sweep:
-            for placement in (False, True):
-                router = ShardRouter(
-                    shards,
-                    seed=args.seed,
-                    placement=None if placement else False,
-                )
-                relation = make_relation(
-                    args.tuples, args.distribution, seed=args.seed
-                )
-                with router:
-                    import time as _time
-
-                    start = _time.perf_counter()
-                    for _ in range(args.requests):
-                        response = router.partition(
-                            relation, config=config, on_overflow="hist"
-                        )
-                        if not response.ok:
-                            raise SystemExit(
-                                f"cluster request failed: {response.error}"
-                            )
-                    elapsed = _time.perf_counter() - start
-                    snap = router.snapshot()
-                loads = np.array([
-                    shard["shard"]["tuples"]
-                    for shard in snap["shards"].values()
-                ], dtype=np.float64)
-                imbalance = (
-                    float(loads.max() / loads.mean())
-                    if loads.mean() > 0 else 1.0
-                )
-                total = args.requests * args.tuples
-                rows.append([
-                    shards,
-                    "on" if placement else "off",
-                    total / elapsed / 1e6,
-                    imbalance,
-                    snap["router"]["handoffs"],
-                ])
-        table = ExperimentTable(
-            experiment_id="cluster-bench",
-            title=(
-                f"cluster throughput and shard balance "
-                f"({args.distribution} keys, {args.tuples} tuples/req)"
-            ),
-            headers=[
-                "shards", "replication", "Mtuples/s",
-                "max/mean load", "handoffs",
-            ],
-            rows=rows,
-        )
-        print(table.render())
-        return 0
-
-    # action == "serve"
     tracer = Tracer() if args.prometheus_out else None
     router = ShardRouter(
         args.shards,
@@ -1289,16 +1223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster",
-        help="sharded partition cluster: serve a workload or bench scaling",
+        help="sharded partition cluster: serve a workload",
     )
-    p.add_argument("action", choices=["serve", "bench"],
-                   help="serve: route requests through a shard cluster; "
-                        "bench: sweep shard counts and replication")
-    p.add_argument("--shards", type=int, default=3,
-                   help="shard count for 'serve'")
-    p.add_argument("--shards-sweep", type=int, nargs="+",
-                   default=[1, 2, 4],
-                   help="shard counts for 'bench'")
+    p.add_argument("action", choices=["serve"],
+                   help="route requests through a shard cluster")
+    p.add_argument("--shards", type=int, default=3)
     p.add_argument("--requests", type=int, default=8)
     p.add_argument("--tuples", type=int, default=100_000,
                    help="tuples per request")

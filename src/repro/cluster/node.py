@@ -172,10 +172,8 @@ class ShardNode:
     def prometheus(self) -> str:
         """This shard's exposition, every series labelled
         ``shard="<id>"`` so one scrape page covers the whole cluster."""
-        from repro.obs.export import prometheus_from_snapshot
-
-        return prometheus_from_snapshot(
-            self.service.metrics.to_dict(), labels={"shard": self.shard_id}
+        return self.service.metrics.to_prometheus(
+            labels={"shard": self.shard_id}
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,20 +1,16 @@
-"""Gateway observability: counters, gauges, latency histograms.
+"""Gateway observability: the names of its counters, gauges, stages.
 
-Mirrors :class:`repro.service.metrics.ServiceMetrics` in shape so one
-exporter serves both: :meth:`GatewayMetrics.to_dict` produces the
-``{"counters": ..., "gauges": ..., "latency": ...}`` snapshot that
-:func:`repro.obs.export.prometheus_from_snapshot` renders, here under
-the ``repro_gateway`` prefix (connections, frames, bytes, backpressure
-stalls, per-chunk and per-stream latency).
+:class:`GatewayMetrics` is the stack's one
+:class:`~repro.service.metrics.MetricsRegistry` built from the tuples
+below and exported under the ``repro_gateway`` prefix (connections,
+frames, bytes, backpressure stalls, per-chunk and per-stream latency).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Dict
 
-from repro.service.metrics import LatencyHistogram
+from repro.service.metrics import MetricsRegistry
 
 #: every counter the gateway increments — exports always carry the full
 #: set (zeros included) so dashboards need no existence checks
@@ -42,77 +38,29 @@ GATEWAY_COUNTERS = (
 #: latency histograms: one per chunk round-trip, one per whole stream
 GATEWAY_STAGES = ("chunk", "stream")
 
+#: initial gauges; ``max_stream_window`` is the high-water mark of any
+#: single stream's in-flight window — the slow-consumer isolation bound
+#: (must stay <= credits)
+GATEWAY_GAUGES = {
+    "open_connections": 0,
+    "open_streams": 0,
+    "inflight_chunks": 0,
+    "max_stream_window": 0,
+}
 
-class GatewayMetrics:
-    """Thread-safe metrics registry for one gateway server.
+
+class GatewayMetrics(MetricsRegistry):
+    """The registry one gateway server writes into.
 
     Written from the event loop and (for executor-side chunk waits)
     worker threads, hence the lock despite the mostly-async callers.
     """
 
     def __init__(self, clock=time.monotonic) -> None:
-        self._lock = threading.Lock()
-        self._clock = clock
-        self.started_at = clock()
-        self.counters: Dict[str, int] = {
-            name: 0 for name in GATEWAY_COUNTERS
-        }
-        self.gauges: Dict[str, float] = {
-            "open_connections": 0,
-            "open_streams": 0,
-            "inflight_chunks": 0,
-            # high-water mark of any single stream's in-flight window —
-            # the slow-consumer isolation bound (must stay <= credits)
-            "max_stream_window": 0,
-        }
-        self.histograms: Dict[str, LatencyHistogram] = {
-            stage: LatencyHistogram() for stage in GATEWAY_STAGES
-        }
-
-    def increment(self, counter: str, amount: int = 1) -> None:
-        """Add to a counter (must be one of :data:`GATEWAY_COUNTERS`)."""
-        with self._lock:
-            self.counters[counter] += amount
-
-    def observe(self, stage: str, seconds: float) -> None:
-        """Record one chunk/stream latency observation."""
-        with self._lock:
-            self.histograms[stage].record(seconds)
-
-    def adjust_gauge(self, gauge: str, delta: float) -> float:
-        """Add ``delta`` to a gauge; returns the new value."""
-        with self._lock:
-            self.gauges[gauge] += delta
-            return self.gauges[gauge]
-
-    def set_gauge_max(self, gauge: str, value: float) -> None:
-        """Raise a high-water-mark gauge to ``value`` if it is higher."""
-        with self._lock:
-            if value > self.gauges[gauge]:
-                self.gauges[gauge] = value
-
-    def snapshot(self) -> dict:
-        """Alias of :meth:`to_dict` (conventional metrics name)."""
-        return self.to_dict()
-
-    def to_dict(self) -> dict:
-        """JSON-native export of every counter, gauge and histogram."""
-        with self._lock:
-            elapsed = max(1e-9, self._clock() - self.started_at)
-            return {
-                "elapsed_s": elapsed,
-                "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
-                "latency": {
-                    stage: hist.to_dict()
-                    for stage, hist in self.histograms.items()
-                },
-            }
-
-    def to_prometheus(self, labels: Dict[str, str] | None = None) -> str:
-        """Prometheus text exposition under the ``repro_gateway`` prefix."""
-        from repro.obs.export import prometheus_from_snapshot
-
-        return prometheus_from_snapshot(
-            self.to_dict(), prefix="repro_gateway", labels=labels
+        super().__init__(
+            GATEWAY_COUNTERS,
+            GATEWAY_STAGES,
+            GATEWAY_GAUGES,
+            "repro_gateway",
+            clock,
         )

@@ -18,9 +18,10 @@ small enough to live on the hot path.
   ``dropped`` counter — tracing must never grow memory without bound,
   the same stance as the admission queue it observes).
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled path.  Every
-  instrumentation point costs one no-op call and zero clock reads, so
-  tracing off stays within noise of untraced code (pinned by
-  ``benchmarks/bench_trace_overhead.py``).
+  instrumentation point costs one no-op call and zero clock reads;
+  what an enabled :class:`Tracer` costs is the stack benchmark's
+  ``obs.service_traced_overhead_frac``
+  (``benchmarks/stack/README.md``).
 
 Exports: :meth:`Tracer.to_jsonl` writes one JSON object per line (the
 structured trace log ``repro trace`` and ``repro serve --trace-out``

@@ -33,7 +33,11 @@ from repro.service.degradation import (
     FaultInjector,
     TokenBucket,
 )
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import (
+    LatencyHistogram,
+    MetricsRegistry,
+    ServiceMetrics,
+)
 from repro.service.queue import AdmissionQueue, QueueFullError
 from repro.service.scheduler import Batch, BatchingScheduler, request_signature
 from repro.service.service import (
@@ -55,6 +59,7 @@ __all__ = [
     "DegradationPolicy",
     "FaultInjector",
     "LatencyHistogram",
+    "MetricsRegistry",
     "PartitionRequest",
     "PartitionResponse",
     "PartitionService",

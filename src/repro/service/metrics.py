@@ -1,12 +1,14 @@
 """Service observability: counters, latency histograms, throughput.
 
-:class:`ServiceMetrics` is the single registry a
-:class:`~repro.service.service.PartitionService` writes into.  It is
-deliberately dependency-free (one lock, plain dicts) and exports in two
-shapes:
+:class:`MetricsRegistry` is the one registry class of the stack (one
+lock, plain dicts, no dependencies); :class:`ServiceMetrics` is the
+construction a :class:`~repro.service.service.PartitionService` writes
+into, and the gateway builds its own from the name tuples in
+:mod:`repro.gateway.metrics`.  It exports in three shapes:
 
-* :meth:`ServiceMetrics.to_dict` — JSON-native, written into benchmark
-  artifacts via :func:`repro.bench.reporting.write_json_artifact`;
+* :meth:`ServiceMetrics.to_dict` — JSON-native; ``repro serve --output``
+  writes it and the stack benchmark's ``service.*`` metrics are read
+  from it (``benchmarks/stack/README.md``);
 * :meth:`ServiceMetrics.to_table` — an
   :class:`~repro.bench.reporting.ExperimentTable` for the CLI's ASCII
   rendering;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.reporting import ExperimentTable
 
@@ -34,8 +36,8 @@ _BUCKET_COUNT = 27
 class LatencyHistogram:
     """Log2-bucketed latency histogram (seconds in, buckets in µs).
 
-    Not thread-safe on its own; :class:`ServiceMetrics` serialises
-    access under its registry lock.
+    Not thread-safe on its own; :class:`MetricsRegistry` serialises
+    access under its lock.
     """
 
     def __init__(self) -> None:
@@ -139,62 +141,66 @@ COUNTERS = (
 STAGES = ("queue_wait", "execute", "total")
 
 
-class ServiceMetrics:
-    """Thread-safe metrics registry for one service instance."""
+class MetricsRegistry:
+    """Thread-safe counters, gauges and per-stage latency histograms.
 
-    def __init__(self, clock=time.monotonic) -> None:
+    One class serves every layer that exports metrics: a layer names
+    its counters, stages, initial gauges and Prometheus prefix, and
+    gets the lock, the JSON snapshot and the text exposition from here.
+    """
+
+    def __init__(
+        self,
+        counters: Sequence[str],
+        stages: Sequence[str],
+        gauges: Dict[str, float],
+        prefix: str,
+        clock=time.monotonic,
+    ) -> None:
         self._lock = threading.Lock()
         self._clock = clock
+        self._prefix = prefix
         self.started_at = clock()
-        self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
+        self.counters: Dict[str, int] = {name: 0 for name in counters}
         self.histograms: Dict[str, LatencyHistogram] = {
-            stage: LatencyHistogram() for stage in STAGES
+            stage: LatencyHistogram() for stage in stages
         }
-        self.batch_sizes = LatencyHistogram()  # counts, not seconds
-        self.gauges: Dict[str, float] = {"queue_depth": 0, "inflight": 0}
-
-    # ------------------------------------------------------------------
+        self.gauges: Dict[str, float] = dict(gauges)
 
     def increment(self, counter: str, amount: int = 1) -> None:
-        """Add to a counter (must be one of :data:`COUNTERS`)."""
+        """Add to a counter (must be one the registry was built with)."""
         with self._lock:
             self.counters[counter] += amount
 
     def observe(self, stage: str, seconds: float) -> None:
-        """Record one latency observation for a pipeline stage."""
+        """Record one latency observation for a stage."""
         with self._lock:
             self.histograms[stage].record(seconds)
-
-    def observe_batch(self, requests: int) -> None:
-        """Record one executed batch's request count."""
-        with self._lock:
-            self.counters["batches"] += 1
-            # reuse the log2 histogram; "seconds" axis holds requests/1e6
-            self.batch_sizes.record(requests / 1e6)
 
     def set_gauge(self, gauge: str, value: float) -> None:
         """Set a point-in-time gauge (queue depth, in-flight tuples)."""
         with self._lock:
             self.gauges[gauge] = value
 
-    # ------------------------------------------------------------------
-
-    def throughput_rps(self) -> float:
-        """Completed requests per second since construction."""
-        elapsed = max(1e-9, self._clock() - self.started_at)
+    def adjust_gauge(self, gauge: str, delta: float) -> float:
+        """Add ``delta`` to a gauge; returns the new value."""
         with self._lock:
-            return self.counters["completed"] / elapsed
+            self.gauges[gauge] += delta
+            return self.gauges[gauge]
 
-    def mean_batch_size(self) -> float:
-        """Average requests per executed batch."""
+    def set_gauge_max(self, gauge: str, value: float) -> None:
+        """Raise a high-water-mark gauge to ``value`` if it is higher."""
         with self._lock:
-            if self.batch_sizes.count == 0:
-                return 0.0
-            return self.batch_sizes.total_seconds * 1e6 / self.batch_sizes.count
+            if value > self.gauges[gauge]:
+                self.gauges[gauge] = value
 
     def snapshot(self) -> dict:
         """Alias of :meth:`to_dict` (conventional metrics name)."""
         return self.to_dict()
+
+    def _derived(self, elapsed: float) -> dict:
+        """Extra top-level snapshot entries; called under the lock."""
+        return {}
 
     def to_dict(self) -> dict:
         """JSON-native export of every counter, gauge and histogram."""
@@ -202,12 +208,7 @@ class ServiceMetrics:
             elapsed = max(1e-9, self._clock() - self.started_at)
             return {
                 "elapsed_s": elapsed,
-                "throughput_rps": self.counters["completed"] / elapsed,
-                "mean_batch_size": (
-                    self.batch_sizes.total_seconds * 1e6 / self.batch_sizes.count
-                    if self.batch_sizes.count
-                    else 0.0
-                ),
+                **self._derived(elapsed),
                 "counters": dict(self.counters),
                 "gauges": dict(self.gauges),
                 "latency": {
@@ -216,13 +217,53 @@ class ServiceMetrics:
                 },
             }
 
-    def to_prometheus(self) -> str:
+    def to_prometheus(self, labels: Optional[Dict[str, str]] = None) -> str:
         """Prometheus text-format exposition of every counter, gauge
-        and per-stage latency histogram (see
-        :func:`repro.obs.export.prometheus_from_snapshot`)."""
+        and per-stage latency histogram under the registry's prefix
+        (see :func:`repro.obs.export.prometheus_from_snapshot`)."""
         from repro.obs.export import prometheus_from_snapshot
 
-        return prometheus_from_snapshot(self.to_dict())
+        return prometheus_from_snapshot(
+            self.to_dict(), prefix=self._prefix, labels=labels
+        )
+
+
+class ServiceMetrics(MetricsRegistry):
+    """The registry one :class:`PartitionService` writes into."""
+
+    def __init__(self, clock=time.monotonic) -> None:
+        super().__init__(
+            COUNTERS,
+            STAGES,
+            {"queue_depth": 0, "inflight": 0},
+            "repro_service",
+            clock,
+        )
+        self.batch_sizes = LatencyHistogram()  # counts, not seconds
+
+    def observe_batch(self, requests: int) -> None:
+        """Record one executed batch's request count."""
+        with self._lock:
+            self.counters["batches"] += 1
+            # reuse the log2 histogram; "seconds" axis holds requests/1e6
+            self.batch_sizes.record(requests / 1e6)
+
+    def _derived(self, elapsed: float) -> dict:
+        sizes = self.batch_sizes
+        return {
+            "throughput_rps": self.counters["completed"] / elapsed,
+            "mean_batch_size": (
+                sizes.total_seconds * 1e6 / sizes.count if sizes.count else 0.0
+            ),
+        }
+
+    def throughput_rps(self) -> float:
+        """Completed requests per second since construction."""
+        return self.to_dict()["throughput_rps"]
+
+    def mean_batch_size(self) -> float:
+        """Average requests per executed batch."""
+        return self.to_dict()["mean_batch_size"]
 
     def to_table(self, experiment_id: str = "Service") -> ExperimentTable:
         """The ASCII-renderable summary (one row per stage + counters)."""

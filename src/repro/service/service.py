@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import pathlib
+import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -245,7 +247,8 @@ class PartitionService:
             lazily memory-mapped ``output``.  ``None`` (default)
             disables the spill path.
         spill_dir: directory for spill stores and runs (a fresh
-            temporary directory per service if omitted).  Run
+            temporary directory per service if omitted, removed on
+            :meth:`stop`/:meth:`drain` once it is empty).  Run
             directories outlive their response on purpose — the output
             *is* those files; callers drop them via
             ``response.spill.cleanup()``.
@@ -328,6 +331,7 @@ class PartitionService:
             tracer=tracer,
         )
         self._spill_dir = spill_dir
+        self._owns_spill_root = False
         self.spill_bytes_in_memory = spill_bytes_in_memory
         self.metrics = ServiceMetrics(clock=clock)
         self.policy = policy or DegradationPolicy()
@@ -389,7 +393,7 @@ class PartitionService:
         assert self._dispatcher is not None
         self._dispatcher.join(timeout)
         self._stopped = True
-        self._close_partitioners()
+        self._release()
 
     @property
     def draining(self) -> bool:
@@ -401,21 +405,29 @@ class PartitionService:
         if not self._started or self._stopped:
             self._stopped = True
             self.queue.close()
-            self._close_partitioners()
+            self._release()
             return
         self._stopped = True
         self.queue.close()
         assert self._dispatcher is not None
         self._dispatcher.join(timeout)
-        self._close_partitioners()
+        self._release()
 
-    def _close_partitioners(self) -> None:
+    def _release(self) -> None:
+        """Close the partitioner pools; drop a spill root the service
+        created itself once no run directory is left in it."""
         for partitioner in self._fpga.values():
             partitioner.close()
         for partitioner in self._cpu.values():
             partitioner.close()
         self._fpga.clear()
         self._cpu.clear()
+        if self._owns_spill_root:
+            try:
+                pathlib.Path(self._spill_dir).rmdir()
+            except OSError:
+                # not empty: run directories the caller still owns
+                pass
 
     def __enter__(self) -> "PartitionService":
         return self.start()
@@ -435,72 +447,20 @@ class PartitionService:
         ``raise_on_reject=True`` a
         :class:`~repro.service.queue.QueueFullError` is raised instead.
         """
-        if self._draining:
-            raise ServiceDrainingError(
-                "service is draining; new submissions are refused "
-                "(in-flight work will still complete)"
-            )
-        if not self._started or self._stopped:
-            raise ReproError("service is not running (use start() or `with`)")
-        with self._sequence_lock:
-            self._sequence += 1
-            request_id = self._sequence
-        ticket = PartitionTicket(request_id)
+        self._check_running()
         decision = (
             self._decide(request) if self.optimizer is not None else None
         )
-        now = self._clock()
-        pending = _Pending(
-            request=request,
-            ticket=ticket,
-            # overflow policy joins the signature: a coalesced kernel
-            # call applies one policy to the whole batch.  So does the
-            # optimizer decision — requests with different execution
-            # plans (backend, pad strategy, isolation set) must not
-            # share a kernel pass.
-            signature=request_signature(request.config)
+        # overflow policy joins the signature: a coalesced kernel call
+        # applies one policy to the whole batch.  So does the optimizer
+        # decision — requests with different execution plans (backend,
+        # pad strategy, isolation set) must not share a kernel pass.
+        signature = (
+            request_signature(request.config)
             + (request.on_overflow,)
-            + ((decision.batch_token,) if decision is not None else ()),
-            tuples=request.num_tuples,
-            submitted_at=now,
-            deadline_at=(
-                now + request.deadline_s
-                if request.deadline_s is not None
-                else None
-            ),
-            decision=decision,
+            + ((decision.batch_token,) if decision is not None else ())
         )
-        if self.tracer.enabled:
-            span = self.tracer.start_span(
-                "request",
-                request_id=request_id,
-                tuples=pending.tuples,
-                priority=int(request.priority),
-            )
-            # anchor the root span at the submit timestamp from the
-            # service clock, the clock every later stage measures with
-            span.start_s = now
-            pending.span = span
-        self.metrics.increment("submitted")
-        if not self.queue.offer(pending, int(request.priority), pending.tuples):
-            retry_after = self.queue.retry_after_hint()
-            self.metrics.increment("rejected")
-            if pending.span is not None:
-                pending.span.set_attributes(status="rejected")
-                pending.span.end(self._clock())
-            if raise_on_reject:
-                raise QueueFullError(len(self.queue), retry_after)
-            ticket._resolve(
-                PartitionResponse(
-                    request_id=request_id,
-                    status=RequestStatus.REJECTED,
-                    retry_after=retry_after,
-                )
-            )
-            return ticket
-        self.metrics.increment("admitted")
-        self.metrics.set_gauge("queue_depth", len(self.queue))
-        return ticket
+        return self._admit(request, signature, decision, raise_on_reject)
 
     def submit_plan(
         self, request: "PlanRequest | object", raise_on_reject: bool = False
@@ -516,6 +476,16 @@ class PartitionService:
         """
         if not isinstance(request, PlanRequest):
             request = PlanRequest(plan=request)
+        self._check_running()
+        self.metrics.increment("plans_submitted")
+        # unique per request: plan batches are solo by construction
+        signature = ("plan", object())
+        return self._admit(
+            request, signature, None, raise_on_reject,
+            plan=request.plan.describe(),
+        )
+
+    def _check_running(self) -> None:
         if self._draining:
             raise ServiceDrainingError(
                 "service is draining; new submissions are refused "
@@ -523,6 +493,12 @@ class PartitionService:
             )
         if not self._started or self._stopped:
             raise ReproError("service is not running (use start() or `with`)")
+
+    def _admit(
+        self, request, signature: Tuple, decision, raise_on_reject: bool,
+        **span_attrs,
+    ) -> PartitionTicket:
+        """The one admission path: id, pending entry, root span, offer."""
         with self._sequence_lock:
             self._sequence += 1
             request_id = self._sequence
@@ -531,8 +507,7 @@ class PartitionService:
         pending = _Pending(
             request=request,
             ticket=ticket,
-            # unique per request: plan batches are solo by construction
-            signature=("plan", request_id),
+            signature=signature,
             tuples=request.num_tuples,
             submitted_at=now,
             deadline_at=(
@@ -540,6 +515,7 @@ class PartitionService:
                 if request.deadline_s is not None
                 else None
             ),
+            decision=decision,
         )
         if self.tracer.enabled:
             span = self.tracer.start_span(
@@ -547,12 +523,13 @@ class PartitionService:
                 request_id=request_id,
                 tuples=pending.tuples,
                 priority=int(request.priority),
-                plan=request.plan.describe(),
+                **span_attrs,
             )
+            # anchor the root span at the submit timestamp from the
+            # service clock, the clock every later stage measures with
             span.start_s = now
             pending.span = span
         self.metrics.increment("submitted")
-        self.metrics.increment("plans_submitted")
         if not self.queue.offer(pending, int(request.priority), pending.tuples):
             retry_after = self.queue.retry_after_hint()
             self.metrics.increment("rejected")
@@ -973,11 +950,8 @@ class PartitionService:
 
     def _spill_root(self):
         if self._spill_dir is None:
-            import tempfile
-
             self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-        import pathlib
-
+            self._owns_spill_root = True
         root = pathlib.Path(self._spill_dir)
         root.mkdir(parents=True, exist_ok=True)
         return root

@@ -4,7 +4,8 @@ Closed-loop benchmarks (send, wait, send) measure the system at its
 own pace and hide queueing; production traffic does not wait.  These
 generators produce deterministic *arrival timestamps* — monotonically
 non-decreasing offsets in seconds from stream start — for open-loop
-drivers (``benchmarks/bench_gateway.py``, ``repro gateway bench``):
+drivers (``repro gateway bench``; the stack benchmark's
+``gateway.open_p50_ms``/``open_p99_ms``, ``benchmarks/stack/README.md``):
 the driver fires each request at its scheduled instant regardless of
 how the last one fared, so admission backpressure and latency tails
 become visible.

@@ -208,16 +208,6 @@ class TestCluster:
         assert 'shard="shard-0"' in text
         assert "repro_cluster_requests_total" in text
 
-    def test_bench_table(self, capsys):
-        assert main(
-            ["cluster", "bench", "--shards-sweep", "1", "2",
-             "--requests", "1", "--tuples", "4000",
-             "--partitions", "16", "--distribution", "zipf"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cluster-bench" in out
-        assert "max/mean load" in out
-
 
 class TestReport:
     def test_report_written(self, tmp_path, capsys):

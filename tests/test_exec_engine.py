@@ -11,10 +11,6 @@ histogram merge.
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -349,34 +345,3 @@ class TestKernel:
 
     def test_partition_function_is_memoised(self):
         assert partition_function(64, True) is partition_function(64, True)
-
-
-class TestBenchSmoke:
-    def test_bench_parallel_scaling_artifact(self, tmp_path):
-        bench_path = (
-            pathlib.Path(__file__).resolve().parents[1]
-            / "benchmarks"
-            / "bench_parallel_scaling.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "bench_parallel_scaling", bench_path
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-
-        artifact = tmp_path / "BENCH_parallel.json"
-        written, scaling, fast = module.write_artifact(
-            str(artifact),
-            tuples=1 << 14,
-            lines=256,
-            workers=(1, 2),
-            quick=True,
-        )
-        assert written == artifact and artifact.exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["benchmark"] == "parallel_scaling"
-        assert payload["serial_mtuples"] > 0
-        assert payload["best_parallel_mtuples"] > 0
-        assert payload["fast_forward_speedup"] > 1.0
-        titles = [t["experiment_id"] for t in payload["tables"]]
-        assert titles == ["Parallel scaling", "Fast-forward"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
 import threading
 
 import numpy as np
@@ -537,6 +539,38 @@ class TestPartitionService:
         latency = service.metrics.to_dict()["latency"]
         assert latency["total"]["count"] == len(relations)
         assert latency["queue_wait"]["count"] == len(relations)
+
+    def test_default_spill_root_removed_on_stop(self, rng):
+        tmp = pathlib.Path(tempfile.gettempdir())
+        before = set(tmp.glob("repro-spill-*"))
+        keys = rng.integers(0, 2**32, size=20_000, dtype=np.uint64).astype(
+            np.uint32
+        )
+        with PartitionService(
+            spill_tuples=10_000, spill_bytes_in_memory=100_000
+        ) as service:
+            response = service.partition(keys, timeout=60)
+            assert response.ok and response.backend == "spill"
+            created = set(tmp.glob("repro-spill-*")) - before
+            assert len(created) == 1
+            response.spill.cleanup()
+        assert set(tmp.glob("repro-spill-*")) == before
+
+    def test_default_spill_root_kept_while_a_run_is_alive(self, rng):
+        tmp = pathlib.Path(tempfile.gettempdir())
+        before = set(tmp.glob("repro-spill-*"))
+        keys = rng.integers(0, 2**32, size=20_000, dtype=np.uint64).astype(
+            np.uint32
+        )
+        with PartitionService(
+            spill_tuples=10_000, spill_bytes_in_memory=100_000
+        ) as service:
+            response = service.partition(keys, timeout=60)
+        # the caller still owns the run directory: its root must stay
+        (root,) = set(tmp.glob("repro-spill-*")) - before
+        assert int(response.output.counts.sum()) == keys.shape[0]
+        response.spill.cleanup()
+        root.rmdir()
 
 
 # ---------------------------------------------------------------------------
