@@ -21,8 +21,8 @@ every downstream stage.  Two sketches ride the ingest pass:
 :class:`StreamSketch` bundles both plus the exact tuple count; it is
 JSON-serialisable (``to_dict`` / ``from_dict``) so the
 :class:`~repro.storage.store.RelationStore` manifest can carry it, and
-:meth:`StreamSketch.partition_plan` turns it into the pre-sizing and
-skew warnings the spill partitioner consumes.
+:meth:`StreamSketch.partition_plan` turns it into the size estimate
+and skew warning the spill partitioner consumes.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ class PartitionPlan:
     Attributes:
         num_tuples: exact tuples seen by the sketch.
         distinct_keys: HLL cardinality estimate.
-        expected_tuples_per_partition: pre-sizing target for spill
-            partition files — the fair share inflated by the
+        expected_tuples_per_partition: size the largest partition is
+            expected to reach — the fair share inflated by the
             heavy-hitter share (a heavy key concentrates its whole
             count in one partition).
         max_key_share: largest single-key input share (lower bound).
@@ -304,7 +304,7 @@ class StreamSketch:
     def partition_plan(
         self, num_partitions: int, skew_factor: float = 2.0
     ) -> PartitionPlan:
-        """Pre-sizing + skew verdict for a ``num_partitions`` fan-out.
+        """Size estimate + skew verdict for a ``num_partitions`` fan-out.
 
         The expected largest partition is at least the fair share and
         at least the heavy-hitter count (all repeats of one key share a

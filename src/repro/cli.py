@@ -585,14 +585,13 @@ def cmd_spill(args) -> int:
         relation, base / "store", chunk_tuples=args.chunk_tuples
     ).seal()
     store.verify()
-    spiller = SpillPartitioner(
+    with SpillPartitioner(
         config,
         backend=args.backend,
         max_bytes_in_memory=args.memory_budget,
         tracer=tracer,
-    )
-    spill = spiller.run(store, base / "run", on_overflow="hist")
-    spiller.close()
+    ) as spiller:
+        spill = spiller.run(store, base / "run", on_overflow="hist")
     spill.verify()
     out = spill.to_output()
     spans = tracer.export()

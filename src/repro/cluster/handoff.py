@@ -5,10 +5,10 @@ When a shard is memory-pressured (a routed slice exceeds its
 cluster's last resort used to be shedding the request.  Handoff adds a
 better one: drain the slice through a
 :class:`~repro.storage.spill.SpillPartitioner` run whose store and
-partition files live under a *peer's* storage root.  The donor shard
+run files live under a *peer's* storage root.  The donor shard
 never materialises the slice; the peer lends disk and page cache; the
 resulting :class:`~repro.storage.spill.PartitionSpill` serves the
-partitions memmap-lazily, byte-identical to an in-memory run (the
+partitions lazily, byte-identical to an in-memory run (the
 PR 4 guarantee this module leans on).
 
 The handoff is synchronous and owned by the router — the donor only
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import shutil
 import threading
 
 import numpy as np
@@ -52,7 +53,7 @@ class HandoffResult:
         return self.spill.partition_payloads
 
     def cleanup(self) -> None:
-        """Drop the partition files from the peer's storage."""
+        """Drop the run files from the peer's storage."""
         self.spill.cleanup()
 
 
@@ -97,7 +98,7 @@ class SpillHandoff:
         :func:`~repro.core.pieces.piece_config` (the HIST/RID clone the
         shards run): HIST never overflows and explicit payloads
         carry the global positions, so the run cannot fail for
-        mode-specific reasons and its partition files hold exactly the
+        mode-specific reasons and its run files hold exactly the
         global partitions' content for this slice.
         """
         from repro.storage import RelationStore, SpillPartitioner
@@ -115,28 +116,32 @@ class SpillHandoff:
             tuples=n,
             bytes=n * config.tuple_bytes,
         ):
-            store = RelationStore.ingest(
-                keys,
-                store_dir,
-                payloads=payloads,
-                chunk_tuples=self.chunk_tuples,
-            ).seal()
-            spiller = SpillPartitioner(
-                config=config,
-                backend="fpga",
-                max_bytes_in_memory=self.bytes_in_memory,
-                tracer=self.tracer if self.tracer.enabled else None,
-                # a handed-off slice is *expected* to be skewed — that
-                # is usually why the donor was pressured; don't warn
-                skew_warn_factor=float("inf"),
-            )
             try:
-                spill = spiller.run(store, run_dir)
+                store = RelationStore.ingest(
+                    keys,
+                    store_dir,
+                    payloads=payloads,
+                    chunk_tuples=self.chunk_tuples,
+                ).seal()
+                with SpillPartitioner(
+                    config=config,
+                    backend="fpga",
+                    max_bytes_in_memory=self.bytes_in_memory,
+                    tracer=self.tracer if self.tracer.enabled else None,
+                    # a handed-off slice is *expected* to be skewed —
+                    # that is usually why the donor was pressured; don't
+                    # warn
+                    skew_warn_factor=float("inf"),
+                ) as spiller:
+                    spill = spiller.run(store, run_dir)
+            except BaseException:
+                # nobody will resume a failed handoff's run
+                shutil.rmtree(run_dir, ignore_errors=True)
+                raise
             finally:
-                spiller.close()
-            # the staging store was scratch; the run's partition files
-            # now hold the data
-            store.delete()
+                # the staging store was scratch; the run files now hold
+                # the data
+                shutil.rmtree(store_dir, ignore_errors=True)
         donor.stats.handoffs_out += 1
         peer.stats.handoffs_in += 1
         return HandoffResult(

@@ -288,10 +288,11 @@ class PieceColumn(collections.abc.Sequence):
 
     Entry ``p`` is ``read(p)``, evaluated on access — a slice of an
     array, entry ``p`` of another column (a shard's output), a
-    memory-mapped partition file; ``None`` stands for an empty
-    partition — so assembling an output copies nothing and touching one
-    partition of a spilled terabyte costs one ``mmap``.  Behaves like the ``List[np.ndarray]`` it stands in for;
-    assigned entries are kept in a sparse override map.
+    partition's slices gathered from the spill run files; ``None``
+    stands for an empty partition — so assembling an output copies
+    nothing and touching one partition of a spilled terabyte reads
+    only that partition.  Behaves like the ``List[np.ndarray]`` it
+    stands in for; assigned entries are kept in a sparse override map.
     :class:`~repro.core.partitioner.PartitionSlices` remains the fast
     path for one contiguous sorted buffer.
     """

@@ -9,9 +9,9 @@ back to the CPU partitioner, per the chosen policy (Section 5.4).
 
 Relations too large to partition in memory can come in pre-partitioned
 on disk: :func:`hybrid_join_spilled` builds and probes directly from
-two :class:`~repro.storage.spill.PartitionSpill` handles, memory-
-mapping one partition pair at a time — the out-of-core completion of
-the same join.
+two :class:`~repro.storage.spill.PartitionSpill` handles, reading
+one partition pair at a time — the out-of-core completion of the same
+join.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ def hybrid_join_spilled(
             from :meth:`SpillPartitioner.run <repro.storage.spill.
             SpillPartitioner.run>` or a spill-routed
             :class:`~repro.service.service.PartitionResponse`).  Both
-            must share a fan-out; partition pairs are memory-mapped one
-            at a time, so the working set is one pair, not the
+            must share a fan-out; partition pairs are read from disk
+            one at a time, so the working set is one pair, not the
             relations.
         threads / collect_payloads / cost models / calibrated / engine:
             as in :func:`hybrid_join`.  Partitioning seconds are timed

@@ -13,7 +13,7 @@ worker pool** — intermediates are never assembled into a full
   lazy boundary view (:class:`_FusedColumns`) whose per-partition
   slices feed the next operator directly;
 * spilled inputs skip partitioning entirely — each partition is
-  memory-mapped on demand, so the chain streams the spill
+  read out of the run files on demand, so the chain streams the spill
   partition-by-partition without ever loading it whole;
 * the per-partition tasks (build+probe, then group-starts + reduceat)
   fan out over :meth:`ExecutionEngine.map_tasks`, and their results
@@ -206,7 +206,7 @@ def _staged_schedule(plan, engine, threads, tracer, optimizer):
 
 def _prepare_fused_input(scan, config, on_overflow, engine, ops):
     """Histogram + overflow check + scatter for one in-memory input
-    (spilled inputs pass straight through as memmap partitions)."""
+    (spilled inputs pass straight through, read partition by partition)."""
     if scan.is_spilled:
         spill = scan.source
         summary = InputSummary(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import pathlib
+import shutil
 import tempfile
 import threading
 import time
@@ -151,8 +152,8 @@ class PartitionResponse:
     """Terminal result delivered through a :class:`PartitionTicket`.
 
     ``spill`` is set when the request ran out-of-core: a
-    :class:`~repro.storage.spill.PartitionSpill` handle whose partition
-    files back the (lazily memory-mapped) ``output``.  The files belong
+    :class:`~repro.storage.spill.PartitionSpill` handle whose run
+    files back the (lazily read) ``output``.  The files belong
     to the caller from then on — drop them with ``spill.cleanup()``
     when done.
     """
@@ -244,7 +245,7 @@ class PartitionService:
             into a chunked on-disk store, streamed through the kernel
             under ``spill_bytes_in_memory``, and the response carries a
             :class:`~repro.storage.spill.PartitionSpill` handle plus a
-            lazily memory-mapped ``output``.  ``None`` (default)
+            lazily read ``output``.  ``None`` (default)
             disables the spill path.
         spill_dir: directory for spill stores and runs (a fresh
             temporary directory per service if omitted, removed on
@@ -972,34 +973,39 @@ class PartitionService:
             if request.config.layout_mode is LayoutMode.VRID
             else request.payloads
         )
-        store = RelationStore.ingest(
-            request.relation, root / f"store-{request_id}", payloads=payloads
-        ).seal()
-        spiller = SpillPartitioner(
-            config=request.config,
-            backend="fpga",
-            engine=self._engine_spec,
-            max_bytes_in_memory=self.spill_bytes_in_memory,
-            tracer=self.tracer,
-        )
+        store_dir = root / f"store-{request_id}"
+        run_dir = root / f"run-{request_id}"
         try:
-            spill = spiller.run(
-                store,
-                root / f"run-{request_id}",
-                # the spill path is already software; a requested "cpu"
-                # fallback degenerates to the robust HIST accounting
-                on_overflow=(
-                    "hist"
-                    if request.on_overflow == "cpu"
-                    else request.on_overflow
-                ),
-            )
+            store = RelationStore.ingest(
+                request.relation, store_dir, payloads=payloads
+            ).seal()
+            with SpillPartitioner(
+                config=request.config,
+                backend="fpga",
+                engine=self._engine_spec,
+                max_bytes_in_memory=self.spill_bytes_in_memory,
+                tracer=self.tracer,
+            ) as spiller:
+                return spiller.run(
+                    store,
+                    run_dir,
+                    # the spill path is already software; a requested
+                    # "cpu" fallback degenerates to the robust HIST
+                    # accounting
+                    on_overflow=(
+                        "hist"
+                        if request.on_overflow == "cpu"
+                        else request.on_overflow
+                    ),
+                )
+        except BaseException:
+            # nobody will resume a failed request's run
+            shutil.rmtree(run_dir, ignore_errors=True)
+            raise
         finally:
-            spiller.close()
-        # the staging store is internal scratch: the partition files
-        # hold all the data now, so drop it rather than leak 2x disk
-        store.delete()
-        return spill
+            # the staging store is internal scratch: the run files hold
+            # all the data now, so drop it rather than leak 2x disk
+            shutil.rmtree(store_dir, ignore_errors=True)
 
     def _fpga_for(self, entry: _Pending) -> FpgaPartitioner:
         partitioner = self._fpga.get(entry.signature)

@@ -8,11 +8,11 @@ Two layers:
   sketch).
 * :mod:`repro.storage.spill` — :class:`SpillPartitioner`, which
   streams a stored relation chunk by chunk through an in-memory
-  backend under a bounded memory budget, spills per-partition runs to
-  disk, merges them into final partition files **byte-identical** to
-  the in-memory result, and can :meth:`~SpillPartitioner.resume` a
+  backend under a bounded memory budget, spills one partition-major
+  sorted run file per flush — together **byte-identical** to the
+  in-memory result — and can :meth:`~SpillPartitioner.resume` a
   killed run from its last checkpoint.  :class:`PartitionSpill` is the
-  lazy handle over the finished partition files.
+  lazy handle that gathers a partition out of the finished runs.
 
 See ``docs/STORAGE.md`` for the on-disk formats and the recovery
 protocol.

@@ -1,34 +1,34 @@
-"""Spill-to-disk partitioning: stream chunks, spill runs, merge, resume.
+"""Spill-to-disk partitioning: stream chunks, spill sorted runs, resume.
 
 :class:`SpillPartitioner` partitions a stored relation far larger than
 memory by streaming it chunk by chunk through one of the existing
 in-memory backends (:class:`~repro.core.partitioner.FpgaPartitioner`
 or :class:`~repro.cpu.partitioner.CpuPartitioner`, optionally on the
-morsel engine) and appending each chunk's per-partition output to
-per-partition **run files** on disk.  Because a stable partition sort
-keeps tuples of one partition in input order, appending chunk outputs
-in chunk order reproduces the in-memory result *byte for byte* — the
-run files, once merged into the final contiguous partition files, hold
-exactly what one giant in-memory ``partition()`` call would have
-produced (pinned by ``tests/test_storage.py``).
+morsel engine) and spilling the buffered chunk outputs as **sorted
+runs**: each flush writes one partition-major run file (per-partition
+counts, then keys, then payloads) in a single sequential pass — on
+disk what the paper's write combiner does per cache line (Section
+4.2).  A stable partition sort keeps a partition's tuples in input
+order, so every run's slice ``p`` concatenated in run order is *byte
+for byte* partition ``p`` of one giant in-memory ``partition()`` call
+(pinned by ``tests/test_storage.py``); the runs are the final output.
 
 Memory is bounded by ``max_bytes_in_memory``: chunk outputs buffer in
-RAM and are flushed to the run files whenever the buffered bytes reach
-the budget, so peak usage is ~one chunk plus the budget, independent
-of relation size.
+RAM and are flushed into a run whenever the buffered bytes reach the
+budget, so peak usage is ~one chunk plus the budget, independent of
+relation size.
 
-**Crash recovery.**  Every flush is a checkpoint: run-file appends are
-fsynced, then the accumulated per-(partition, lane) histogram is
-written to a fresh side file, then the run manifest is atomically
-replaced to name both.  A killed run therefore leaves (a) a manifest
-describing the last completed checkpoint and (b) possibly some bytes
-appended past it; :meth:`SpillPartitioner.resume` truncates the run
-files back to the committed offsets and redoes only the chunks after
-``next_chunk``.  Fault injection reuses
-:class:`~repro.service.degradation.FaultInjector` — a checkpointed
-``check()`` before each chunk and before each commit lets tests kill a
-run at any point, including *between* the data append and the manifest
-commit (the torn-write case).
+**Crash recovery.**  Every flush is a checkpoint: the run file is
+written and fsynced, then the accumulated per-(partition, lane)
+histogram is written to a fresh side file, then the run manifest is
+atomically replaced to name both.  A killed run therefore leaves (a) a
+manifest describing the last completed checkpoint and (b) possibly one
+run file it does not name; :meth:`SpillPartitioner.resume` unlinks
+that file and redoes only the chunks after ``next_chunk``.  Fault
+injection reuses :class:`~repro.service.degradation.FaultInjector` — a
+checkpointed ``check()`` before each chunk and before each commit lets
+tests kill a run at any point, including *between* the run write and
+the manifest commit (the torn-write case).
 
 The accounting (counts, cache-line layout, byte traffic, padding) and
 the PAD overflow policy come from the shared
@@ -41,6 +41,7 @@ meaningless here since the spill path already runs in software).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -56,37 +57,52 @@ from repro.core.pieces import Accounting, Layout, PieceColumn, piece_config
 from repro.errors import ConfigurationError
 from repro.obs.tracing import resolve_tracer
 from repro.storage.store import (
+    ChunkMeta,
     RelationStore,
     StorageError,
+    fsync_dir,
     write_json_atomic,
 )
 
 __all__ = ["PartitionSpill", "SpillPartitioner"]
 
 SPILL_MANIFEST_NAME = "SPILL_MANIFEST.json"
-SPILL_MANIFEST_VERSION = 1
+SPILL_MANIFEST_VERSION = 2
 
 #: default in-memory buffering budget for chunk outputs (64 MiB)
 DEFAULT_MAX_BYTES_IN_MEMORY = 64 << 20
 
 _RUNS_DIR = "runs"
-_PARTITIONS_DIR = "partitions"
+
+#: a run is written as many small slices; this buffer turns them into
+#: block-sized writes (and CRC updates)
+_WRITE_BUFFER_BYTES = 256 << 10
+
+
+def _check_run_size(path: pathlib.Path, fanout: int, tuples: int) -> None:
+    """A run file is exactly its ``int64[P]`` header + keys + payloads."""
+    expected = 8 * fanout + 8 * tuples
+    actual = path.stat().st_size if path.exists() else -1
+    if actual != expected:
+        raise StorageError(
+            f"run {path.name}: expected {expected} bytes, found {actual}"
+        )
 
 
 class PartitionSpill:
-    """Handle over a completed spill run's final partition files.
+    """Handle over a completed spill run's sorted run files.
 
     Everything is lazy: constructing the handle reads only the
-    manifest; :meth:`partition` memory-maps one partition's key and
-    payload files on first touch.  :meth:`to_output` adapts the spill
-    into a regular :class:`~repro.core.partitioner.PartitionedOutput`
-    so joins (and anything else written against the in-memory shape)
-    can build+probe directly from disk.
+    manifest; :meth:`partition` gathers one partition's slice out of
+    each run with positional reads on first touch.  :meth:`to_output`
+    adapts the spill into a regular
+    :class:`~repro.core.partitioner.PartitionedOutput` so joins (and
+    anything else written against the in-memory shape) can build+probe
+    directly from disk.
     """
 
     def __init__(self, path, manifest: dict):
         self.path = pathlib.Path(path)
-        self._manifest = manifest
         layout = self.layout = Layout.from_dict(manifest)
         self.config = layout.config
         self.requested_config = layout.requested_config
@@ -97,6 +113,9 @@ class PartitionSpill:
         self.bytes_written = layout.bytes_written
         self.dummy_slots = layout.dummy_slots
         self.num_chunks = int(manifest["next_chunk"])
+        self.runs = [ChunkMeta.from_dict(run) for run in manifest["runs"]]
+        self._run_paths = [self.runs_dir / run.file for run in self.runs]
+        self._slices: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def open(cls, path) -> "PartitionSpill":
@@ -121,37 +140,83 @@ class PartitionSpill:
         return int(self.counts.sum())
 
     @property
-    def partitions_dir(self) -> pathlib.Path:
-        return self.path / _PARTITIONS_DIR
+    def runs_dir(self) -> pathlib.Path:
+        return self.path / _RUNS_DIR
 
-    def _column(self, suffix: str) -> PieceColumn:
-        """Lazy column memory-mapping one final partition file per
-        access — touching one partition of a spilled terabyte costs one
-        ``mmap``, not a read of the whole output."""
+    def _run_slices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(counts, starts)``, both ``int64[runs][P]``: how many tuples
+        of partition ``p`` run ``r`` holds and at which tuple index of
+        its keys section they start (prefix sums of the run headers).
+        Read once per handle; every run must have its exact size and
+        the headers must add up to the manifest."""
+        if self._slices is None:
+            fanout = self.num_partitions
+            counts = np.empty((len(self.runs), fanout), dtype=np.int64)
+            for row, file, run in zip(counts, self._run_paths, self.runs):
+                _check_run_size(file, fanout, run.tuples)
+                row[:] = np.fromfile(file, dtype="<i8", count=fanout)
+            if counts.sum(axis=1).tolist() != [
+                run.tuples for run in self.runs
+            ] or not np.array_equal(counts.sum(axis=0), self.counts):
+                raise StorageError(
+                    f"run headers under {self.runs_dir} disagree with the "
+                    "manifest's tuple counts"
+                )
+            self._slices = counts, np.cumsum(counts, axis=1) - counts
+        return self._slices
+
+    def _column(self, section: int) -> PieceColumn:
+        """Lazy column over section 0 (keys) or 1 (payloads) of every
+        run: touching one partition of a spilled terabyte costs one
+        positional read per run, not a read of the whole output, and no
+        file stays open or mapped once the read returns."""
+        header_bytes = 8 * self.num_partitions
 
         def read(p: int) -> Optional[np.ndarray]:
-            count = int(self.counts[p])
-            if count == 0:
+            total = int(self.counts[p])
+            if total == 0:
                 return None
-            return np.memmap(
-                self.partitions_dir / f"partition-{p:06d}.{suffix}",
-                dtype=np.uint32,
-                mode="r",
-                shape=(count,),
-            )
+            counts, starts = self._run_slices()
+            out = np.empty(total, dtype=np.uint32)
+            view = memoryview(out).cast("B")
+            filled = 0
+            for file, run, count, start in zip(
+                self._run_paths,
+                self.runs,
+                counts[:, p].tolist(),
+                starts[:, p].tolist(),
+            ):
+                if count == 0:
+                    continue
+                fd = os.open(file, os.O_RDONLY)
+                try:
+                    got = os.preadv(
+                        fd,
+                        [view[filled : filled + 4 * count]],
+                        header_bytes + 4 * (section * run.tuples + start),
+                    )
+                finally:
+                    os.close(fd)
+                if got != 4 * count:
+                    raise StorageError(
+                        f"run {run.file}: short read of partition {p} "
+                        f"({got} of {4 * count} bytes)"
+                    )
+                filled += got
+            return out
 
         return PieceColumn(self.num_partitions, read)
 
     @property
     def partition_keys(self) -> PieceColumn:
-        return self._column("keys")
+        return self._column(0)
 
     @property
     def partition_payloads(self) -> PieceColumn:
-        return self._column("pay")
+        return self._column(1)
 
     def partition(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, payloads) of one partition, memory-mapped."""
+        """(keys, payloads) of one partition, read out of the runs."""
         return self.partition_keys[index], self.partition_payloads[index]
 
     def to_output(self) -> PartitionedOutput:
@@ -164,29 +229,12 @@ class PartitionSpill:
         )
 
     def verify(self) -> None:
-        """Check every final partition file's length and CRC-32."""
-        crcs = self._manifest["partition_crc32"]
-        for index, count in enumerate(self.counts.tolist()):
-            if count == 0:
-                continue
-            for suffix in ("keys", "pay"):
-                file_path = (
-                    self.partitions_dir / f"partition-{index:06d}.{suffix}"
-                )
-                expected = count * 4
-                actual = (
-                    file_path.stat().st_size if file_path.exists() else -1
-                )
-                if actual != expected:
-                    raise StorageError(
-                        f"partition {index} ({suffix}): expected "
-                        f"{expected} bytes, found {actual}"
-                    )
-                crc = zlib.crc32(file_path.read_bytes())
-                if crc != int(crcs[f"{index}:{suffix}"]):
-                    raise StorageError(
-                        f"partition {index} ({suffix}): CRC-32 mismatch"
-                    )
+        """Check every run file's length, header and CRC-32."""
+        self._slices = None
+        self._run_slices()
+        for file, run in zip(self._run_paths, self.runs):
+            if zlib.crc32(file.read_bytes()) != run.crc32:
+                raise StorageError(f"run {run.file}: CRC-32 mismatch")
 
     def cleanup(self) -> None:
         """Remove the run directory and everything under it."""
@@ -266,8 +314,8 @@ class SpillPartitioner:
         backend: ``"fpga"`` (default), ``"cpu"``, or a ready
             partitioner instance exposing ``partition(keys, payloads)``.
         engine / threads: forwarded to a string-spec backend.
-        max_bytes_in_memory: flush buffered chunk outputs to the run
-            files once they reach this many bytes.
+        max_bytes_in_memory: flush buffered chunk outputs into a run
+            file once they reach this many bytes.
         tracer: optional tracer; the run emits ``spill`` /
             ``spill_chunk`` / ``spill_flush`` / ``spill_merge`` /
             ``resume`` spans with tuple and byte attributes.
@@ -390,16 +438,20 @@ class SpillPartitioner:
             raise StorageError(
                 f"{run_dir} already holds a spill run; use resume()"
             )
-        state = _RunState.fresh(
-            run_dir, store, self.config, on_overflow,
+        state = _RunState(
+            run_dir,
+            str(pathlib.Path(store.path).resolve()),
+            self.config,
+            on_overflow,
             self.max_bytes_in_memory,
         )
+        state.commit(0)
         self._warn_on_skew(store)
         return self._drive(store, state)
 
     def resume(self, run_dir) -> PartitionSpill:
-        """Finish an interrupted run: roll back past the last
-        checkpoint, redo the remaining chunks, merge."""
+        """Finish an interrupted run: drop the run file the last
+        checkpoint does not name, redo the remaining chunks, merge."""
         run_dir = pathlib.Path(run_dir)
         manifest = _read_manifest(run_dir)
         if manifest["state"] == "complete":
@@ -416,9 +468,9 @@ class SpillPartitioner:
         with self.tracer.span(
             "resume",
             next_chunk=state.next_chunk,
-            committed_tuples=int(state.committed_counts().sum()),
+            committed_tuples=state.accounting.tuples,
         ):
-            state.rollback_to_checkpoint()
+            state.drop_uncommitted_runs()
         return self._drive(store, state)
 
     # -- the drive loop -------------------------------------------------
@@ -459,20 +511,20 @@ class SpillPartitioner:
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
-            if state.buffered_bytes or state.next_chunk < store.num_chunks:
+            if state.buffered_bytes:
                 self._flush(state, next_chunk=store.num_chunks)
             return self._merge(state)
 
     def _flush(self, state: "_RunState", next_chunk: int) -> None:
-        """Append buffered outputs to the run files and checkpoint."""
+        """Write the buffered outputs as one run and checkpoint."""
+        fsyncs = state.fsyncs
         with self.tracer.span(
-            "spill_flush",
-            next_chunk=next_chunk,
-            bytes=state.buffered_bytes,
-        ):
-            state.append_buffers()
+            "spill_flush", next_chunk=next_chunk, bytes=state.buffered_bytes
+        ) as span:
+            run = state.write_run()
             self._checkpoint()  # the torn-write window: data > manifest
-            state.commit(next_chunk)
+            state.commit(next_chunk, run)
+            span.set_attributes(run_file=run.file, fsyncs=state.fsyncs - fsyncs)
 
     def _warn_on_skew(self, store: RelationStore) -> None:
         if store.sketch is None:
@@ -496,18 +548,37 @@ class SpillPartitioner:
     # -- merge ----------------------------------------------------------
 
     def _merge(self, state: "_RunState") -> PartitionSpill:
-        """Seal run files into final contiguous partition files and
-        write the complete manifest (idempotent — resume re-enters).
-
-        The data is already HIST-identical on disk, so a ``"hist"``
-        overflow fallback only switches the accounting.
-        """
+        """Finalize the layout and flip the manifest to ``complete``
+        (idempotent — resume re-enters).  No data moves: the runs are
+        HIST-identical on disk, so a ``"hist"`` overflow fallback only
+        switches the accounting."""
         layout = state.accounting.finalize(state.on_overflow)
         total_bytes = int(layout.counts.sum()) * 8
-        with self.tracer.span("spill_merge", bytes=total_bytes):
-            crcs = state.finalize_partitions(layout.counts)
-            state.complete(layout, crcs)
+        with self.tracer.span(
+            "spill_merge", bytes=total_bytes, runs=len(state.runs)
+        ):
+            state.complete(layout)
         return PartitionSpill(state.run_dir, _read_manifest(state.run_dir))
+
+
+class _CrcFile(io.FileIO):
+    """Unbuffered file that folds every byte it writes into a CRC-32."""
+
+    crc32 = 0
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.crc32 = zlib.crc32(memoryview(data)[:written], self.crc32)
+        return written
+
+
+def _partition_major(column, tuples: int) -> np.ndarray:
+    """One chunk output column as a single contiguous array."""
+    contiguous = getattr(column, "contiguous", None)
+    whole = contiguous() if contiguous is not None else None
+    if whole is None or whole.shape[0] != tuples:
+        whole = np.concatenate([np.asarray(part) for part in column])
+    return np.ascontiguousarray(whole, dtype=np.uint32)
 
 
 class _RunState:
@@ -520,10 +591,10 @@ class _RunState:
         config: PartitionerConfig,
         on_overflow: str,
         max_bytes_in_memory: int,
-        next_chunk: int,
-        lane_counts: Optional[np.ndarray],
-        lane_file: Optional[str],
-        presize_tuples: int,
+        next_chunk: int = 0,
+        lane_counts: Optional[np.ndarray] = None,
+        lane_file: Optional[str] = None,
+        runs: Tuple[ChunkMeta, ...] = (),
     ):
         self.run_dir = run_dir
         self.store_path = store_path
@@ -535,48 +606,16 @@ class _RunState:
         #: committed + buffered chunks (``None`` starts a fresh run)
         self.accounting = Accounting(config, lane_counts)
         self._lane_file = lane_file
-        #: per-partition tuple counts already durably committed
-        self._committed = self.accounting.lane_counts.sum(axis=1)
-        self.presize_tuples = presize_tuples
+        #: the committed run files, in flush order
+        self.runs = list(runs)
+        #: fsync calls issued so far (``spill_flush`` reports its share)
+        self.fsyncs = 0
         self.buffered_bytes = 0
-        self._buffers_keys: List[List[np.ndarray]] = [
-            [] for _ in range(config.num_partitions)
-        ]
-        self._buffers_pays: List[List[np.ndarray]] = [
-            [] for _ in range(config.num_partitions)
-        ]
-        (run_dir / _RUNS_DIR).mkdir(parents=True, exist_ok=True)
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def fresh(
-        cls,
-        run_dir: pathlib.Path,
-        store: RelationStore,
-        config: PartitionerConfig,
-        on_overflow: str,
-        max_bytes_in_memory: int,
-    ) -> "_RunState":
-        run_dir.mkdir(parents=True, exist_ok=True)
-        presize = 0
-        if store.sketch is not None:
-            presize = store.sketch.partition_plan(
-                config.num_partitions
-            ).expected_tuples_per_partition
-        state = cls(
-            run_dir=run_dir,
-            store_path=str(pathlib.Path(store.path).resolve()),
-            config=config,
-            on_overflow=on_overflow,
-            max_bytes_in_memory=max_bytes_in_memory,
-            next_chunk=0,
-            lane_counts=None,
-            lane_file=None,
-            presize_tuples=presize,
-        )
-        state.commit(0)
-        return state
+        #: (keys, payloads, counts) per buffered chunk; both columns
+        #: partition-major, ``counts`` their per-partition lengths
+        self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.runs_dir = run_dir / _RUNS_DIR
+        self.runs_dir.mkdir(parents=True, exist_ok=True)
 
     @classmethod
     def from_manifest(
@@ -605,151 +644,96 @@ class _RunState:
             next_chunk=int(manifest["next_chunk"]),
             lane_counts=lane_counts,
             lane_file=lane_file,
-            presize_tuples=int(manifest.get("presize_tuples", 0)),
-        )
-
-    # -- paths ----------------------------------------------------------
-
-    def _run_file(self, partition: int, suffix: str) -> pathlib.Path:
-        return self.run_dir / _RUNS_DIR / f"p{partition:06d}.{suffix}"
-
-    def _final_file(self, partition: int, suffix: str) -> pathlib.Path:
-        return (
-            self.run_dir
-            / _PARTITIONS_DIR
-            / f"partition-{partition:06d}.{suffix}"
+            runs=[ChunkMeta.from_dict(run) for run in manifest["runs"]],
         )
 
     # -- buffering ------------------------------------------------------
 
     def buffer_output(self, output: PartitionedOutput) -> None:
-        """Stash one chunk's per-partition slices in memory."""
-        for p in range(self.config.num_partitions):
-            keys = output.partition_keys[p]
-            if keys.shape[0] == 0:
-                continue
-            self._buffers_keys[p].append(keys)
-            self._buffers_pays[p].append(output.partition_payloads[p])
-            self.buffered_bytes += int(keys.shape[0]) * 8
+        """Stash one chunk's partition-major columns in memory."""
+        counts = np.asarray(output.counts, dtype=np.int64)
+        tuples = int(counts.sum())
+        self._buffered.append(
+            (
+                _partition_major(output.partition_keys, tuples),
+                _partition_major(output.partition_payloads, tuples),
+                counts,
+            )
+        )
+        self.buffered_bytes += tuples * 8
 
-    def committed_counts(self) -> np.ndarray:
-        return self._committed
-
-    def append_buffers(self) -> None:
-        """Append buffered slices to the run files at the committed
-        offsets; fsync so the following manifest commit orders after
-        the data."""
-        pending = self._committed.copy()
-        for p in range(self.config.num_partitions):
-            if not self._buffers_keys[p]:
-                continue
-            for suffix, buffers in (
-                ("keys", self._buffers_keys[p]),
-                ("pay", self._buffers_pays[p]),
-            ):
-                path = self._run_file(p, suffix)
-                exists = path.exists()
-                with open(path, "r+b" if exists else "w+b") as handle:
-                    if not exists and self.presize_tuples:
-                        handle.truncate(self.presize_tuples * 4)
-                    handle.seek(int(pending[p]) * 4)
-                    for chunk in buffers:
-                        # memoryview write: the partition slice goes to
-                        # the file straight from the kernel's output
-                        # buffer, no intermediate bytes copy
-                        handle.write(np.ascontiguousarray(chunk).data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            self._buffers_keys[p] = []
-            self._buffers_pays[p] = []
+    def write_run(self) -> ChunkMeta:
+        """Write everything buffered as the next run file — header,
+        keys, payloads, each partition's slices in chunk order — in one
+        sequential pass; fsync it and its directory entry so the
+        following manifest commit orders after the data."""
+        name = f"run-{len(self.runs):06d}.bin"
+        counts = np.stack([chunk[2] for chunk in self._buffered])
+        starts = (np.cumsum(counts, axis=1) - counts).T.tolist()
+        raw = _CrcFile(self.runs_dir / name, "w")
+        with io.BufferedWriter(raw, _WRITE_BUFFER_BYTES) as handle:
+            handle.write(counts.sum(axis=0).astype("<i8").tobytes())
+            for section in (0, 1):
+                for p_starts, p_counts in zip(starts, counts.T.tolist()):
+                    for chunk, start, count in zip(
+                        self._buffered, p_starts, p_counts
+                    ):
+                        if count:
+                            handle.write(chunk[section][start : start + count])
+            handle.flush()
+            os.fsync(raw.fileno())
+        fsync_dir(self.runs_dir)
+        self.fsyncs += 2
+        self._buffered = []
         self.buffered_bytes = 0
+        return ChunkMeta(file=name, tuples=int(counts.sum()), crc32=raw.crc32)
 
-    def commit(self, next_chunk: int) -> None:
-        """Checkpoint: lane histogram side file, then atomic manifest."""
+    def commit(self, next_chunk: int, run: Optional[ChunkMeta] = None) -> None:
+        """Checkpoint: lane histogram side file, then atomic manifest
+        naming it, ``next_chunk`` and (if given) the run just written."""
         lane_file = f"lane_counts-{next_chunk:06d}.bin"
-        raw = np.ascontiguousarray(self.accounting.lane_counts).tobytes()
         lane_tmp = self.run_dir / (lane_file + ".tmp")
         with open(lane_tmp, "wb") as handle:
-            handle.write(raw)
+            handle.write(self._lane_bytes())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(lane_tmp, self.run_dir / lane_file)
+        self.fsyncs += 1
         previous = self._lane_file
         self._lane_file = lane_file
         self.next_chunk = next_chunk
-        self._committed = self.accounting.lane_counts.sum(axis=1)
-        self._write_manifest(state="running", lane_crc32=zlib.crc32(raw))
+        if run is not None:
+            self.runs.append(run)
+        self._write_manifest(state="running")
         if previous and previous != lane_file:
             (self.run_dir / previous).unlink(missing_ok=True)
 
-    def rollback_to_checkpoint(self) -> None:
-        """Drop bytes appended past the last committed checkpoint."""
-        for p in range(self.config.num_partitions):
-            committed_bytes = int(self._committed[p]) * 4
-            for suffix in ("keys", "pay"):
-                path = self._run_file(p, suffix)
-                if not path.exists():
-                    if committed_bytes:
-                        raise StorageError(
-                            f"run file for partition {p} vanished with "
-                            f"{committed_bytes} committed bytes"
-                        )
-                    continue
-                # presized files legitimately extend past the committed
-                # offset; truncating to max(committed, 0) is still safe
-                # because finalize truncates to the exact count later
-                if path.stat().st_size > committed_bytes:
-                    with open(path, "r+b") as handle:
-                        handle.truncate(committed_bytes)
+    def drop_uncommitted_runs(self) -> None:
+        """Unlink whatever ``runs/`` holds that the manifest does not
+        name (the run of a flush killed before its commit); a committed
+        run that is missing or not its exact size is beyond recovery."""
+        named = {run.file for run in self.runs}
+        for path in self.runs_dir.iterdir():
+            if path.name not in named:
+                path.unlink()
+        for run in self.runs:
+            _check_run_size(
+                self.runs_dir / run.file, self.config.num_partitions, run.tuples
+            )
+
+    def _lane_bytes(self) -> bytes:
+        return np.ascontiguousarray(self.accounting.lane_counts).tobytes()
 
     # -- finalisation ---------------------------------------------------
 
-    def finalize_partitions(self, counts: np.ndarray) -> dict:
-        """Truncate run files to exact sizes and move them into
-        ``partitions/``; idempotent across crashes.  Returns CRCs."""
-        final_dir = self.run_dir / _PARTITIONS_DIR
-        final_dir.mkdir(exist_ok=True)
-        crcs = {}
-        for p, count in enumerate(counts.tolist()):
-            if count == 0:
-                continue
-            for suffix in ("keys", "pay"):
-                final_path = self._final_file(p, suffix)
-                if not final_path.exists():
-                    run_path = self._run_file(p, suffix)
-                    if not run_path.exists():
-                        raise StorageError(
-                            f"partition {p} has {count} tuples but no "
-                            f"run file ({suffix})"
-                        )
-                    with open(run_path, "r+b") as handle:
-                        handle.truncate(count * 4)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(run_path, final_path)
-                crcs[f"{p}:{suffix}"] = zlib.crc32(final_path.read_bytes())
-        return crcs
-
-    def complete(self, layout: Layout, partition_crc32: dict) -> None:
-        """Write the final manifest and drop intermediate state."""
-        self._write_manifest(
-            state="complete",
-            lane_crc32=zlib.crc32(
-                np.ascontiguousarray(self.accounting.lane_counts).tobytes()
-            ),
-            partition_crc32=partition_crc32,
-            **layout.to_dict(),
-        )
+    def complete(self, layout: Layout) -> None:
+        """Write the final manifest and drop the lane side file."""
+        self._write_manifest(state="complete", **layout.to_dict())
         if self._lane_file:
             (self.run_dir / self._lane_file).unlink(missing_ok=True)
             self._lane_file = None
-        runs_dir = self.run_dir / _RUNS_DIR
-        if runs_dir.exists():
-            for stray in runs_dir.iterdir():
-                stray.unlink()
-            runs_dir.rmdir()
 
-    def _write_manifest(self, state: str, lane_crc32: int, **extra) -> None:
+    def _write_manifest(self, state: str, **extra) -> None:
         payload = {
             "version": SPILL_MANIFEST_VERSION,
             "state": state,
@@ -757,10 +741,13 @@ class _RunState:
             "config": self.config.to_dict(),
             "on_overflow": self.on_overflow,
             "max_bytes_in_memory": self.max_bytes_in_memory,
-            "presize_tuples": self.presize_tuples,
             "next_chunk": self.next_chunk,
             "lane_file": self._lane_file,
-            "lane_crc32": lane_crc32,
+            "lane_crc32": zlib.crc32(self._lane_bytes()),
+            "runs": [run.to_dict() for run in self.runs],
         }
         payload.update(extra)
         write_json_atomic(self.run_dir / SPILL_MANIFEST_NAME, payload)
+        # the rename above is only durable once the directory is
+        fsync_dir(self.run_dir)
+        self.fsyncs += 2

@@ -27,9 +27,8 @@ bit regardless of chunk boundaries.
 
 The ingest pass also feeds a :class:`~repro.analysis.sketch.StreamSketch`
 (HyperLogLog cardinality + Misra–Gries heavy hitters) recorded in the
-manifest; the spill partitioner reads it back to pre-size partition
-files and to warn when a heavy key makes balanced partitioning
-impossible.
+manifest; the spill partitioner reads it back to warn when a heavy key
+makes balanced partitioning impossible.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ __all__ = [
     "ChunkMeta",
     "RelationStore",
     "StorageError",
+    "fsync_dir",
     "write_json_atomic",
 ]
 
@@ -82,9 +82,20 @@ def write_json_atomic(path: pathlib.Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def fsync_dir(path) -> None:
+    """fsync a directory, making the entries created in or renamed
+    into it durable — a file's own ``fsync`` does not cover its name,
+    so a commit that names a new file needs this before it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @dataclasses.dataclass(frozen=True)
 class ChunkMeta:
-    """Manifest entry for one stored chunk."""
+    """Manifest entry for one stored chunk (or one spill run file)."""
 
     file: str
     tuples: int

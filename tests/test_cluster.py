@@ -407,6 +407,29 @@ class TestFailover:
             )
             assert total_in == resp.handoffs
 
+    def test_failed_handoff_leaves_nothing_on_the_peer(self, tmp_path):
+        import types
+
+        from repro.cluster.handoff import SpillHandoff
+
+        def node(name):
+            return types.SimpleNamespace(
+                shard_id=name,
+                storage_root=tmp_path / name,
+                stats=types.SimpleNamespace(handoffs_in=0, handoffs_out=0),
+            )
+
+        donor, peer = node("donor"), node("peer")
+        peer.storage_root.mkdir()
+        # not a piece config on purpose: equal keys overflow PAD at the
+        # merge, after the staging store and the runs were written
+        cfg = PartitionerConfig(num_partitions=16, output_mode=OutputMode.PAD)
+        keys = np.zeros(40_000, dtype=np.uint32)
+        with pytest.raises(PartitionOverflowError):
+            SpillHandoff().execute(donor, peer, keys, keys, cfg)
+        assert list(peer.storage_root.iterdir()) == []
+        assert peer.stats.handoffs_in == 0
+
     def test_stop_removes_self_created_storage(self, tmp_path):
         # regression: every default-rooted router/node used to leave a
         # /tmp/repro-cluster-* or /tmp/repro-shard-* directory behind

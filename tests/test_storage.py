@@ -267,22 +267,72 @@ class TestCrashRecovery:
         assert "resume" in {s.name for s in tracer.export()}
 
     def test_kill_in_torn_write_window(self, tmp_path):
-        """A crash *between* run-file append and manifest commit leaves
-        bytes past the checkpoint; resume must truncate them away."""
+        """A crash *between* run write and manifest commit — at every
+        flush — leaves a run file the manifest does not name; resume
+        must unlink it."""
         _, cfg, store, mem = self._setup(tmp_path)
-        injector = FaultInjector()
-        # checkpoints: chunk checks interleave with commit checks; the
-        # commit check sits exactly in the torn window (after
-        # append_buffers, before commit)
-        injector.fail_at(4)
-        with pytest.raises(BackendFault):
-            SpillPartitioner(
+
+        def spiller(injector=None):
+            return SpillPartitioner(
                 cfg, max_bytes_in_memory=1, fault_injector=injector
-            ).run(store, tmp_path / "run")
-        spill = SpillPartitioner(cfg, max_bytes_in_memory=1).resume(
-            tmp_path / "run"
-        )
-        assert_byte_identical(spill, mem)
+            )
+
+        for flush in range(store.num_chunks):
+            run_dir = tmp_path / f"run-{flush}"
+            injector = FaultInjector()
+            # with a flush per chunk, checks alternate chunk, commit,
+            # chunk, commit...; the commit check sits exactly in the
+            # torn window (after write_run, before commit)
+            injector.fail_at(2 * flush + 2)
+            with pytest.raises(BackendFault):
+                spiller(injector).run(store, run_dir)
+            stray = run_dir / "runs" / f"run-{flush:06d}.bin"
+            torn = stray.read_bytes()
+            assert len(list(stray.parent.iterdir())) == flush + 1
+            # kill the resume before it redoes a chunk: only the
+            # rollback has run
+            again = FaultInjector()
+            again.fail_at(1)
+            with pytest.raises(BackendFault):
+                spiller(again).resume(run_dir)
+            assert not stray.exists()
+            assert len(list(stray.parent.iterdir())) == flush
+            spill = spiller().resume(run_dir)
+            assert_byte_identical(spill, mem)
+            spill.verify()
+            assert stray.read_bytes() == torn  # redone, the same run
+
+    def test_resume_refuses_missing_or_short_committed_run(self, tmp_path):
+        _, cfg, store, _ = self._setup(tmp_path)
+        for victim, damage in (("a", "unlink"), ("b", "truncate")):
+            run_dir = tmp_path / victim
+            injector = FaultInjector()
+            injector.fail_at(7)  # two flushes committed, third chunk next
+            with pytest.raises(BackendFault):
+                SpillPartitioner(
+                    cfg, max_bytes_in_memory=1, fault_injector=injector
+                ).run(store, run_dir)
+            committed = run_dir / "runs" / "run-000001.bin"
+            if damage == "unlink":
+                committed.unlink()
+            else:
+                committed.write_bytes(committed.read_bytes()[:-4])
+            with pytest.raises(StorageError, match="run-000001.bin"):
+                SpillPartitioner(cfg, max_bytes_in_memory=1).resume(run_dir)
+
+    def test_v1_manifest_refused(self, tmp_path):
+        _, cfg, store, _ = self._setup(tmp_path, n=2_000, chunk_tuples=900)
+        spiller = SpillPartitioner(cfg)
+        spiller.run(store, tmp_path / "run")
+        manifest_path = tmp_path / "run" / "SPILL_MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="version 1"):
+            PartitionSpill.open(tmp_path / "run")
+        with pytest.raises(StorageError, match="version 1"):
+            spiller.resume(tmp_path / "run")
 
     def test_double_kill_then_resume(self, tmp_path):
         _, cfg, store, mem = self._setup(tmp_path)
@@ -331,13 +381,38 @@ class TestCrashRecovery:
 
     def test_spill_verify_catches_corruption(self, tmp_path):
         _, cfg, store, _ = self._setup(tmp_path, n=4_000, chunk_tuples=900)
-        spill = SpillPartitioner(cfg).run(store, tmp_path / "run")
-        victim = next(spill.partitions_dir.glob("partition-*.keys"))
-        raw = bytearray(victim.read_bytes())
-        raw[0] ^= 0xFF
-        victim.write_bytes(bytes(raw))
+        spill = SpillPartitioner(cfg, max_bytes_in_memory=10_000).run(
+            store, tmp_path / "run"
+        )
+        victim = spill.runs_dir / spill.runs[1].file
+        good = victim.read_bytes()
+        header_bytes = 8 * cfg.num_partitions
+
+        flipped = bytearray(good)
+        flipped[header_bytes + 17] ^= 0xFF  # one key byte
+        victim.write_bytes(bytes(flipped))
         with pytest.raises(StorageError, match="CRC-32"):
             spill.verify()
+
+        victim.write_bytes(good[:-4])  # truncated
+        with pytest.raises(StorageError, match="bytes"):
+            spill.verify()
+        with pytest.raises(StorageError, match="bytes"):
+            PartitionSpill.open(spill.path).partition(0)
+
+        header = np.frombuffer(good, dtype="<i8", count=16).copy()
+        donor = int(np.flatnonzero(header)[0])
+        header[donor] -= 1  # same file size, one tuple moved
+        header[(donor + 1) % 16] += 1
+        victim.write_bytes(header.tobytes() + good[header_bytes:])
+        with pytest.raises(StorageError, match="header"):
+            spill.verify()
+        # a reader never serves bytes laid out by a header that lies
+        with pytest.raises(StorageError, match="header"):
+            PartitionSpill.open(spill.path).partition(0)
+
+        victim.write_bytes(good)
+        spill.verify()
 
 
 class TestFaultInjectorFailAt:
@@ -402,7 +477,7 @@ class TestSpillOverflow:
 
 
 # ---------------------------------------------------------------------------
-# Pre-sizing and skew warning from the ingest sketch
+# Skew warning from the ingest sketch
 # ---------------------------------------------------------------------------
 
 
@@ -425,20 +500,6 @@ class TestSketchIntegration:
             w for w in recwarn if "skew" in str(w.message)
         ]
 
-    def test_presize_recorded_in_manifest(self, tmp_path):
-        keys = random_keys(6_000, seed=42)
-        store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=1_500)
-        SpillPartitioner(PartitionerConfig(num_partitions=8)).run(
-            store, tmp_path / "run"
-        )
-        manifest = json.loads(
-            (tmp_path / "run" / "SPILL_MANIFEST.json").read_text()
-        )
-        plan = store.sketch.partition_plan(8)
-        assert manifest["presize_tuples"] == (
-            plan.expected_tuples_per_partition
-        )
-
 
 # ---------------------------------------------------------------------------
 # Manifest round-trips
@@ -460,27 +521,59 @@ def test_config_dict_roundtrip():
 def test_completed_run_leaves_no_intermediate_files(tmp_path):
     keys = random_keys(5_000, seed=51)
     store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=1_000)
+    tracer = Tracer()
     spill = SpillPartitioner(
-        PartitionerConfig(num_partitions=8), max_bytes_in_memory=10_000
+        PartitionerConfig(num_partitions=8),
+        max_bytes_in_memory=10_000,
+        tracer=tracer,
     ).run(store, tmp_path / "run")
     names = {p.name for p in spill.path.iterdir()}
-    assert names == {"SPILL_MANIFEST.json", "partitions"}
-    assert not list(spill.path.glob("lane_counts-*"))
-    assert not list(spill.path.glob("*.tmp"))
+    assert names == {"SPILL_MANIFEST.json", "runs"}
+    assert not list(spill.path.rglob("*.tmp"))
+    # one file per flush plus the manifest, and the spans say so
+    spans = tracer.export()
+    flushes = [s for s in spans if s.name == "spill_flush"]
+    assert len(flushes) == 3
+    files = [p for p in spill.path.rglob("*") if p.is_file()]
+    assert len(files) == len(flushes) + 1
+    assert [s.attributes["run_file"] for s in flushes] == [
+        run.file for run in spill.runs
+    ]
+    assert all(s.attributes["fsyncs"] == 5 for s in flushes)
+    (merge,) = [s for s in spans if s.name == "spill_merge"]
+    assert merge.attributes["runs"] == len(flushes)
 
 
 def test_spill_crc_matches_manifest(tmp_path):
     keys = random_keys(3_000, seed=52)
     store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=1_000)
     spill = SpillPartitioner(
-        PartitionerConfig(num_partitions=4)
+        PartitionerConfig(num_partitions=4), max_bytes_in_memory=10_000
     ).run(store, tmp_path / "run")
     manifest = json.loads((spill.path / "SPILL_MANIFEST.json").read_text())
-    for p in range(4):
-        if int(spill.counts[p]) == 0:
-            continue
-        raw = (spill.partitions_dir / f"partition-{p:06d}.keys").read_bytes()
-        assert zlib.crc32(raw) == int(manifest["partition_crc32"][f"{p}:keys"])
+    assert len(manifest["runs"]) == 2
+    assert sum(run["tuples"] for run in manifest["runs"]) == 3_000
+    for run in manifest["runs"]:
+        raw = (spill.path / "runs" / run["file"]).read_bytes()
+        assert len(raw) == 8 * 4 + 8 * run["tuples"]
+        assert zlib.crc32(raw) == run["crc32"]
+
+
+def test_single_flush_and_zero_chunk_runs_round_trip(tmp_path):
+    cfg = PartitionerConfig(num_partitions=8)
+    keys = random_keys(2_000, seed=53)
+    store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=700)
+    spill = SpillPartitioner(cfg).run(store, tmp_path / "run")  # 64 MiB budget
+    assert len(spill.runs) == 1
+    assert_byte_identical(spill, FpgaPartitioner(cfg).partition(keys))
+    spill.verify()
+
+    empty = RelationStore.create(tmp_path / "empty").seal()
+    spill = SpillPartitioner(cfg).run(empty, tmp_path / "empty-run")
+    assert spill.runs == [] and spill.num_tuples == 0
+    reopened = PartitionSpill.open(tmp_path / "empty-run")
+    reopened.verify()
+    assert [len(part) for part in reopened.partition_keys] == [0] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +645,26 @@ class TestServiceSpillRouting:
         # the staging store is dropped once the run owns the data
         assert not list((tmp_path / "svc").glob("store-*"))
         response.spill.cleanup()
+
+    @pytest.mark.filterwarnings("ignore:ingest sketch predicts")
+    def test_failed_spill_request_leaves_nothing_behind(self, tmp_path):
+        from repro.service import PartitionService
+
+        # 40,000 equal keys overflow any PAD partition; under "raise"
+        # the run fails at merge, after store and runs were written
+        cfg = PartitionerConfig(num_partitions=16, output_mode=OutputMode.PAD)
+        with PartitionService(
+            spill_tuples=30_000, spill_dir=tmp_path / "svc"
+        ) as service:
+            response = service.partition(
+                np.zeros(40_000, dtype=np.uint32),
+                config=cfg,
+                on_overflow="raise",
+                timeout=120,
+            )
+            assert not response.ok
+            assert "PartitionOverflowError" in response.error
+            assert list((tmp_path / "svc").iterdir()) == []
 
     def test_spill_disabled_by_default(self):
         from repro.service import PartitionService
