@@ -34,10 +34,6 @@ from repro.workloads.relations import Relation
 
 OverflowPolicy = Literal["raise", "hist", "cpu"]
 
-#: the coalesced batch kernel packs (request, partition) into uint16
-#: so the stable argsort stays an O(n) radix sort
-_PACKED_INDEX_LIMIT = 1 << 16
-
 
 class PartitionSlices(collections.abc.Sequence):
     """Lazy per-partition views over one contiguous sorted column.
@@ -202,14 +198,15 @@ class FpgaPartitioner:
             circuit, whose span carries the cycle/stall counters.  The
             tracer also reaches an engine built from a string spec, so
             per-morsel spans nest under the kernel span.
-        max_bytes_in_flight: cap on the concatenated key+payload bytes
-            one :meth:`partition_many` kernel pass may materialise.
-            The coalesced batch kernel concatenates the whole group
-            before sorting, so its peak memory used to scale with the
-            *batch* size rather than the largest request; the cap
-            splits oversized batches into several kernel passes (each
-            still coalesced, still byte-identical per request).
-            ``None`` (default) keeps the old unbounded behaviour.
+        max_bytes_in_flight: cap on the key+payload bytes one
+            :meth:`partition_many` kernel pass may materialise.  A
+            pass writes its whole group into one shared pair of output
+            columns (and the NumPy twin concatenates the inputs
+            first), so its peak memory scales with the *batch* size
+            rather than the largest request; the cap splits oversized
+            batches into several kernel passes (each still one call,
+            still byte-identical per request).  ``None`` (default)
+            leaves a batch in one pass.
     """
 
     def __init__(
@@ -374,23 +371,25 @@ class FpgaPartitioner:
         payloads: Optional[Sequence[Optional[np.ndarray]]] = None,
         on_overflow: OverflowPolicy = "raise",
     ) -> List[PartitionedOutput]:
-        """Partition a batch of relations in one coalesced kernel pass.
+        """Partition a batch of relations in one kernel call.
 
         This is the data plane of the service layer's batching
-        scheduler: the key columns are concatenated and partitioned
-        together, so the whole batch pays one hash evaluation, one
-        histogram and one *small-dtype* stable sort.  The per-request
-        partition index is packed with the request index into a uint16
-        column, which NumPy sorts with an O(n) radix sort — the same
-        trick the morsel engine plays per chunk — instead of one
-        comparison sort per request.  On a mixed stream of small
-        requests this is 2-3x faster than one-at-a-time dispatch even
-        on a single core.
+        scheduler: the whole batch goes through
+        :func:`repro.kernels.partition_batch`, which hashes, counts
+        and scatters every request straight from its own columns into
+        its slice of one shared pair of output columns — one foreign
+        call (one GIL release) per batch, no input concatenation.
+        Without compiled kernels the byte-identical NumPy twin packs
+        the request index with the partition index and radix-sorts the
+        batch once.  Either way the per-call fixed costs are paid per
+        batch, not per request; the execution engine is not involved
+        (requests large enough to want morsels take :meth:`partition`).
 
         Every output is **byte-identical** to what
         :meth:`partition` returns for that relation alone (same counts,
         same line accounting, same partition contents in the same
-        order) — pinned by ``tests/test_service.py``.
+        order) — pinned by ``tests/test_service.py`` and
+        ``tests/test_kernels.py``.
 
         Args:
             relations: the batch; each entry follows the
@@ -415,29 +414,20 @@ class FpgaPartitioner:
             extract_columns(cfg, rel, pay)
             for rel, pay in zip(relations, payloads)
         ]
-        # The packed (request, partition) index must fit uint16 for the
-        # radix argsort; larger fan-outs simply batch fewer requests.
-        # A max_bytes_in_flight cap additionally closes a group before
-        # its concatenated columns would exceed the budget, so peak
-        # memory tracks the cap (plus one request) rather than the
-        # whole batch.
-        max_group = max(1, _PACKED_INDEX_LIMIT // cfg.num_partitions)
+        # A max_bytes_in_flight cap closes a group before its columns
+        # would exceed the budget, so peak memory tracks the cap (plus
+        # one request) rather than the whole batch.
         outputs: List[PartitionedOutput] = []
         start = 0
         while start < len(columns):
-            stop = min(start + max_group, len(columns))
+            stop = len(columns)
             if self.max_bytes_in_flight is not None:
                 group_bytes = 0
                 for i in range(start, stop):
-                    request_bytes = 2 * columns[i][0].nbytes
-                    if (
-                        i > start
-                        and group_bytes + request_bytes
-                        > self.max_bytes_in_flight
-                    ):
+                    group_bytes += 2 * columns[i][0].nbytes
+                    if i > start and group_bytes > self.max_bytes_in_flight:
                         stop = i
                         break
-                    group_bytes += request_bytes
             outputs.extend(
                 self._partition_group(columns[start:stop], on_overflow)
             )
@@ -449,109 +439,42 @@ class FpgaPartitioner:
         columns: List[Tuple[np.ndarray, np.ndarray]],
         on_overflow: OverflowPolicy,
     ) -> List[PartitionedOutput]:
-        """One coalesced kernel pass over ≤ ``_PACKED_INDEX_LIMIT / P``
-        requests (see :meth:`partition_many` for the contract)."""
+        """One kernel pass over a non-empty group of requests (see
+        :meth:`partition_many` for the contract)."""
         cfg = self.config
-        num_partitions = cfg.num_partitions
-        batch = len(columns)
-        if batch == 1:
-            keys, pays = columns[0]
-            return [self.partition(keys, pays, on_overflow=on_overflow)]
-        sizes = np.array([k.shape[0] for k, _ in columns], dtype=np.int64)
-        n = int(sizes.sum())
         with self.tracer.span(
             "fpga.partition_many",
-            requests=batch,
-            tuples=n,
-            partitions=num_partitions,
+            requests=len(columns),
+            tuples=sum(keys.shape[0] for keys, _ in columns),
+            partitions=cfg.num_partitions,
             mode=cfg.mode_label,
         ):
-            return self._partition_group_traced(
-                columns, on_overflow, sizes, n
-            )
-
-    def _partition_group_traced(
-        self,
-        columns: List[Tuple[np.ndarray, np.ndarray]],
-        on_overflow: OverflowPolicy,
-        sizes: np.ndarray,
-        n: int,
-    ) -> List[PartitionedOutput]:
-        """The coalesced kernel body (span-wrapped by caller)."""
-        cfg = self.config
-        num_partitions = cfg.num_partitions
-        lanes = cfg.num_lanes
-        batch = len(columns)
-        keys = np.concatenate([k for k, _ in columns])
-        pays = np.concatenate([p for _, p in columns])
-
-        # packed = request * P + partition, in uint16 (radix-sortable);
-        # the hash runs on the compiled kernel (GIL-free single pass)
-        parts = kernels.hash_only(
-            keys,
-            num_partitions,
-            cfg.uses_hash,
-            parts_out=np.empty(n, dtype=np.uint16),
-        )
-        packed = np.repeat(
-            (np.arange(batch, dtype=np.uint32) * num_partitions).astype(
-                np.uint16
-            ),
-            sizes,
-        )
-        packed += parts
-
-        # Lane of a tuple is its index *within its request* mod lanes;
-        # globally that is a cyclic pattern phase-shifted per request.
-        offsets = np.zeros(batch, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        base_lane = np.tile(
-            np.arange(lanes, dtype=np.uint8), n // lanes + 1
-        )[:n]
-        shift = np.repeat((offsets % lanes).astype(np.uint8), sizes)
-        lane = (base_lane - shift) & np.uint8(lanes - 1)
-        lane_packed = packed * np.int32(lanes)
-        lane_packed += lane
-        lane_matrix = np.bincount(
-            lane_packed, minlength=batch * num_partitions * lanes
-        ).reshape(batch, num_partitions, lanes)
-        counts_matrix = lane_matrix.sum(axis=2)
-
-        # One stable scatter orders the whole batch by (request,
-        # partition); each request's slice is then exactly its own
-        # stable sort by partition index.  The destination bases come
-        # straight from the (request, partition) histogram, so the
-        # whole batch lands in one contiguous pair of output columns —
-        # the very buffers the per-request PartitionSlices view.
-        dest_base = np.zeros(batch * num_partitions, dtype=np.int64)
-        np.cumsum(counts_matrix.reshape(-1)[:-1], out=dest_base[1:])
-        sorted_keys = np.empty(n, dtype=np.uint32)
-        sorted_payloads = np.empty(n, dtype=np.uint32)
-        kernels.stable_scatter(
-            keys, pays, packed, dest_base, batch * num_partitions,
-            sorted_keys, sorted_payloads,
-        )
-        bounds = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-
-        # Layout and overflow policy per request.  An overflowing
-        # request falls back individually: under ``hist`` its slice of
-        # the batch scatter already holds the contents.
-        outputs: List[PartitionedOutput] = []
-        for i in range(batch):
-            layout = Accounting(cfg, lane_matrix[i]).finalize(on_overflow)
-            if layout.overflow is not None:
-                outputs.append(self._cpu_fallback(*columns[i]))
-                continue
-            outputs.append(
-                self._output(
-                    layout,
-                    sorted_keys[bounds[i] : bounds[i + 1]],
-                    sorted_payloads[bounds[i] : bounds[i + 1]],
-                    None,
+            sorted_keys, sorted_payloads, lane_matrix = (
+                kernels.partition_batch(
+                    columns, cfg.num_partitions, cfg.uses_hash, cfg.num_lanes
                 )
             )
-        return outputs
+            # Layout and overflow policy per request.  An overflowing
+            # request falls back individually: under ``hist`` its slice
+            # of the batch scatter already holds the contents.
+            outputs: List[PartitionedOutput] = []
+            low = 0
+            for (keys, payloads), lane_counts in zip(columns, lane_matrix):
+                high = low + keys.shape[0]
+                layout = Accounting(cfg, lane_counts).finalize(on_overflow)
+                if layout.overflow is not None:
+                    outputs.append(self._cpu_fallback(keys, payloads))
+                else:
+                    outputs.append(
+                        self._output(
+                            layout,
+                            sorted_keys[low:high],
+                            sorted_payloads[low:high],
+                            None,
+                        )
+                    )
+                low = high
+            return outputs
 
     # ------------------------------------------------------------------
     # Cycle-level simulation

@@ -298,10 +298,15 @@ class ExecutionEngine:
         if keys.shape != payloads.shape:
             raise ConfigurationError("keys and payloads must align")
         n = int(keys.shape[0])
-        if chunks is None:
-            chunks = plan_morsels(n, self.workers, self.morsel_tuples)
-        chunks = list(chunks)
         backend = self._backend_for(n)
+        if chunks is None:
+            # one thread gains nothing from "a morsel per worker": the
+            # serial backend splits only to bound the morsel size
+            chunks = plan_morsels(
+                n, 1 if backend == "serial" else self.workers,
+                self.morsel_tuples,
+            )
+        chunks = list(chunks)
         if backend == "process":
             return self._begin_process(
                 keys, payloads, n, num_partitions, use_hash, lanes, chunks

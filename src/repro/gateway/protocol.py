@@ -132,21 +132,47 @@ def encode_json(frame_type: int, obj: dict) -> bytes:
     )
 
 
+def _new_frame(frame_type: int, payload_len: int) -> bytearray:
+    """A frame buffer of exactly header + payload bytes, header written.
+
+    The data-plane encoders fill the payload in place and return the
+    buffer itself (``StreamWriter.write`` takes any bytes-like), so a
+    64 KiB chunk is copied once — column into frame — per encode.
+    """
+    if payload_len > MAX_FRAME_BYTES:
+        raise GatewayProtocolError(
+            f"frame payload of {payload_len} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte ceiling"
+        )
+    frame = bytearray(_HEADER.size + payload_len)
+    _HEADER.pack_into(frame, 0, int(frame_type), payload_len)
+    return frame
+
+
 def encode_data(
     seq: int, keys: np.ndarray, payloads: Optional[np.ndarray]
-) -> bytes:
+) -> bytearray:
     """A client DATA frame (payload column iff the stream declared one)."""
-    keys = np.ascontiguousarray(keys, dtype="<u4")
-    body = _DATA_PREFIX.pack(seq, keys.shape[0]) + keys.tobytes()
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    columns = 1
     if payloads is not None:
-        payloads = np.ascontiguousarray(payloads, dtype="<u4")
-        if payloads.shape[0] != keys.shape[0]:
+        payloads = np.asarray(payloads)
+        if payloads.shape[0] != n:
             raise GatewayProtocolError(
                 f"payload column length {payloads.shape[0]} != key "
-                f"column length {keys.shape[0]}"
+                f"column length {n}"
             )
-        body += payloads.tobytes()
-    return encode_frame(FrameType.DATA, body)
+        columns = 2
+    frame = _new_frame(FrameType.DATA, _DATA_PREFIX.size + 4 * columns * n)
+    _DATA_PREFIX.pack_into(frame, _HEADER.size, seq, n)
+    body = np.frombuffer(
+        frame, dtype="<u4", offset=_HEADER.size + _DATA_PREFIX.size
+    )
+    body[:n] = keys
+    if payloads is not None:
+        body[n:] = payloads
+    return frame
 
 
 def decode_data(
@@ -195,7 +221,7 @@ def encode_chunk(
     counts: np.ndarray,
     keys: Sequence[np.ndarray],
     payloads: Sequence[np.ndarray],
-) -> bytes:
+) -> bytearray:
     """A server CHUNK frame from one chunk's per-partition arrays.
 
     Hot path (once per chunk per stream): the frame is assembled in a
@@ -207,14 +233,9 @@ def encode_chunk(
     counts32 = np.ascontiguousarray(counts, dtype="<u4")
     num_partitions = counts32.shape[0]
     n = int(counts32.sum())
-    payload_len = _DATA_PREFIX.size + 4 * num_partitions + 8 * n
-    if payload_len > MAX_FRAME_BYTES:
-        raise GatewayProtocolError(
-            f"frame payload of {payload_len} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte ceiling"
-        )
-    frame = bytearray(_HEADER.size + payload_len)
-    _HEADER.pack_into(frame, 0, int(FrameType.CHUNK), payload_len)
+    frame = _new_frame(
+        FrameType.CHUNK, _DATA_PREFIX.size + 4 * num_partitions + 8 * n
+    )
     _DATA_PREFIX.pack_into(frame, _HEADER.size, seq, n)
     body = np.frombuffer(
         frame,
@@ -226,7 +247,7 @@ def encode_chunk(
     if n:
         _fill_column(body[num_partitions:num_partitions + n], keys)
         _fill_column(body[num_partitions + n:], payloads)
-    return bytes(frame)
+    return frame
 
 
 def decode_chunk(

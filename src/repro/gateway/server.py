@@ -88,6 +88,32 @@ class _ChunkResult:
         self.reason = reason
 
 
+def _resolved(ticket) -> "asyncio.Future":
+    """A future on the running loop that the ticket's response
+    completes — no executor thread parked in ``ticket.result()``.
+
+    The ticket resolves on the service's dispatcher thread, so the
+    callback only posts the response to the loop.  A chunk task
+    cancelled meanwhile has cancelled the future, and a loop closed
+    meanwhile has nobody waiting: both drop the response.
+    """
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+
+    def deliver(response) -> None:
+        if not future.done():
+            future.set_result(response)
+
+    def post(response) -> None:
+        try:
+            loop.call_soon_threadsafe(deliver, response)
+        except RuntimeError:
+            pass  # loop closed before the chunk resolved
+
+    ticket.add_done_callback(post)
+    return future
+
+
 class _ServiceBackend:
     """Chunk executor over a single in-process ``PartitionService``."""
 
@@ -118,7 +144,7 @@ class _ServiceBackend:
                 raise protocol.GatewayStreamError(
                     ErrorCode.FAILED.value, str(exc)
                 ) from exc
-            response = await asyncio.to_thread(ticket.result, None)
+            response = await _resolved(ticket)
             if response.status is RequestStatus.REJECTED:
                 attempts += 1
                 if attempts > MAX_STALL_RETRIES:
@@ -353,8 +379,8 @@ class _Connection:
                 # chunks already in flight, then let flush exit
                 self._pending.put_nowait(None)
             # flush must settle either way so every submitted chunk
-            # task is awaited (no orphaned executor waits); connection
-            # errors propagate to run()
+            # task is awaited (none left pending on its ticket);
+            # connection errors propagate to run()
             flush_error = None
             try:
                 await flush_task

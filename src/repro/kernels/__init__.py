@@ -1,8 +1,8 @@
 """Compiled hot-path kernels with a NumPy fallback.
 
-The four inner primitives of the partitioning data plane — hash, radix
-histogram, stable scatter, SWWC buffered flush — behind one dispatch
-layer with two interchangeable backends:
+The five inner primitives of the partitioning data plane — hash, radix
+histogram, stable scatter, SWWC buffered flush, fused batch partition —
+behind one dispatch layer with two interchangeable backends:
 
 * **native** — a small C library (``_native.c``) compiled on demand
   with the system compiler and called through ctypes.  Every call
@@ -39,10 +39,11 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.kernels import numpy_impl
 from repro.kernels.build import (  # noqa: F401  (re-exported)
     KernelBuildError,
@@ -60,6 +61,7 @@ __all__ = [
     "hash_only",
     "library_path",
     "native_available",
+    "partition_batch",
     "scatter",
     "set_backend",
     "stable_scatter",
@@ -177,7 +179,7 @@ def _native_eligible(keys: np.ndarray, *arrays: Optional[np.ndarray]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The four primitives
+# The five primitives
 # ----------------------------------------------------------------------
 
 def hash_histogram(
@@ -307,10 +309,62 @@ def swwc_scatter(
     )
 
 
+def partition_batch(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    num_partitions: int,
+    use_hash: bool,
+    lanes: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primitive 5: primitives 2 and 3 over every request of a batch.
+
+    ``columns`` holds one aligned ``(keys, payloads)`` pair per request
+    (empty requests allowed); the inputs are only read.  Returns
+    ``(out_keys, out_payloads, lane_matrix)``: one shared pair of fresh
+    ``uint32`` output columns in which request ``r`` owns the slice
+    ``[sum(sizes[:r]), sum(sizes[:r + 1]))``, stable-sorted by
+    partition index — the bytes :func:`hash_histogram` +
+    :func:`stable_scatter` produce for that request alone — and the
+    ``(batch, num_partitions, lanes)`` ``int64`` histogram, a tuple's
+    lane being its index *within its request* mod ``lanes``.
+
+    Natively this is one foreign call (one GIL release) per batch with
+    no input concatenation; a batch holding any non-``uint32`` or
+    non-contiguous column takes the NumPy twin, which is also the only
+    path without a compiler.
+    """
+    if num_partitions < 1 or num_partitions & (num_partitions - 1):
+        raise ConfigurationError(
+            f"num_partitions must be a power of two, got {num_partitions}"
+        )
+    if lanes < 1 or lanes & (lanes - 1):
+        raise ConfigurationError(
+            f"lanes must be a power of two, got {lanes}"
+        )
+    native = _resolve() == "native"
+    for keys, payloads in columns:
+        if keys.ndim != 1 or keys.shape != payloads.shape:
+            raise ConfigurationError("keys and payloads must align")
+        native = (
+            native
+            and payloads.dtype == np.uint32
+            and _native_eligible(keys, payloads)
+        )
+    if native:
+        from repro.exec.morsels import parts_dtype
+
+        return _native.partition_batch(
+            columns, num_partitions, use_hash, lanes,
+            parts_dtype(num_partitions),
+        )
+    return numpy_impl.partition_batch(
+        columns, num_partitions, use_hash, lanes
+    )
+
+
 def bucket_build(
     keys: np.ndarray, num_buckets: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Primitive 5: bucket-chaining join build → ``(heads, next)``.
+    """Primitive 6: bucket-chaining join build → ``(heads, next)``.
 
     Chains are identical across backends: head = the bucket's last
     tuple, ``next`` pointing to earlier ones (scalar front-insertion
@@ -331,7 +385,7 @@ def bucket_probe(
     num_buckets: int,
     probe_keys: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Primitive 6: chain-walk probe → ``(probe_idx, build_idx, hops)``.
+    """Primitive 7: chain-walk probe → ``(probe_idx, build_idx, hops)``.
 
     Emission is probe-major on both backends — for each probe tuple in
     input order, its matches follow the chain — so the match ordering

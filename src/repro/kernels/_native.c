@@ -1,6 +1,6 @@
 /* Native hot-path kernels for the partitioning data plane.
  *
- * Four primitives, mirroring the paper's inner loops (Section 4):
+ * Five primitives, mirroring the paper's inner loops (Section 4):
  *
  *   1. hash           — murmur3 finalizer (Code 3) or radix bits;
  *   2. radix histogram — fused hash + per-partition counts, with the
@@ -12,7 +12,10 @@
  *      sized software write-combine buffers (Code 2): tuples
  *      accumulate per partition and a full buffer is flushed with one
  *      memcpy, so the random-write working set is the buffer pool, not
- *      the whole output.
+ *      the whole output;
+ *   5. batch partition — 2 and 3 run per request of a batch, straight
+ *      from each request's own columns into its slice of one shared
+ *      output: one call (one GIL release) per batch.
  *
  * Deliberately plain C99 with no Python.h: the module is loaded
  * through ctypes, which drops the GIL for the duration of every call —
@@ -101,8 +104,8 @@ DEFINE_HASH_HIST(u8, uint8_t)
 DEFINE_HASH_HIST(u16, uint16_t)
 DEFINE_HASH_HIST(i64, int64_t)
 
-/* Hash only (no histogram): the batch kernel of partition_many wants
- * raw partition indices to pack with the request index. */
+/* Hash only (no histogram): for callers that want raw partition
+ * indices (placement, isolation, the NumPy batch twin's packed index). */
 void repro_hash_only_u16(const uint32_t *keys, int64_t n,
                          int64_t num_partitions, int use_hash,
                          uint16_t *parts)
@@ -382,6 +385,62 @@ DEFINE_SWWC_MT(u16, uint16_t)
 DEFINE_SWWC_MT(i64, int64_t)
 
 /* ------------------------------------------------------------------ */
+/* 5: fused batch partition                                            */
+/*                                                                     */
+/* For each request r of the batch, in order: primitive 2 on its keys  */
+/* into the parts[] scratch (cursor[] doubling as the histogram, a     */
+/* tuple's lane being its index within its own request mod lanes),     */
+/* an exclusive prefix sum that turns the counts into cursors starting */
+/* at the request's first output slot, and primitive 3.  Request r's   */
+/* tuples land in out[sum(sizes[:r]) : sum(sizes[:r+1])], stable-      */
+/* sorted by partition: the bytes of hash_hist + scatter on that       */
+/* request alone.  The inputs are only read.                           */
+/*                                                                     */
+/* Few, wide arguments, because taking an ndarray's address costs the  */
+/* caller about as much as partitioning 200 tuples: table[] holds      */
+/* batch sizes, then batch key-column addresses, then batch payload-   */
+/* column addresses; out[] is the key column (total tuples) followed   */
+/* by the payload column; acc[] is num_partitions cursor slots         */
+/* followed by the batch * num_partitions * lanes lane histogram,      */
+/* zeroed by the caller; parts[] holds max(sizes) entries.  lanes and  */
+/* num_partitions are powers of two.                                   */
+/* ------------------------------------------------------------------ */
+
+#define DEFINE_PARTITION_BATCH(SUFFIX, PART_T)                             \
+    void repro_partition_batch_##SUFFIX(                                   \
+        const intptr_t *table, int64_t batch, int64_t num_partitions,      \
+        int use_hash, int64_t lanes, PART_T *parts, uint32_t *out,         \
+        int64_t *acc)                                                      \
+    {                                                                      \
+        int64_t *cursor = acc;                                             \
+        int64_t *lane_hist = acc + num_partitions;                         \
+        uint32_t *out_payloads = out;                                      \
+        int64_t base = 0, r, p;                                            \
+        for (r = 0; r < batch; r++) out_payloads += table[r];              \
+        for (r = 0; r < batch; r++) {                                      \
+            const int64_t n = table[r];                                    \
+            const uint32_t *keys = (const uint32_t *)table[batch + r];     \
+            const uint32_t *payloads =                                     \
+                (const uint32_t *)table[2 * batch + r];                    \
+            memset(cursor, 0, (size_t)num_partitions * sizeof(int64_t));   \
+            repro_hash_hist_##SUFFIX(keys, n, num_partitions, use_hash,    \
+                                     lanes, 0, parts, cursor, lane_hist);  \
+            lane_hist += num_partitions * lanes;                           \
+            for (p = 0; p < num_partitions; p++) {                         \
+                const int64_t count = cursor[p];                           \
+                cursor[p] = base;                                          \
+                base += count;                                             \
+            }                                                              \
+            repro_scatter_##SUFFIX(keys, payloads, parts, n, cursor,       \
+                                   out, out_payloads);                     \
+        }                                                                  \
+    }
+
+DEFINE_PARTITION_BATCH(u8, uint8_t)
+DEFINE_PARTITION_BATCH(u16, uint16_t)
+DEFINE_PARTITION_BATCH(i64, int64_t)
+
+/* ------------------------------------------------------------------ */
 /* 6. bucket-chaining hash join: build + probe (Section 3.3)          */
 /* ------------------------------------------------------------------ */
 
@@ -453,4 +512,4 @@ int64_t repro_bucket_probe(const uint32_t *build_keys,
 }
 
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 3; }
+int repro_kernels_abi(void) { return 4; }

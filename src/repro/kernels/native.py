@@ -15,7 +15,7 @@ convert, so the native path never hides a copy.
 from __future__ import annotations
 
 import ctypes
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class NativeKernels:
         self._scatter = {}
         self._swwc = {}
         self._swwc_mt = {}
+        self._partition_batch = {}
         for dtype, suffix in _PART_VARIANTS.items():
             fn = getattr(lib, f"repro_hash_hist_{suffix}")
             fn.argtypes = [
@@ -81,6 +82,12 @@ class NativeKernels:
                            _i64, _ptr_t, _ptr_t, _ptr_t]
             fn.restype = _int
             self._swwc_mt[dtype] = fn
+
+            fn = getattr(lib, f"repro_partition_batch_{suffix}")
+            fn.argtypes = [_ptr_t, _i64, _i64, _int, _i64, _ptr_t,
+                           _ptr_t, _ptr_t]
+            fn.restype = None
+            self._partition_batch[dtype] = fn
 
         self._hash_only = {}
         for dtype in (np.dtype(np.uint16), np.dtype(np.int64)):
@@ -223,6 +230,54 @@ class NativeKernels:
             self.scatter(keys, payloads, parts, cursor, out_keys,
                          out_payloads)
 
+    def partition_batch(
+        self,
+        columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+        num_partitions: int,
+        use_hash: bool,
+        lanes: int,
+        parts_dtype: np.dtype,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hash, histogram and stable scatter of every request of a
+        batch in one call; returns ``(out_keys, out_payloads,
+        lane_matrix)`` (see :func:`repro.kernels.partition_batch`).
+        ``parts_dtype`` is the partition-index dtype of the scratch
+        column between the two passes."""
+        batch = len(columns)
+        sizes = [keys.shape[0] for keys, _ in columns]
+        # Few, wide buffers: ``ndarray.ctypes.data`` costs about as
+        # much as partitioning 200 tuples, so the call takes four
+        # addresses plus the two per request it cannot avoid.  The
+        # table holds raw pointers; ``columns`` keeps them alive.
+        table = np.array(
+            sizes
+            + [keys.ctypes.data for keys, _ in columns]
+            + [payloads.ctypes.data for _, payloads in columns],
+            dtype=np.intp,
+        )
+        n = sum(sizes)
+        parts = np.empty(max(sizes, default=0), dtype=parts_dtype)
+        out = np.empty(2 * n, dtype=np.uint32)
+        # cursor scratch, then the lane matrix
+        acc = np.zeros(
+            num_partitions * (1 + batch * lanes), dtype=np.int64
+        )
+        self._partition_batch[parts.dtype](
+            _addr(table),
+            batch,
+            num_partitions,
+            1 if use_hash else 0,
+            lanes,
+            _addr(parts),
+            _addr(out),
+            _addr(acc),
+        )
+        return (
+            out[:n],
+            out[n:],
+            acc[num_partitions:].reshape(batch, num_partitions, lanes),
+        )
+
     def bucket_build(
         self,
         keys: np.ndarray,
@@ -301,8 +356,8 @@ def load() -> NativeKernels:
         raise KernelBuildError(
             f"kernel library {path} has no ABI stamp"
         ) from error
-    if version != 3:
+    if version != 4:
         raise KernelBuildError(
-            f"kernel library ABI {version} != expected 3 (stale cache?)"
+            f"kernel library ABI {version} != expected 4 (stale cache?)"
         )
     return NativeKernels(lib)

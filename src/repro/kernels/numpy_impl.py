@@ -1,7 +1,7 @@
 """Pure-NumPy reference implementations of the hot-path kernels.
 
 These are the vectorised kernels the repo shipped before the native
-extension existed, factored behind the same four-primitive API so the
+extension existed, factored behind the same five-primitive API so the
 dispatch layer (:mod:`repro.kernels`) can swap freely between them.
 They are the always-available fallback *and* the correctness oracle:
 the native kernels must match them byte for byte (tests/test_kernels.py
@@ -10,7 +10,7 @@ pins this with hypothesis property tests).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +119,114 @@ def swwc_scatter(
     schedule, never the destination slots, so the vectorised fallback
     is the plain stable scatter."""
     scatter(keys, payloads, parts, cursor, out_keys, out_payloads)
+
+
+#: the batch twin packs (request, partition) into uint16 so its stable
+#: argsort stays an O(n) radix sort; a larger batch takes several passes
+_PACKED_INDEX_LIMIT = 1 << 16
+
+
+def partition_batch(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    num_partitions: int,
+    use_hash: bool,
+    lanes: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hash, histogram and stable scatter of every request of a batch;
+    returns ``(out_keys, out_payloads, lane_matrix)`` (see
+    :func:`repro.kernels.partition_batch`).
+
+    Where the native kernel loops over the requests, this twin
+    vectorises across them: the columns of up to ``2**16 /
+    num_partitions`` requests are concatenated and partitioned
+    together, so the group pays one hash evaluation, one histogram and
+    one *small-dtype* stable sort — the per-request partition index is
+    packed with the request index into a uint16 column, which NumPy
+    sorts with an O(n) radix sort instead of one comparison sort per
+    request.
+    """
+    batch = len(columns)
+    sizes = np.array([keys.shape[0] for keys, _ in columns], dtype=np.int64)
+    n = int(sizes.sum())
+    out_keys = np.empty(n, dtype=np.uint32)
+    out_payloads = np.empty(n, dtype=np.uint32)
+    lane_matrix = np.empty((batch, num_partitions, lanes), dtype=np.int64)
+    max_group = max(1, _PACKED_INDEX_LIMIT // num_partitions)
+    low = 0
+    for start in range(0, batch, max_group):
+        stop = min(start + max_group, batch)
+        high = low + int(sizes[start:stop].sum())
+        lane_matrix[start:stop] = _partition_group(
+            columns[start:stop],
+            sizes[start:stop],
+            num_partitions,
+            use_hash,
+            lanes,
+            out_keys[low:high],
+            out_payloads[low:high],
+        )
+        low = high
+    return out_keys, out_payloads, lane_matrix
+
+
+def _partition_group(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    sizes: np.ndarray,
+    num_partitions: int,
+    use_hash: bool,
+    lanes: int,
+    out_keys: np.ndarray,
+    out_payloads: np.ndarray,
+) -> np.ndarray:
+    """One packed-index pass over ≤ ``_PACKED_INDEX_LIMIT / P``
+    requests into their shared slice of the outputs; returns the
+    group's ``(requests, P, lanes)`` lane matrix."""
+    batch = len(columns)
+    n = out_keys.shape[0]
+    keys = np.concatenate([k for k, _ in columns])
+    pays = np.concatenate([p for _, p in columns])
+
+    # packed = request * P + partition, in uint16 (radix-sortable); a
+    # fan-out beyond 2**16 leaves one request per group and no packing
+    packed_dtype = (
+        np.uint16 if batch * num_partitions <= _PACKED_INDEX_LIMIT
+        else np.int64
+    )
+    parts = hash_only(
+        keys, num_partitions, use_hash, np.empty(n, dtype=packed_dtype)
+    )
+    packed = np.repeat(
+        (np.arange(batch, dtype=np.int64) * num_partitions).astype(
+            packed_dtype
+        ),
+        sizes,
+    )
+    packed += parts
+
+    # Lane of a tuple is its index *within its request* mod lanes;
+    # globally that is a cyclic pattern phase-shifted per request.
+    offsets = np.zeros(batch, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    base_lane = np.tile(
+        np.arange(lanes, dtype=np.uint8), n // lanes + 1
+    )[:n]
+    shift = np.repeat((offsets % lanes).astype(np.uint8), sizes)
+    lane = (base_lane - shift) & np.uint8(lanes - 1)
+    lane_packed = packed * np.int32(lanes)
+    lane_packed += lane
+    lane_matrix = np.bincount(
+        lane_packed, minlength=batch * num_partitions * lanes
+    ).reshape(batch, num_partitions, lanes)
+
+    # One stable scatter orders the whole group by (request,
+    # partition); each request's slice is then exactly its own stable
+    # sort by partition index.  The destination bases come straight
+    # from the (request, partition) histogram, so the group lands in
+    # one contiguous slice of the shared output columns.
+    cursor = np.zeros(batch * num_partitions, dtype=np.int64)
+    np.cumsum(lane_matrix.sum(axis=2).reshape(-1)[:-1], out=cursor[1:])
+    scatter(keys, pays, packed, cursor, out_keys, out_payloads)
+    return lane_matrix
 
 
 def bucket_build(

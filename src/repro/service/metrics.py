@@ -135,6 +135,8 @@ COUNTERS = (
     "plans_completed",
     "plans_fused",
     "plans_staged",
+    # PartitionTicket.add_done_callback callbacks that raised
+    "callback_errors",
 )
 
 #: per-request pipeline stages with a latency histogram each

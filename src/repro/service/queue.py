@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -83,11 +83,21 @@ class AdmissionQueue:
 
     # -- producer side --------------------------------------------------
 
-    def offer(self, item: object, priority: int, tuples: int) -> bool:
+    def offer(
+        self,
+        item: object,
+        priority: int,
+        tuples: int,
+        on_admit: Optional[Callable[[], None]] = None,
+    ) -> bool:
         """Try to admit ``item``; False means rejected (queue full).
 
         Never blocks: admission control answers immediately so clients
         can apply their own backoff instead of piling onto a lock.
+        ``on_admit`` runs under the queue's lock once the item is in,
+        before the consumer is woken — whatever it records (the
+        service's ``admitted`` counter) is visible before anything the
+        consumer does with the item.  Keep it short.
         """
         with self._lock:
             if self._closed:
@@ -105,6 +115,8 @@ class AdmissionQueue:
                 self._heap, (-priority, self._sequence, tuples, item)
             )
             self._tuples_queued += tuples
+            if on_admit is not None:
+                on_admit()
             self._not_empty.notify()
             return True
 

@@ -3,12 +3,12 @@
 The scheduler sits between the admission queue and the partitioner and
 makes the one decision that dominates small-request throughput on this
 simulator: *how many requests ride one kernel invocation*.  Per-call
-fixed costs (hash setup, histogram allocation, the stable sort) are
+fixed costs (the foreign call and its GIL hand-off, buffer set-up) are
 amortised by coalescing every queued request with an identical
 :func:`request_signature` into a single
 :meth:`~repro.core.partitioner.FpgaPartitioner.partition_many` call —
-one hash pass, one histogram, one radix sort for the whole batch,
-with per-request outputs byte-identical to solo calls by construction.
+one :func:`~repro.kernels.partition_batch` for the whole batch, with
+per-request outputs byte-identical to solo calls by construction.
 
 Requests too large to benefit from coalescing go the other way: they
 are *split* into morsels by the :mod:`repro.exec` engine inside a solo
@@ -76,10 +76,11 @@ class BatchingScheduler:
     """Forms :class:`Batch`\\ es from an :class:`AdmissionQueue`.
 
     Args:
-        max_batch_requests: coalescing cap per kernel invocation.  The
-            batched kernel packs ``(request, partition)`` into 16 bits,
-            so ``max_batch_requests * num_partitions`` should stay under
-            ``2**16``; ``partition_many`` sub-chunks internally if not.
+        max_batch_requests: coalescing cap per kernel invocation.
+            (Without compiled kernels the NumPy twin packs ``(request,
+            partition)`` into 16 bits and takes several passes over a
+            batch with ``max_batch_requests * num_partitions`` above
+            ``2**16``.)
         max_batch_tuples: cap on the *sum* of tuples per coalesced
             batch, bounding kernel working-set size.
         split_tuples: requests at or above this size skip coalescing

@@ -10,32 +10,35 @@ into a long-lived serving tier shaped like an inference server:
 * A single dispatcher thread pulls priority-ordered work from the
   :class:`~repro.service.queue.AdmissionQueue`, forms batches with the
   :class:`~repro.service.scheduler.BatchingScheduler`, and executes
-  them: coalesced batches through
+  them: batches of any length, one included, through
   :meth:`~repro.core.partitioner.FpgaPartitioner.partition_many`,
-  oversized requests solo through the morsel engine.
+  oversized (``split``) requests solo through the morsel engine.
 * Deadlines are enforced at dequeue and at resolve; FPGA faults retry
   with bounded exponential backoff, then degrade to the CPU (SWWC)
   backend; saturation and open-circuit conditions skip straight to the
   CPU.  Every downgrade is recorded on the response and in
   :class:`~repro.service.metrics.ServiceMetrics`.
 
-A single dispatcher is deliberate: the container this reproduction
-targets has one core, so service throughput comes from *vectorised
-coalescing* (one hash + one radix sort per batch), not from dispatcher
-parallelism — the same amortisation argument as the paper's deeply
-pipelined circuit, transplanted to the serving layer.
+A single dispatcher is deliberate: the stack is sized for two cores
+(``nproc`` = 2 in ``benchmarks/stack/README.md``), one of which the
+clients — or the gateway's event loop — occupy, so service throughput
+comes from *coalescing* (one kernel call, hence one GIL hand-off, per
+batch), not from dispatcher parallelism — the same amortisation
+argument as the paper's deeply pipelined circuit, transplanted to the
+serving layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import logging
 import pathlib
 import shutil
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +56,8 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.queue import AdmissionQueue, QueueFullError
 from repro.service.scheduler import Batch, BatchingScheduler, request_signature
 from repro.workloads.relations import Relation
+
+_LOG = logging.getLogger(__name__)
 
 
 class ServiceDrainingError(ReproError):
@@ -182,10 +187,15 @@ class PartitionResponse:
 class PartitionTicket:
     """Client-side handle for an in-flight request."""
 
-    def __init__(self, request_id: int):
+    def __init__(
+        self, request_id: int, metrics: Optional[ServiceMetrics] = None
+    ):
         self.request_id = request_id
         self._event = threading.Event()
         self._response: Optional[PartitionResponse] = None
+        self._lock = threading.Lock()
+        self._callbacks: List[Callable[[PartitionResponse], None]] = []
+        self._metrics = metrics
 
     def done(self) -> bool:
         """True once the request has resolved (any terminal status)."""
@@ -201,9 +211,40 @@ class PartitionTicket:
         assert self._response is not None
         return self._response
 
+    def add_done_callback(
+        self, fn: Callable[[PartitionResponse], None]
+    ) -> None:
+        """Call ``fn(response)`` once the request resolves, whatever
+        its terminal status: on the resolving thread (the service's
+        dispatcher, so keep it short — hand the response to your own
+        thread or event loop), or right here if it already has.
+        Callbacks run in registration order.  An exception from ``fn``
+        is caught, logged and counted (``callback_errors``), never
+        propagated: it must not take the dispatcher down with it.
+        """
+        with self._lock:
+            if self._response is None:
+                self._callbacks.append(fn)
+                return
+        self._run_callback(fn)
+
+    def _run_callback(self, fn) -> None:
+        try:
+            fn(self._response)
+        except Exception:  # noqa: BLE001 - the dispatcher must survive
+            _LOG.exception(
+                "done-callback of request %d raised", self.request_id
+            )
+            if self._metrics is not None:
+                self._metrics.increment("callback_errors")
+
     def _resolve(self, response: PartitionResponse) -> None:
-        self._response = response
+        with self._lock:
+            self._response = response
+            callbacks, self._callbacks = self._callbacks, []
         self._event.set()
+        for fn in callbacks:
+            self._run_callback(fn)
 
 
 @dataclasses.dataclass
@@ -503,7 +544,7 @@ class PartitionService:
         with self._sequence_lock:
             self._sequence += 1
             request_id = self._sequence
-        ticket = PartitionTicket(request_id)
+        ticket = PartitionTicket(request_id, self.metrics)
         now = self._clock()
         pending = _Pending(
             request=request,
@@ -531,7 +572,13 @@ class PartitionService:
             span.start_s = now
             pending.span = span
         self.metrics.increment("submitted")
-        if not self.queue.offer(pending, int(request.priority), pending.tuples):
+        # counted inside the queue's lock: counted afterwards, the
+        # dispatcher could complete the request first and a metrics
+        # reader see completed > admitted
+        if not self.queue.offer(
+            pending, int(request.priority), pending.tuples,
+            on_admit=self._count_admitted,
+        ):
             retry_after = self.queue.retry_after_hint()
             self.metrics.increment("rejected")
             if pending.span is not None:
@@ -547,9 +594,11 @@ class PartitionService:
                 )
             )
             return ticket
-        self.metrics.increment("admitted")
         self.metrics.set_gauge("queue_depth", len(self.queue))
         return ticket
+
+    def _count_admitted(self) -> None:
+        self.metrics.increment("admitted")
 
     def _decide(self, request: PartitionRequest):
         """Consult the optimizer for one request's execution plan.
@@ -762,7 +811,8 @@ class PartitionService:
                         )
                         for entry in live
                     ]
-                elif len(live) == 1:
+                elif batch.split:
+                    # deliberately solo and large: the morsel engine
                     outputs = [
                         partitioner.partition(
                             live[0].request.relation,

@@ -158,6 +158,26 @@ class TestMorselUnits:
     def test_plan_morsels_empty(self):
         assert plan_morsels(0, 4, morsel_tuples=100) == [(0, 0)]
 
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 99, 100, 101, 1234])
+    def test_serial_engine_plans_no_morsel_per_worker(self, rng, workers, n):
+        """One thread splits only to bound the morsel size: a serial
+        engine yields ceil(n / morsel_tuples) morsels whatever its
+        worker count (it used to run ``workers`` half-size kernels and
+        a merge on one thread), and the bytes do not move."""
+        keys = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+        payloads = np.arange(n, dtype=np.uint32)
+        with ExecutionEngine(
+            workers=workers, kind="serial", morsel_tuples=100
+        ) as engine:
+            with engine.begin_partition(keys, payloads, 16, True) as task:
+                assert task.stats.backend == "serial"
+                assert task.stats.num_morsels == -(-n // 100)
+                out_keys, out_payloads = task.scatter()
+        ref_k, ref_p, _ = _reference(keys, payloads, 16, True)
+        assert np.array_equal(ref_k, out_keys)
+        assert np.array_equal(ref_p, out_payloads)
+
     def test_merge_histograms_prefix_sums(self):
         hists = np.array([[2, 0, 1], [1, 3, 0]], dtype=np.int64)
         counts, partition_base, dest_base = merge_histograms(hists)

@@ -15,7 +15,13 @@ Five layers:
 4. failure paths — PAD overflow as a structured ERROR frame,
    mid-stream connection kills leaving survivors intact;
 5. drain — GOAWAY end-of-stream frames, refused late connections,
-   ``PartitionService.drain`` refusing new submits.
+   ``PartitionService.drain`` refusing new submits;
+6. nothing parked, nothing leaked — chunks wait on their tickets
+   through loop futures, so a streaming server holds no executor
+   thread, and every service-backed test in this file ends with no
+   pending task and no unresolved chunk future (``_with_service_server``
+   checks), including after a killed client, a mid-window drain, a
+   cancelled chunk task and a loop closed before its chunk resolved.
 
 No pytest-asyncio here: each test drives its own ``asyncio.run``.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -45,8 +52,13 @@ from repro.gateway import (
     stream_partition,
 )
 from repro.gateway import protocol
+from repro.gateway import server as gateway_server
 from repro.gateway.protocol import ErrorCode, FrameType
-from repro.service import PartitionService, ServiceDrainingError
+from repro.service import (
+    PartitionRequest,
+    PartitionService,
+    ServiceDrainingError,
+)
 from repro.workloads.relations import make_relation
 
 MODES = [
@@ -73,18 +85,55 @@ def _offline(config, keys, payloads=None, on_overflow="hist"):
         partitioner.close()
 
 
+def _executor_threads():
+    """Threads of asyncio's default executor (``asyncio_0``, ...)."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("asyncio_")
+    ]
+
+
 async def _with_service_server(body, service_kw=None, **server_kw):
-    """Run ``body(server)`` against a fresh service-backed gateway."""
+    """Run ``body(server)`` against a fresh service-backed gateway.
+
+    Doubles as the leak check of every test that uses it: while the
+    server streamed, no executor thread existed (a chunk waits on its
+    ticket through a loop future, not a parked thread); once it has
+    drained, no task is left pending and every future a chunk awaited
+    its ticket through is settled — resolved, or cancelled with its
+    chunk task.
+    """
     service = PartitionService(**(service_kw or {}))
     service.start()
     server = GatewayServer(
         service=service, drain_backend=True, **server_kw
     )
+    futures = []
+    resolved = gateway_server._resolved
+
+    def tracking(ticket):
+        future = resolved(ticket)
+        futures.append(future)
+        return future
+
+    gateway_server._resolved = tracking
     await server.start()
     try:
-        return await body(server)
+        result = await body(server)
+        if not server.draining:
+            # (a drain hands the backend's blocking drain() to a thread)
+            assert _executor_threads() == []
     finally:
+        gateway_server._resolved = resolved
         await server.drain()
+    me = asyncio.current_task()
+    assert [
+        task for task in asyncio.all_tasks()
+        if task is not me and not task.done()
+    ] == []
+    assert all(future.done() for future in futures)
+    return result
 
 
 async def _with_router_server(body, shards=3, **server_kw):
@@ -126,12 +175,19 @@ class TestProtocol:
     def test_data_frame_roundtrip(self):
         keys = np.arange(100, dtype=np.uint32)
         pays = np.arange(100, 200, dtype=np.uint32)
-        payload = protocol.encode_data(7, keys, pays)[5:]
+        frame = protocol.encode_data(7, keys, pays)
+        # one allocation: the buffer the columns were copied into
+        assert type(frame) is bytearray
+        assert len(frame) == 5 + 8 + 2 * keys.nbytes
+        payload = frame[5:]
         seq, got_keys, got_pays = protocol.decode_data(payload, True)
         assert seq == 7
         assert np.array_equal(got_keys, keys)
         assert np.array_equal(got_pays, pays)
-        payload = protocol.encode_data(3, keys, None)[5:]
+        frame = protocol.encode_data(3, keys, None)
+        assert type(frame) is bytearray
+        assert len(frame) == 5 + 8 + keys.nbytes
+        payload = frame[5:]
         seq, got_keys, got_pays = protocol.decode_data(payload, False)
         assert seq == 3
         assert np.array_equal(got_keys, keys)
@@ -145,7 +201,10 @@ class TestProtocol:
             np.array([3, 4, 5], dtype=np.uint32),
         ]
         pays = [k + 10 for k in keys]
-        payload = protocol.encode_chunk(9, counts, keys, pays)[5:]
+        frame = protocol.encode_chunk(9, counts, keys, pays)
+        assert type(frame) is bytearray
+        assert len(frame) == 5 + 8 + 4 * 3 + 8 * 5
+        payload = frame[5:]
         seq, got_counts, got_keys, got_pays = protocol.decode_chunk(
             payload, 3
         )
@@ -562,8 +621,6 @@ class TestDrain:
         assert asyncio.run(_with_service_server(body))
 
     def test_service_drain_refuses_new_submits(self):
-        from repro.service import PartitionRequest
-
         service = PartitionService()
         service.start()
         keys = np.arange(1000, dtype=np.uint32)
@@ -577,8 +634,6 @@ class TestDrain:
         service.stop()
 
     def test_gateway_drain_drains_owned_backend(self):
-        from repro.service import PartitionRequest
-
         service = PartitionService()
         service.start()
 
@@ -595,7 +650,117 @@ class TestDrain:
 
 
 # ---------------------------------------------------------------------------
-# 6. Observability
+# 6. Nothing parked, nothing leaked
+# ---------------------------------------------------------------------------
+
+
+class TestTicketWaits:
+    def test_streaming_256_chunks_parks_no_executor_thread(self):
+        config = _config(OutputMode.HIST, LayoutMode.RID, partitions=16)
+        keys = make_relation(256 * 64, "random", seed=3).keys
+
+        async def body(server):
+            output = await stream_partition(
+                "127.0.0.1", server.port, keys, config=config,
+                chunk_tuples=64,
+            )
+            counters = server.metrics.to_dict()["counters"]
+            return output, counters, _executor_threads()
+
+        output, counters, parked = asyncio.run(_with_service_server(body))
+        assert counters["chunks_out"] == 256
+        assert parked == []
+        assert outputs_identical(output, _offline(config, keys))
+
+    def test_client_killed_with_a_full_window_in_flight(self):
+        """The kill lands while ``credits`` chunks wait on their
+        tickets behind a dispatcher held busy.  Once it frees up, the
+        first response finds its connection gone, the stream fails,
+        the chunk tasks still waiting are cancelled and their futures
+        with them: responses with no taker are dropped without a
+        sound, nothing stays pending (``_with_service_server``)."""
+        config = _config(OutputMode.HIST, LayoutMode.RID, partitions=16)
+        keys = make_relation(8 * 512, "random", seed=4).keys
+        gate = threading.Event()
+        loop_errors = []
+
+        async def body(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            service = server._backend.service
+            service.submit(
+                PartitionRequest(relation=keys[:64])
+            ).add_done_callback(lambda response: gate.wait(30))
+            client = await GatewayClient.connect("127.0.0.1", server.port)
+            stream = await client.open_stream(config)
+            for chunk_keys, _ in iter_chunks(keys, None, 512)[:4]:
+                await stream.send(chunk_keys)
+            while server.metrics.to_dict()["gauges"]["inflight_chunks"] < 4:
+                await asyncio.sleep(0.005)
+            client.abort()
+            await client.close()
+            await asyncio.sleep(0.05)  # let the server see the reset
+            gate.set()
+            while server.metrics.to_dict()["gauges"]["open_streams"]:
+                await asyncio.sleep(0.005)
+            # the server survives and serves the next stream whole
+            return await stream_partition(
+                "127.0.0.1", server.port, keys, config=config,
+                chunk_tuples=512,
+            )
+
+        try:
+            output = asyncio.run(_with_service_server(body))
+        finally:
+            gate.set()
+        assert loop_errors == []
+        assert outputs_identical(output, _offline(config, keys))
+
+    def test_cancelled_wait_and_closed_loop_leave_the_dispatcher_running(
+        self,
+    ):
+        keys = np.arange(512, dtype=np.uint32)
+        gate = threading.Event()
+        loop_errors = []
+
+        with PartitionService(linger_s=0.0) as service:
+            service.submit(
+                PartitionRequest(relation=keys)
+            ).add_done_callback(lambda response: gate.wait(30))
+
+            async def abandon():
+                loop = asyncio.get_running_loop()
+                loop.set_exception_handler(
+                    lambda loop, context: loop_errors.append(context)
+                )
+                cancelled = gateway_server._resolved(
+                    service.submit(PartitionRequest(relation=keys))
+                )
+                cancelled.cancel()
+                # never awaited: the loop closes under this one
+                return cancelled, gateway_server._resolved(
+                    service.submit(PartitionRequest(relation=keys))
+                )
+
+            try:
+                cancelled, orphan = asyncio.run(abandon())
+            finally:
+                gate.set()
+            response = service.submit(
+                PartitionRequest(relation=keys)
+            ).result(timeout=30)
+            assert service._dispatcher.is_alive()
+            counters = service.metrics.to_dict()["counters"]
+        assert response.ok
+        assert cancelled.cancelled() and not orphan.done()
+        assert loop_errors == []
+        assert counters["callback_errors"] == 0
+        assert counters["completed"] == 4
+
+
+# ---------------------------------------------------------------------------
+# 7. Observability
 # ---------------------------------------------------------------------------
 
 

@@ -6,10 +6,13 @@ bytes that come out are exactly the bytes the NumPy fallback produces.
 These tests pin that contract:
 
 1. primitive-level property tests (hypothesis): ``hash_histogram``,
-   ``hash_only``, ``stable_scatter`` and ``swwc_scatter`` agree between
-   backends for arbitrary inputs, fan-outs and partition-index dtypes;
+   ``hash_only``, ``stable_scatter``, ``swwc_scatter`` and
+   ``partition_batch`` agree between backends for arbitrary inputs,
+   fan-outs and partition-index dtypes;
 2. partitioner-level property tests: ``FpgaPartitioner`` output is
-   byte-identical across backends for HIST/PAD x RID/VRID x hash kind;
+   byte-identical across backends for HIST/PAD x RID/VRID x hash kind,
+   and ``partition_many`` equals per-request ``partition()`` under
+   every overflow policy;
 3. dispatch behaviour: the env switch, forced-native failure mode, and
    the per-call dtype fallback;
 4. zero-copy assertions: partition views share memory with the single
@@ -26,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.analysis.verify import outputs_identical
 from repro.core.modes import (
     HashKind,
     LayoutMode,
@@ -33,6 +37,7 @@ from repro.core.modes import (
     PartitionerConfig,
 )
 from repro.core.partitioner import FpgaPartitioner, PartitionSlices
+from repro.errors import ConfigurationError, PartitionOverflowError
 from repro.exec.morsels import parts_dtype
 
 NATIVE = kernels.native_available()
@@ -283,6 +288,137 @@ def test_scatter_does_not_mutate_dest_base():
             assert np.array_equal(dest_base, snapshot), backend
 
 
+#: request sizes a batch mixes: empty, one tuple, around the lane and
+#: prefetch-distance boundaries, and a few lines' worth
+batch_sizes = st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, 7, 8, 9, 23, 24, 25]),
+        st.integers(min_value=0, max_value=300),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _batch_columns(sizes, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            rng.integers(0, 2**32, size=n, dtype=np.uint64).astype(np.uint32),
+            rng.integers(0, 2**31, size=n, dtype=np.uint64).astype(np.uint32),
+        )
+        for n in sizes
+    ]
+
+
+@needs_native
+@given(
+    sizes=batch_sizes,
+    num_partitions=st.sampled_from([2, 64, 1024, 8192, 1 << 17]),
+    use_hash=st.booleans(),
+    lanes=st.sampled_from([1, 2, 8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_batch_native_equals_numpy_equals_solo(
+    sizes, num_partitions, use_hash, lanes
+):
+    """The fused batch kernel, its NumPy twin, and one
+    ``hash_histogram`` + ``stable_scatter`` per request all write the
+    same bytes; the inputs are left untouched."""
+    columns = _batch_columns(sizes, seed=sum(sizes) + len(sizes))
+    before = [(k.copy(), p.copy()) for k, p in columns]
+    native, fallback = _both_backends(
+        lambda: kernels.partition_batch(
+            columns, num_partitions, use_hash, lanes
+        )
+    )
+    for got, want in zip(native, fallback):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    out_keys, out_payloads, lane_matrix = native
+    assert lane_matrix.shape == (len(sizes), num_partitions, lanes)
+    low = 0
+    for (keys, payloads), lane_counts in zip(columns, lane_matrix):
+        n = keys.shape[0]
+        parts, hist, lane_hist = kernels.hash_histogram(
+            keys, num_partitions, use_hash, lanes=lanes
+        )
+        assert np.array_equal(lane_counts, lane_hist)
+        base = np.zeros(num_partitions, dtype=np.int64)
+        np.cumsum(hist[:-1], out=base[1:])
+        solo_keys = np.empty(n, dtype=np.uint32)
+        solo_payloads = np.empty(n, dtype=np.uint32)
+        kernels.stable_scatter(
+            keys, payloads, parts, base, num_partitions,
+            solo_keys, solo_payloads,
+        )
+        assert np.array_equal(out_keys[low:low + n], solo_keys)
+        assert np.array_equal(out_payloads[low:low + n], solo_payloads)
+        low += n
+    assert low == out_keys.shape[0] == out_payloads.shape[0]
+    for (keys, payloads), (keys_before, payloads_before) in zip(
+        columns, before
+    ):
+        assert np.array_equal(keys, keys_before)
+        assert np.array_equal(payloads, payloads_before)
+
+
+class TestPartitionBatchDispatch:
+    @needs_native
+    def test_non_contiguous_and_uint64_columns_take_the_twin(
+        self, monkeypatch
+    ):
+        """One ineligible column anywhere in the batch routes the whole
+        call to NumPy — never a crash, never a hidden copy into C."""
+        from repro.kernels import numpy_impl
+
+        calls = []
+        twin = numpy_impl.partition_batch
+        monkeypatch.setattr(
+            numpy_impl,
+            "partition_batch",
+            lambda *args: calls.append(1) or twin(*args),
+        )
+        plain = _batch_columns([40, 9], seed=5)
+        strided = np.arange(80, dtype=np.uint32)[::2]
+        assert not strided.flags.c_contiguous
+        wide = np.arange(40, dtype=np.uint64)
+        payloads = np.arange(40, dtype=np.uint32)
+        with kernels.using_backend("native"):
+            kernels.partition_batch(plain, 16, True, 8)
+            assert calls == []
+            for bad in (
+                (strided, payloads),
+                (payloads, strided),
+                (wide, payloads),
+                (payloads, wide),
+            ):
+                calls.clear()
+                got = kernels.partition_batch(plain + [bad], 16, True, 8)
+                assert calls == [1]
+                with kernels.using_backend("numpy"):
+                    want = kernels.partition_batch(
+                        plain + [bad], 16, True, 8
+                    )
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    def test_rejects_malformed_batches(self):
+        keys = np.arange(8, dtype=np.uint32)
+        with pytest.raises(ConfigurationError):
+            kernels.partition_batch([(keys, keys[:4])], 16, True, 8)
+        with pytest.raises(ConfigurationError):
+            kernels.partition_batch([(keys, keys)], 12, True, 8)
+        with pytest.raises(ConfigurationError):
+            kernels.partition_batch([(keys, keys)], 16, True, 3)
+
+    def test_empty_batch(self):
+        out_keys, out_payloads, lane_matrix = kernels.partition_batch(
+            [], 16, True, 8
+        )
+        assert out_keys.shape == out_payloads.shape == (0,)
+        assert lane_matrix.shape == (0, 16, 8)
+
+
 # ---------------------------------------------------------------------------
 # 2. Partitioner-level byte identity across every mode
 
@@ -351,6 +487,105 @@ def test_partition_many_byte_identical_across_backends(sizes, num_partitions):
             assert np.array_equal(a, b)
         for a, b in zip(left.partition_payloads, right.partition_payloads):
             assert np.array_equal(a, b)
+
+
+def _assert_same_output(ours, reference):
+    assert outputs_identical(ours, reference)
+    assert ours.fell_back_to_cpu == reference.fell_back_to_cpu
+
+
+@given(
+    sizes=st.lists(
+        st.one_of(
+            st.sampled_from([1, 7, 8, 9, 25]),
+            st.integers(min_value=1, max_value=300),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    num_partitions=st.sampled_from([2, 16, 256]),
+    output_mode=st.sampled_from(list(OutputMode)),
+    layout_mode=st.sampled_from(list(LayoutMode)),
+    hash_kind=st.sampled_from(list(HashKind)),
+    on_overflow=st.sampled_from(["raise", "hist", "cpu"]),
+    skewed=st.integers(min_value=-1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_many_equals_solo_partition(
+    sizes, num_partitions, output_mode, layout_mode, hash_kind,
+    on_overflow, skewed,
+):
+    """Every output of ``partition_many`` — fused kernel and NumPy
+    twin — is the output of ``partition()`` on that request alone, in
+    all four modes and under every overflow policy.  Request ``skewed``
+    (when in range) holds one key only, so in PAD mode it overflows:
+    it alone falls back (``hist`` / ``cpu``), or it raises exactly
+    where the solo call does."""
+    config = PartitionerConfig(
+        num_partitions=num_partitions,
+        output_mode=output_mode,
+        layout_mode=layout_mode,
+        hash_kind=hash_kind,
+    )
+    columns = _batch_columns(sizes, seed=sum(sizes) * 7 + len(sizes))
+    if 0 <= skewed < len(columns):
+        columns[skewed][0][:] = 0xC0FFEE
+    relations = [keys for keys, _ in columns]
+    payloads = [pays for _, pays in columns]
+    partitioner = FpgaPartitioner(config)
+    solo, overflowed = [], False
+    for keys, pays in columns:
+        try:
+            solo.append(
+                partitioner.partition(keys, pays, on_overflow=on_overflow)
+            )
+        except PartitionOverflowError:
+            overflowed = True
+    backends = ("native", "numpy") if NATIVE else ("numpy",)
+    for backend in backends:
+        with kernels.using_backend(backend):
+            if overflowed:
+                assert on_overflow == "raise"
+                with pytest.raises(PartitionOverflowError):
+                    partitioner.partition_many(
+                        relations, payloads, on_overflow=on_overflow
+                    )
+                continue
+            outputs = partitioner.partition_many(
+                relations, payloads, on_overflow=on_overflow
+            )
+        assert len(outputs) == len(solo)
+        for ours, reference in zip(outputs, solo):
+            _assert_same_output(ours, reference)
+
+
+def test_partition_many_one_overflowing_request_falls_back_alone():
+    """The paper's fan-out, PAD mode, a batch whose middle request is
+    one hot key: that request alone is relabelled HIST (or rerun on the
+    CPU partitioner); its neighbours keep their PAD layout."""
+    rng = np.random.default_rng(99)
+    config = PartitionerConfig(
+        num_partitions=8192, output_mode=OutputMode.PAD
+    )
+    relations = [
+        rng.integers(0, 2**32, size=20_000, dtype=np.uint64).astype(np.uint32)
+        for _ in range(3)
+    ]
+    relations[1][:] = 42
+    partitioner = FpgaPartitioner(config)
+    hist = partitioner.partition_many(relations, on_overflow="hist")
+    assert [o.config.output_mode for o in hist] == [
+        OutputMode.PAD, OutputMode.HIST, OutputMode.PAD
+    ]
+    cpu = partitioner.partition_many(relations, on_overflow="cpu")
+    assert [o.fell_back_to_cpu for o in cpu] == [False, True, False]
+    for outputs, policy in ((hist, "hist"), (cpu, "cpu")):
+        for ours, keys in zip(outputs, relations):
+            _assert_same_output(
+                ours, partitioner.partition(keys, on_overflow=policy)
+            )
+    with pytest.raises(PartitionOverflowError):
+        partitioner.partition_many(relations, on_overflow="raise")
 
 
 # ---------------------------------------------------------------------------

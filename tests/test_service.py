@@ -577,6 +577,145 @@ class TestPartitionService:
 # Regression tests: service-tier bugfix sweep
 
 
+class TestDoneCallbacks:
+    """``PartitionTicket.add_done_callback``: the response reaches the
+    callback whatever the terminal status, on the resolving thread or
+    at once, and a callback that raises cannot hurt the dispatcher."""
+
+    def test_before_and_after_resolution(self, relations):
+        seen = []
+        gate = threading.Event()
+        with PartitionService(linger_s=0.0) as service:
+            # park the dispatcher inside the first request's callback so
+            # the second registration certainly precedes its resolution
+            first = service.submit(PartitionRequest(relation=relations[0]))
+            first.add_done_callback(lambda response: gate.wait(10))
+            second = service.submit(PartitionRequest(relation=relations[1]))
+            ran = threading.Event()
+            second.add_done_callback(
+                lambda response: (
+                    seen.append(
+                        ("before", response, threading.current_thread().name)
+                    ),
+                    ran.set(),
+                )
+            )
+            assert not second.done()
+            gate.set()
+            response = second.result(timeout=30)
+            # waiters wake before callbacks run, as with futures
+            assert ran.wait(30)
+            second.add_done_callback(
+                lambda response: seen.append(
+                    ("after", response, threading.current_thread().name)
+                )
+            )
+        assert response.status is RequestStatus.OK
+        assert [(tag, got) for tag, got, _ in seen] == [
+            ("before", response), ("after", response)
+        ]
+        # registered first: ran on the dispatcher; registered after the
+        # fact: ran right here
+        assert seen[0][2] == "partition-service-dispatcher"
+        assert seen[1][2] == threading.current_thread().name
+        assert service.metrics.to_dict()["counters"]["callback_errors"] == 0
+
+    def test_callbacks_run_in_registration_order(self, relations):
+        order = []
+        gate = threading.Event()
+        with PartitionService(linger_s=0.0) as service:
+            blocker = service.submit(PartitionRequest(relation=relations[0]))
+            blocker.add_done_callback(lambda response: gate.wait(10))
+            ticket = service.submit(PartitionRequest(relation=relations[1]))
+            for index in range(4):
+                ticket.add_done_callback(
+                    lambda response, index=index: order.append(index)
+                )
+            gate.set()
+            ticket.result(timeout=30)
+        assert order == [0, 1, 2, 3]
+
+    def test_rejected_ticket_calls_back_immediately(self, relations):
+        with PartitionService(max_queue_requests=1, linger_s=0.2) as service:
+            for keys in relations * 4:
+                ticket = service.submit(PartitionRequest(relation=keys))
+                if (
+                    ticket.done()
+                    and ticket.result().status is RequestStatus.REJECTED
+                ):
+                    break
+            else:
+                pytest.fail("the one-slot queue never rejected")
+            seen = []
+            ticket.add_done_callback(seen.append)
+            assert [r.status for r in seen] == [RequestStatus.REJECTED]
+            assert seen[0].retry_after > 0
+
+    def test_timed_out_ticket_calls_back(self, relations):
+        seen = []
+        done = threading.Event()
+        with PartitionService() as service:
+            ticket = service.submit(
+                PartitionRequest(relation=relations[0], deadline_s=-0.001)
+            )
+            ticket.add_done_callback(
+                lambda response: (seen.append(response), done.set())
+            )
+            assert done.wait(30)
+        assert [r.status for r in seen] == [RequestStatus.TIMED_OUT]
+
+    def test_failed_ticket_calls_back(self, relations, monkeypatch):
+        from repro.cpu.partitioner import CpuPartitioner
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("cpu backend down")
+
+        monkeypatch.setattr(CpuPartitioner, "partition", broken)
+        injector = FaultInjector()
+        seen = []
+        done = threading.Event()
+        with PartitionService(
+            policy=DegradationPolicy(fault_injector=injector),
+            max_retries=0,
+        ) as service:
+            injector.fail_next(10)
+            ticket = service.submit(PartitionRequest(relation=relations[0]))
+            ticket.add_done_callback(
+                lambda response: (seen.append(response), done.set())
+            )
+            assert done.wait(30)
+        assert [r.status for r in seen] == [RequestStatus.FAILED]
+        assert "cpu backend down" in seen[0].error
+
+    def test_raising_callback_leaves_the_dispatcher_alive(self, relations):
+        def explode(response):
+            raise RuntimeError("client bug")
+
+        config = PartitionerConfig(num_partitions=32)
+        with PartitionService() as service:
+            ticket = service.submit(
+                PartitionRequest(relation=relations[0], config=config)
+            )
+            ticket.add_done_callback(explode)
+            later = []
+            ticket.add_done_callback(later.append)
+            first = ticket.result(timeout=30)
+            # an already-resolved ticket runs it right here: still caught
+            ticket.add_done_callback(explode)
+            assert service._dispatcher.is_alive()
+            response = service.submit(
+                PartitionRequest(relation=relations[1], config=config)
+            ).result(timeout=30)
+            counters = service.metrics.to_dict()["counters"]
+        assert first.status is RequestStatus.OK and later == [first]
+        assert response.status is RequestStatus.OK
+        assert_outputs_equal(
+            response.output, FpgaPartitioner(config).partition(relations[1])
+        )
+        assert counters["callback_errors"] == 2
+        assert counters["completed"] == 2
+
+
 class TestHalfOpenSingleProbe:
     def _half_open_breaker(self, clock) -> CircuitBreaker:
         breaker = CircuitBreaker(

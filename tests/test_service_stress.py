@@ -22,6 +22,7 @@ instead of wedging the suite.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -230,6 +231,65 @@ def test_concurrent_submit_snapshot_and_export():
     # submitted never decreases across samples *per reader*; the global
     # list interleaves readers, so check the weaker global invariant
     assert final["submitted"] >= samples[0]
+
+
+def test_admitted_is_counted_before_the_dispatcher_can_complete():
+    """Regression for the 1-in-20 failure of the test above: ``admitted``
+    used to be incremented after ``queue.offer`` returned, so with the
+    submitter preempted in between the dispatcher could finish the
+    request and a reader see ``completed > admitted``.  200 rounds of
+    small bursts under a 10 µs switch interval hit that window
+    reliably; the count now happens inside the queue's lock."""
+    errors = []
+    stop = threading.Event()
+    keys = np.arange(64, dtype=np.uint32)
+
+    def reader(service):
+        try:
+            while not stop.is_set():
+                counters = service.snapshot()["counters"]
+                assert counters["completed"] <= counters["admitted"], counters
+                assert (
+                    counters["admitted"] + counters["rejected"]
+                    <= counters["submitted"]
+                ), counters
+        except Exception as exc:  # noqa: BLE001
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PartitionService(max_queue_requests=4) as service:
+            readers = [
+                threading.Thread(target=reader, args=(service,))
+                for _ in range(3)
+            ]
+            for thread in readers:
+                thread.start()
+            for _ in range(200):
+                tickets = [
+                    service.submit(
+                        PartitionRequest(relation=keys, config=CONFIGS[0])
+                    )
+                    for _ in range(8)
+                ]
+                for ticket in tickets:
+                    ticket.result(timeout=RESULT_TIMEOUT_S)
+                if errors:
+                    break
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "reader hung"
+            final = service.snapshot()["counters"]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+    # quiescent: every submission was either admitted or rejected, and
+    # everything admitted completed
+    assert final["admitted"] + final["rejected"] == final["submitted"] == 1600
+    assert final["completed"] == final["admitted"]
 
 
 def test_drain_under_concurrent_load():
