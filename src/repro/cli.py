@@ -25,6 +25,7 @@ Four kinds of commands:
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib.util
 import pathlib
 import sys
@@ -472,6 +473,13 @@ def cmd_serve(args) -> int:
     ))
     degraded = sum(1 for r in responses if r.degraded)
     print(f"  degraded to cpu   : {degraded}")
+    failed = collections.Counter(
+        r.error_type for r in responses if r.status is RequestStatus.FAILED
+    )
+    if failed:
+        print("  failed by type    : " + ", ".join(
+            f"{name} {count}" for name, count in sorted(failed.items())
+        ))
     rejected = [r for r in responses if r.status is RequestStatus.REJECTED]
     if rejected:
         hints = [r.retry_after for r in rejected if r.retry_after]

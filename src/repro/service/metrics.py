@@ -137,6 +137,8 @@ COUNTERS = (
     "plans_staged",
     # PartitionTicket.add_done_callback callbacks that raised
     "callback_errors",
+    # batches that escaped their executor into the dispatch loop's guard
+    "dispatcher_errors",
 )
 
 #: per-request pipeline stages with a latency histogram each

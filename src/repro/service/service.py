@@ -13,11 +13,17 @@ into a long-lived serving tier shaped like an inference server:
   them: batches of any length, one included, through
   :meth:`~repro.core.partitioner.FpgaPartitioner.partition_many`,
   oversized (``split``) requests solo through the morsel engine.
-* Deadlines are enforced at dequeue and at resolve; FPGA faults retry
-  with bounded exponential backoff, then degrade to the CPU (SWWC)
-  backend; saturation and open-circuit conditions skip straight to the
-  CPU.  Every downgrade is recorded on the response and in
-  :class:`~repro.service.metrics.ServiceMetrics`.
+* Every batch goes one way: deadline filter, one routing function
+  picks the executor (fpga, cpu, spill or plan), the executor returns
+  one outcome, one resolver turns it into responses, counters, spans.
+* A :class:`~repro.service.degradation.BackendFault` is the
+  *backend's* error: bounded exponential backoff, a breaker failure,
+  then the CPU (SWWC) backend, where saturation and an open circuit go
+  straight; every downgrade is recorded on the response and in
+  :class:`~repro.service.metrics.ServiceMetrics`.  Any other exception
+  is the *request's* error: that ticket resolves ``FAILED`` with its
+  ``error_type``, nothing is retried, the breaker is not charged — and
+  no exception leaves the dispatch loop.
 
 A single dispatcher is deliberate: the stack is sized for two cores
 (``nproc`` = 2 in ``benchmarks/stack/README.md``), one of which the
@@ -32,13 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import logging
 import pathlib
 import shutil
 import tempfile
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,7 +184,8 @@ class PartitionResponse:
     queue_wait_s: float = 0.0
     execute_s: float = 0.0
     total_s: float = 0.0
-    error: Optional[str] = None
+    error: Optional[str] = None  # "<Type>: <message>" on FAILED
+    error_type: Optional[str] = None  # the exception's class name
 
     @property
     def ok(self) -> bool:
@@ -266,6 +274,72 @@ class _Pending:
     def force_spill(self) -> bool:
         """True when the optimizer routed this request multi-pass."""
         return self.decision is not None and self.decision.backend == "spill"
+
+
+class _DeadlineExpired(ReproError):
+    """The deadline passed in the queue: ``TIMED_OUT``, not ``FAILED``."""
+
+
+@dataclasses.dataclass
+class _Outcome:
+    """What one executor call made of its entries: ``results`` holds a
+    dict of :class:`PartitionResponse` fields (``output`` / ``spill`` /
+    ``result``) per entry, or ``error`` the exception that ended the
+    call for all of them.  Executors return the first kind and raise
+    otherwise; the dispatcher wraps what they raise into the second."""
+
+    backend: Optional[str] = None
+    results: Sequence[dict] = ()
+    error: Optional[Exception] = None
+    degraded: bool = False
+    degrade_reason: Optional[str] = None
+    attempts: int = 1
+
+    def provenance(self) -> dict:
+        """The fields ``execute`` span, root span and response share."""
+        return dict(
+            backend=self.backend, attempts=self.attempts,
+            degraded=self.degraded, degrade_reason=self.degrade_reason,
+        )
+
+
+def _call_many(partitioner, live):
+    """One kernel call for the whole batch, a batch of one included."""
+    return partitioner.partition_many(
+        [entry.request.relation for entry in live],
+        [entry.request.payloads for entry in live],
+        on_overflow=live[0].request.on_overflow,
+    )
+
+
+def _call_solo(partitioner, live):
+    """``partition()`` per entry: a ``split`` request's morsel engine."""
+    return [
+        partitioner.partition(
+            e.request.relation, e.request.payloads,
+            on_overflow=e.request.on_overflow,
+        )
+        for e in live
+    ]
+
+
+def _call_isolated(partitioner, live):
+    """Heavy hitters go to dedicated regions; should the cold keys
+    overflow anyway, degrade that entry to HIST accounting rather than
+    raising at the client."""
+    from repro.optimize.isolation import partition_isolated
+
+    return [
+        partition_isolated(
+            partitioner, e.request.relation, e.request.payloads,
+            hot_keys=e.decision.isolate_keys,
+            on_overflow=(
+                "hist" if e.request.on_overflow == "raise"
+                else e.request.on_overflow
+            ),
+        )
+        for e in live
+    ]
 
 
 class PartitionService:
@@ -423,19 +497,8 @@ class PartitionService:
         Idempotent, and :meth:`stop` afterwards is a no-op.  Used by
         ``repro serve`` and the gateway's SIGTERM handler.
         """
-        if self._stopped:
-            return
         self._draining = True
-        if not self._started:
-            self.stop(timeout)
-            return
-        # close() stops admission but leaves queued entries drainable;
-        # the dispatch loop exits once the closed queue runs dry
-        self.queue.close()
-        assert self._dispatcher is not None
-        self._dispatcher.join(timeout)
-        self._stopped = True
-        self._release()
+        self.stop(timeout)
 
     @property
     def draining(self) -> bool:
@@ -443,24 +506,17 @@ class PartitionService:
         return self._draining
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Stop admitting, drain queued work, join the dispatcher."""
-        if not self._started or self._stopped:
-            self._stopped = True
-            self.queue.close()
-            self._release()
-            return
+        """Stop admitting, drain queued work, join the dispatcher, close
+        the partitioner pools; a spill root the service created itself
+        goes too once no run directory is left in it."""
+        running = self._started and not self._stopped
         self._stopped = True
+        # close() stops admission but leaves queued entries drainable;
+        # the dispatch loop exits once the closed queue runs dry
         self.queue.close()
-        assert self._dispatcher is not None
-        self._dispatcher.join(timeout)
-        self._release()
-
-    def _release(self) -> None:
-        """Close the partitioner pools; drop a spill root the service
-        created itself once no run directory is left in it."""
-        for partitioner in self._fpga.values():
-            partitioner.close()
-        for partitioner in self._cpu.values():
+        if running:
+            self._dispatcher.join(timeout)
+        for partitioner in (*self._fpga.values(), *self._cpu.values()):
             partitioner.close()
         self._fpga.clear()
         self._cpu.clear()
@@ -668,16 +724,33 @@ class PartitionService:
                 continue
             self.metrics.set_gauge("queue_depth", len(self.queue))
             for batch in batches:
-                self._execute_batch(batch)
+                try:
+                    self._execute_batch(batch)
+                except Exception as exc:  # noqa: BLE001 - last resort
+                    # executors' errors are outcomes already; this is a
+                    # bug in the dispatcher or in a hook it calls.  The
+                    # loop must outlive it and no ticket may hang.
+                    _LOG.exception(
+                        "dispatcher: a batch of %d escaped", len(batch)
+                    )
+                    self.metrics.increment("dispatcher_errors")
+                    self.metrics.set_gauge("inflight", 0)
+                    unresolved = [
+                        e for e in batch.entries if not e.ticket.done()
+                    ]
+                    self._resolve(unresolved, _Outcome(error=exc), 0.0)
 
     def _execute_batch(self, batch: Batch) -> None:
+        """Deadline filter → route → execute → resolve."""
         now = self._clock()
         live: List[_Pending] = []
+        expired: List[_Pending] = []
         for entry in batch.entries:
-            if entry.deadline_at is not None and now > entry.deadline_at:
-                self._resolve_timeout(entry, now)
-            else:
-                live.append(entry)
+            late = entry.deadline_at is not None and now > entry.deadline_at
+            (expired if late else live).append(entry)
+        if expired:
+            error = _DeadlineExpired("deadline expired before execution")
+            self._resolve(expired, _Outcome(error=error, attempts=0), 0.0)
         if not live:
             return
         total_tuples = sum(entry.tuples for entry in live)
@@ -689,7 +762,6 @@ class PartitionService:
                 self.tracer.record_span(
                     "queue_wait", entry.submitted_at, now, parent=entry.span
                 )
-
         with self.tracer.span(
             "batch",
             requests=len(live),
@@ -697,324 +769,238 @@ class PartitionService:
             split=batch.split,
             spill=batch.spill,
         ):
-            if isinstance(live[0].request, PlanRequest):
-                # plan signatures are unique, so a plan batch is solo
-                self._execute_plan(live[0])
-            elif batch.spill:
-                self._execute_spill(live)
-            else:
-                self._execute_live(batch, live, total_tuples)
+            self._run(self._route(batch, live), live)
         self.metrics.set_gauge("inflight", 0)
 
-    def _execute_live(
-        self, batch: Batch, live: List[_Pending], total_tuples: int
-    ) -> None:
-        """Backend selection + execution + resolution for live entries."""
-        outputs: Optional[List[PartitionedOutput]] = None
-        backend = "fpga"
-        degraded = False
-        degrade_reason: Optional[str] = None
-        attempts = 0
-        error: Optional[str] = None
-        started = self._clock()
-        # all entries of a batch share one decision (it is part of the
-        # batch signature), so the head entry speaks for everyone
-        decision = live[0].decision
-
-        with self.tracer.span("execute") as exec_span:
-            if decision is not None and decision.backend == "cpu":
-                # optimizer-routed, not a degradation: the plan says
-                # the CPU is the faster backend for this batch
-                backend = "cpu"
-                degrade_reason = "optimizer-routed"
-                self.metrics.increment("routed_cpu", len(live))
-                outputs, error = self._try_cpu(live)
-            else:
-                refusal = self.policy.admit_fpga(total_tuples)
-                if refusal is None:
-                    outputs, attempts, error = self._try_fpga(live, batch)
-                    if outputs is None:
-                        degrade_reason = error or "fpga-fault"
-                else:
-                    degrade_reason = refusal
-                if outputs is None:
-                    backend = "cpu"
-                    degraded = True
-                    self.metrics.increment("degraded", len(live))
-                    outputs, error = self._try_cpu(live)
-            exec_span.set_attributes(
-                backend=backend,
-                attempts=attempts,
-                degraded=degraded,
-                degrade_reason=degrade_reason,
+    def _route(self, batch: Batch, live: List[_Pending]) -> Callable:
+        """Pick the executor — ``live`` in, :class:`_Outcome` out — for
+        one batch: the only place that looks at how the batch was formed
+        (``Batch.split`` / ``Batch.spill``), what kind of request it
+        holds and what the optimizer decided.  Entries of a batch share
+        one signature — hence one kind and one decision — so the head
+        entry speaks for everyone."""
+        head = live[0]
+        if isinstance(head.request, PlanRequest):
+            return self._run_plan
+        if batch.spill:
+            return self._run_spill
+        decision = head.decision
+        if decision is not None and decision.backend == "cpu":
+            # not a degradation: the plan says the CPU is the faster
+            # backend for this batch
+            self.metrics.increment("routed_cpu", len(live))
+            return functools.partial(
+                self._run_cpu, reason="optimizer-routed", degraded=False
             )
-        execute_s = self._clock() - started
-        if self.optimizer is not None and outputs is not None:
-            self.optimizer.observe(backend, total_tuples, execute_s)
-
-        with self.tracer.span("resolve", requests=len(live)):
-            if outputs is None:
-                self._resolve_failed(live, attempts, error)
-            else:
-                self._resolve_ok(
-                    live, outputs, backend, degraded, degrade_reason,
-                    attempts, execute_s, batch,
-                )
-                if execute_s > 0:
-                    self.queue.note_drain_rate(total_tuples / execute_s)
-
-    # -- backends -------------------------------------------------------
-
-    def _try_fpga(
-        self, live: List[_Pending], batch: Batch
-    ) -> Tuple[Optional[List[PartitionedOutput]], int, Optional[str]]:
-        """Run the batch on the FPGA model with bounded-backoff retry.
-
-        Returns ``(outputs, attempts, error)``; ``outputs is None``
-        means every attempt faulted (caller degrades to CPU).
-        """
-        partitioner = self._fpga_for(live[0])
-        on_overflow: OverflowPolicy = live[0].request.on_overflow
-        decision = live[0].decision
-        isolate = (
-            decision is not None
-            and decision.pad_strategy == "isolate"
-            and decision.isolate_keys
+        if batch.split:
+            self.metrics.increment("split_requests", len(live))
+        strategy = decision.pad_strategy if decision is not None else "keep"
+        if strategy == "isolate" and decision.isolate_keys:
+            call = _call_isolated
+        else:
+            call = _call_solo if batch.split else _call_many
+        return functools.partial(
+            self._run_fpga, call=call, hist=strategy == "hist"
         )
-        attempts = 0
-        error: Optional[str] = None
+
+    def _run(self, executor, live: List[_Pending]) -> None:
+        """One executor call under a timed ``execute`` span, resolved.
+
+        What the executor raises is a *request* error (backend errors
+        never leave :meth:`_run_fpga`).  A coalesced batch is then
+        re-run entry by entry so that only the offenders fail — a cold
+        path; the hot one stays one call per batch.
+        """
+        started = self._clock()
+        with self.tracer.span("execute") as span:
+            try:
+                outcome = executor(live)
+            except Exception as exc:  # noqa: BLE001 - becomes the outcome
+                _LOG.info("request error", exc_info=True)
+                outcome = _Outcome(error=exc)
+            span.set_attributes(**outcome.provenance())
+        if outcome.error is not None and len(live) > 1:
+            for entry in live:
+                self._run(executor, [entry])
+            return
+        execute_s = self._clock() - started
+        with self.tracer.span("resolve", requests=len(live)):
+            self._resolve(live, outcome, execute_s)
+
+    def _resolve(
+        self, live: List[_Pending], outcome: _Outcome, execute_s: float
+    ) -> None:
+        """The one place a dispatched ticket ends: counters, histograms,
+        optimizer and drain-rate feedback, root span, response."""
+        now = self._clock()
+        size = len(live)
+        error = outcome.error
+        shared = dict(outcome.provenance(), batch_size=size)
+        results = outcome.results
+        if error is None:
+            status, counter = RequestStatus.OK, "completed"
+        elif isinstance(error, _DeadlineExpired):
+            status, counter = RequestStatus.TIMED_OUT, "timed_out"
+            results = [{"error": str(error)}] * size
+        else:
+            status, counter = RequestStatus.FAILED, "failed"
+            name = type(error).__name__
+            failure = {"error": f"{name}: {error}", "error_type": name}
+            results = [failure] * size
+        if status is RequestStatus.OK:
+            # the caller's hook first: should it raise, nothing is
+            # counted yet and the loop's guard fails the batch cleanly
+            tuples = sum(entry.tuples for entry in live)
+            if self.optimizer is not None:
+                self.optimizer.observe(outcome.backend, tuples, execute_s)
+            if execute_s > 0:
+                self.queue.note_drain_rate(tuples / execute_s)
+            if outcome.degraded:
+                self.metrics.increment("degraded", size)
+        # counted before any ticket resolves: a client holding its
+        # response must find it in the counters
+        self.metrics.increment(counter, size)
+        if status is not RequestStatus.TIMED_OUT:
+            # every executed batch, whichever executor ran it
+            self.metrics.observe_batch(size)
+            if size > 1:
+                self.metrics.increment("coalesced_requests", size)
+            self.metrics.observe("execute", execute_s)
+        for entry, result in zip(live, results):
+            total_s = now - entry.submitted_at
+            self.metrics.observe("total", total_s)
+            if entry.span is not None:
+                entry.span.set_attributes(status=status.value, **shared)
+                entry.span.end(now)
+            entry.ticket._resolve(
+                PartitionResponse(
+                    request_id=entry.ticket.request_id,
+                    status=status,
+                    queue_wait_s=max(0.0, total_s - execute_s),
+                    execute_s=execute_s,
+                    total_s=total_s,
+                    **shared,
+                    **result,
+                )
+            )
+
+    # -- executors ------------------------------------------------------
+    # Each takes the live entries of one batch and returns an _Outcome,
+    # or raises the request error that ends the call.
+
+    def _run_fpga(self, live: List[_Pending], call, hist: bool) -> _Outcome:
+        """The backend-error ladder: FPGA with bounded-backoff retry,
+        then CPU failover — the only place a :class:`BackendFault` is
+        caught and the breaker is fed."""
+        reason = self.policy.admit_fpga(sum(entry.tuples for entry in live))
+        if reason is not None:
+            return self._run_cpu(live, reason)
+        partitioner = self._fpga_for(live[0], hist)
         deadline = min(
             (e.deadline_at for e in live if e.deadline_at is not None),
             default=None,
         )
         for attempt in range(self.max_retries + 1):
-            attempts += 1
             try:
                 self.policy.before_fpga_call()
-                if isolate:
-                    from repro.optimize.isolation import partition_isolated
-
-                    # heavy hitters go to dedicated regions; should the
-                    # cold keys overflow anyway, degrade that entry to
-                    # HIST accounting rather than raising at the client
-                    outputs = [
-                        partition_isolated(
-                            partitioner,
-                            entry.request.relation,
-                            entry.request.payloads,
-                            hot_keys=decision.isolate_keys,
-                            on_overflow=(
-                                "hist"
-                                if entry.request.on_overflow == "raise"
-                                else entry.request.on_overflow
-                            ),
-                        )
-                        for entry in live
-                    ]
-                elif batch.split:
-                    # deliberately solo and large: the morsel engine
-                    outputs = [
-                        partitioner.partition(
-                            live[0].request.relation,
-                            live[0].request.payloads,
-                            on_overflow=on_overflow,
-                        )
-                    ]
-                else:
-                    outputs = partitioner.partition_many(
-                        [entry.request.relation for entry in live],
-                        [entry.request.payloads for entry in live],
-                        on_overflow=on_overflow,
-                    )
-                self.policy.record_outcome(True)
-                self.metrics.increment("fpga_invocations")
-                return outputs, attempts, None
+                outputs = call(partitioner, live)
             except BackendFault as fault:
                 self.policy.record_outcome(False)
-                error = str(fault)
-                if attempt == self.max_retries:
-                    break
+                reason = str(fault) or "fpga-fault"
                 backoff = min(
                     self.retry_backoff_cap_s,
                     self.retry_backoff_s * (2 ** attempt),
                 )
-                if (
+                if attempt == self.max_retries or (
                     deadline is not None
                     and self._clock() + backoff > deadline
                 ):
                     break
                 self.metrics.increment("retries")
-                if backoff > 0:
-                    time.sleep(backoff)
-        return None, attempts, error
+                time.sleep(backoff)
+            except Exception:
+                # the request's error, not the backend's: no breaker
+                # failure, but a half-open probe claimed for this call
+                # goes back so the next caller can still be admitted
+                self.policy.breaker.release_probe()
+                raise
+            else:
+                self.policy.record_outcome(True)
+                self.metrics.increment("fpga_invocations")
+                return _Outcome(
+                    "fpga",
+                    [{"output": output} for output in outputs],
+                    attempts=attempt + 1,
+                )
+        return self._run_cpu(live, reason, attempts=attempt + 1)
 
-    def _try_cpu(
-        self, live: List[_Pending]
-    ) -> Tuple[Optional[List[PartitionedOutput]], Optional[str]]:
-        """CPU (SWWC) failover path: solo calls, no coalescing."""
+    def _run_cpu(
+        self, live: List[_Pending], reason: str, degraded=True, attempts=0
+    ) -> _Outcome:
+        """CPU (SWWC) backend: solo calls, no coalescing.  ``attempts``
+        counts the FPGA calls that came before."""
         partitioner = self._cpu_for(live[0])
-        try:
-            outputs = [
-                partitioner.partition(
-                    entry.request.relation, entry.request.payloads
-                )
-                for entry in live
-            ]
-        except Exception as exc:  # noqa: BLE001 - terminal failure path
-            return None, f"{type(exc).__name__}: {exc}"
+        outputs = [
+            partitioner.partition(e.request.relation, e.request.payloads)
+            for e in live
+        ]
         self.metrics.increment("cpu_invocations")
-        return outputs, None
+        return _Outcome(
+            "cpu",
+            [{"output": output} for output in outputs],
+            degraded=degraded,
+            degrade_reason=reason,
+            attempts=attempts,
+        )
 
-    def _execute_spill(self, live: List[_Pending]) -> None:
-        """Out-of-core path: stage to disk, stream, resolve with the
-        spill handle.  Solo by construction (``Batch.spill`` batches
-        hold one entry); failures resolve ``FAILED`` like any other
-        terminal error."""
-        started = self._clock()
-        entry = live[0]
-        try:
-            with self.tracer.span("execute", backend="spill"):
-                spill = self._run_spill(entry)
-        except Exception as exc:  # noqa: BLE001 - terminal failure path
-            self._resolve_failed(
-                live, attempts=1, error=f"{type(exc).__name__}: {exc}"
-            )
-            return
-        execute_s = self._clock() - started
-        if self.optimizer is not None:
-            self.optimizer.observe("spill", entry.tuples, execute_s)
-        self.metrics.increment("spilled")
-        with self.tracer.span("resolve", requests=1):
-            now = self._clock()
-            self.metrics.increment("completed")
-            self.metrics.observe("execute", execute_s)
-            self.metrics.observe("total", now - entry.submitted_at)
-            if entry.span is not None:
-                entry.span.set_attributes(
-                    status="ok", backend="spill", batch_size=1
-                )
-                entry.span.end(now)
-            entry.ticket._resolve(
-                PartitionResponse(
-                    request_id=entry.ticket.request_id,
-                    status=RequestStatus.OK,
-                    output=spill.to_output(),
-                    backend="spill",
-                    spill=spill,
-                    attempts=1,
-                    batch_size=1,
-                    queue_wait_s=max(
-                        0.0, now - execute_s - entry.submitted_at
-                    ),
-                    execute_s=execute_s,
-                    total_s=now - entry.submitted_at,
-                )
-            )
-
-    def _execute_plan(self, entry: _Pending) -> None:
-        """Run one :class:`PlanRequest` through the fused executor.
-
-        A fused failure degrades to the staged pipeline (recorded on
-        the response, like the FPGA→CPU failover); a staged failure is
-        terminal.
-        """
+    def _run_plan(self, live: List[_Pending]) -> _Outcome:
+        """One :class:`PlanRequest` through the fused executor; a fused
+        failure degrades to the staged pipeline (the plan's own ladder,
+        recorded on the response), a staged failure is the request's."""
         from repro.plan import execute_plan
 
+        (entry,) = live  # plan signatures are unique: solo by construction
         request: PlanRequest = entry.request
-        started = self._clock()
-        degraded = False
-        degrade_reason: Optional[str] = None
-        result = None
-        error: Optional[str] = None
-        with self.tracer.span("execute", backend="plan") as exec_span:
-            try:
-                result = execute_plan(
-                    request.plan,
-                    engine=self._engine_spec,
-                    fused=request.fused,
-                    tracer=self.tracer,
-                    optimizer=self.optimizer,
-                )
-            except Exception as exc:  # noqa: BLE001 - degrade, then fail
-                if request.fused:
-                    degraded = True
-                    degrade_reason = f"{type(exc).__name__}: {exc}"
-                    try:
-                        result = execute_plan(
-                            request.plan,
-                            engine=self._engine_spec,
-                            fused=False,
-                            tracer=self.tracer,
-                            optimizer=self.optimizer,
-                        )
-                    except Exception as staged_exc:  # noqa: BLE001
-                        error = f"{type(staged_exc).__name__}: {staged_exc}"
-                else:
-                    error = f"{type(exc).__name__}: {exc}"
-            backend = (
-                None if result is None
-                else ("fused" if result.fused else "staged")
-            )
-            exec_span.set_attributes(
-                backend=backend, degraded=degraded,
-                degrade_reason=degrade_reason,
-            )
-        execute_s = self._clock() - started
+        run = functools.partial(
+            execute_plan,
+            request.plan,
+            engine=self._engine_spec,
+            tracer=self.tracer,
+            optimizer=self.optimizer,
+        )
+        reason: Optional[str] = None
+        try:
+            result = run(fused=request.fused)
+        except Exception as exc:  # noqa: BLE001 - degrade, then fail
+            if not request.fused:
+                raise
+            reason = f"{type(exc).__name__}: {exc}"
+            result = run(fused=False)
+        backend = "fused" if result.fused else "staged"
+        self.metrics.increment("plans_completed")
+        self.metrics.increment(f"plans_{backend}")
+        return _Outcome(
+            backend,
+            [{"result": result}],
+            degraded=reason is not None,
+            degrade_reason=reason,
+            attempts=1 if reason is None else 2,
+        )
 
-        with self.tracer.span("resolve", requests=1):
-            now = self._clock()
-            if result is None:
-                self._resolve_failed([entry], attempts=1, error=error)
-                return
-            self.metrics.increment("plans_completed")
-            self.metrics.increment(
-                "plans_fused" if result.fused else "plans_staged"
-            )
-            if degraded:
-                self.metrics.increment("degraded")
-            self.metrics.increment("completed")
-            self.metrics.observe("execute", execute_s)
-            self.metrics.observe("total", now - entry.submitted_at)
-            if entry.span is not None:
-                entry.span.set_attributes(
-                    status="ok", backend=backend, degraded=degraded,
-                    batch_size=1,
-                )
-                entry.span.end(now)
-            entry.ticket._resolve(
-                PartitionResponse(
-                    request_id=entry.ticket.request_id,
-                    status=RequestStatus.OK,
-                    result=result,
-                    backend=backend,
-                    degraded=degraded,
-                    degrade_reason=degrade_reason,
-                    attempts=2 if degraded else 1,
-                    batch_size=1,
-                    queue_wait_s=max(
-                        0.0, now - execute_s - entry.submitted_at
-                    ),
-                    execute_s=execute_s,
-                    total_s=now - entry.submitted_at,
-                )
-            )
+    def _run_spill(self, live: List[_Pending]) -> _Outcome:
+        """Out-of-core: stage the request into a store, stream it
+        through a :class:`~repro.storage.spill.SpillPartitioner`, answer
+        with the :class:`~repro.storage.spill.PartitionSpill` handle."""
+        from repro.core.modes import LayoutMode
+        from repro.storage import RelationStore, SpillPartitioner
 
-    def _spill_root(self):
+        (entry,) = live  # Batch.spill batches hold one entry
+        request = entry.request
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
             self._owns_spill_root = True
         root = pathlib.Path(self._spill_dir)
         root.mkdir(parents=True, exist_ok=True)
-        return root
-
-    def _run_spill(self, entry: _Pending):
-        """Stage one request into a store, spill-partition it, and
-        return the :class:`~repro.storage.spill.PartitionSpill`."""
-        from repro.core.modes import LayoutMode
-        from repro.storage import RelationStore, SpillPartitioner
-
-        request = entry.request
-        root = self._spill_root()
         request_id = entry.ticket.request_id
         # VRID payloads are positions; the store generates exactly
         # those when no payload column is given.
@@ -1036,7 +1022,7 @@ class PartitionService:
                 max_bytes_in_memory=self.spill_bytes_in_memory,
                 tracer=self.tracer,
             ) as spiller:
-                return spiller.run(
+                spill = spiller.run(
                     store,
                     run_dir,
                     # the spill path is already software; a requested
@@ -1056,16 +1042,16 @@ class PartitionService:
             # the staging store is internal scratch: the run files hold
             # all the data now, so drop it rather than leak 2x disk
             shutil.rmtree(store_dir, ignore_errors=True)
+        self.metrics.increment("spilled")
+        return _Outcome(
+            "spill", [{"output": spill.to_output(), "spill": spill}]
+        )
 
-    def _fpga_for(self, entry: _Pending) -> FpgaPartitioner:
+    def _fpga_for(self, entry: _Pending, hist: bool) -> FpgaPartitioner:
         partitioner = self._fpga.get(entry.signature)
         if partitioner is None:
             config = entry.request.config
-            if (
-                entry.decision is not None
-                and entry.decision.pad_strategy == "hist"
-                and config.output_mode is OutputMode.PAD
-            ):
+            if hist and config.output_mode is OutputMode.PAD:
                 # the optimizer predicted this PAD run is doomed to
                 # overflow: go straight to HIST accounting instead of
                 # paying a failed PAD pass first.  Contents/counts are
@@ -1090,89 +1076,3 @@ class PartitionService:
             )
             self._cpu[entry.signature] = partitioner
         return partitioner
-
-    # -- resolution -----------------------------------------------------
-
-    def _resolve_timeout(self, entry: _Pending, now: float) -> None:
-        self.metrics.increment("timed_out")
-        self.metrics.observe("total", now - entry.submitted_at)
-        if entry.span is not None:
-            entry.span.set_attributes(status="timed-out")
-            entry.span.end(now)
-        entry.ticket._resolve(
-            PartitionResponse(
-                request_id=entry.ticket.request_id,
-                status=RequestStatus.TIMED_OUT,
-                queue_wait_s=now - entry.submitted_at,
-                total_s=now - entry.submitted_at,
-                error="deadline expired before execution",
-            )
-        )
-
-    def _resolve_failed(
-        self, live: List[_Pending], attempts: int, error: Optional[str]
-    ) -> None:
-        now = self._clock()
-        self.metrics.increment("failed", len(live))
-        for entry in live:
-            self.metrics.observe("total", now - entry.submitted_at)
-            if entry.span is not None:
-                entry.span.set_attributes(status="failed", attempts=attempts)
-                entry.span.end(now)
-            entry.ticket._resolve(
-                PartitionResponse(
-                    request_id=entry.ticket.request_id,
-                    status=RequestStatus.FAILED,
-                    attempts=attempts,
-                    total_s=now - entry.submitted_at,
-                    error=error or "both backends failed",
-                )
-            )
-
-    def _resolve_ok(
-        self,
-        live: List[_Pending],
-        outputs: List[PartitionedOutput],
-        backend: str,
-        degraded: bool,
-        degrade_reason: Optional[str],
-        attempts: int,
-        execute_s: float,
-        batch: Batch,
-    ) -> None:
-        now = self._clock()
-        self.metrics.observe_batch(len(live))
-        if len(live) > 1:
-            self.metrics.increment("coalesced_requests", len(live))
-        if batch.split:
-            self.metrics.increment("split_requests", len(live))
-        self.metrics.increment("completed", len(live))
-        self.metrics.observe("execute", execute_s)
-        for entry, output in zip(live, outputs):
-            total_s = now - entry.submitted_at
-            self.metrics.observe("total", total_s)
-            if entry.span is not None:
-                entry.span.set_attributes(
-                    status="ok",
-                    backend=backend,
-                    degraded=degraded,
-                    batch_size=len(live),
-                )
-                entry.span.end(now)
-            entry.ticket._resolve(
-                PartitionResponse(
-                    request_id=entry.ticket.request_id,
-                    status=RequestStatus.OK,
-                    output=output,
-                    backend=backend,
-                    degraded=degraded,
-                    degrade_reason=degrade_reason,
-                    attempts=attempts,
-                    batch_size=len(live),
-                    queue_wait_s=max(
-                        0.0, now - execute_s - entry.submitted_at
-                    ),
-                    execute_s=execute_s,
-                    total_s=total_s,
-                )
-            )

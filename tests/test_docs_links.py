@@ -63,6 +63,27 @@ def test_cited_paths_exist(page):
     assert not missing, f"{page.relative_to(ROOT)} cites missing {missing}"
 
 
+def test_service_knob_table_is_the_constructor():
+    """``docs/SERVICE.md``'s knob table and ``PartitionService.__init__``
+    name the same knobs (``clock`` is a test seam, not a knob), so a
+    constructor argument cannot appear or vanish undocumented."""
+    import inspect
+
+    from repro.service import PartitionService
+
+    text = (ROOT / "docs" / "SERVICE.md").read_text()
+    table = text.split("## Knob reference", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        line.split("|")[1]
+        for line in table.splitlines()
+        if line.startswith("| `")
+    ]
+    documented = {name for cell in rows for name in _INLINE.findall(cell)}
+    parameters = set(inspect.signature(PartitionService.__init__).parameters)
+    assert len(rows) >= 10, "knob table not found"
+    assert documented == parameters - {"self", "clock"}
+
+
 def test_the_gate_sees_citations():
     # a regex that silently matches nothing would pass every page
     cited = set(_cited_paths((ROOT / "README.md").read_text()))

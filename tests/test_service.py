@@ -716,6 +716,353 @@ class TestDoneCallbacks:
         assert counters["completed"] == 2
 
 
+# ---------------------------------------------------------------------------
+# One way through the dispatcher: request errors, the guard, one resolver
+
+PAD = PartitionerConfig(
+    num_partitions=64, output_mode=OutputMode.PAD, pad_tuples=1024
+)
+#: one key, 20,000 times: overflows any PAD partition of ``PAD``
+OVERFLOWING = np.zeros(20_000, dtype=np.uint32)
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def _park_dispatcher(service, keys) -> threading.Event:
+    """Park the dispatcher inside a done-callback until the returned
+    event is set, so everything submitted meanwhile is collected in one
+    go.  The parked-on requests expire in the queue (``TIMED_OUT``), so
+    they touch no executor and no batch counter."""
+    gate, parked, inline = (threading.Event() for _ in range(3))
+
+    def park(response):
+        if threading.current_thread() is service._dispatcher:
+            parked.set()
+            gate.wait(30)
+        else:
+            inline.set()  # already resolved: ran right here, try again
+
+    for _ in range(100):
+        inline.clear()
+        service.submit(
+            PartitionRequest(relation=keys, deadline_s=-0.001)
+        ).add_done_callback(park)
+        if not inline.is_set():
+            assert parked.wait(30)
+            return gate
+    pytest.fail("could not register a callback ahead of resolution")
+
+
+def _settled_counters(service) -> dict:
+    """Counters of a stopped service; every admitted request must have
+    ended in exactly one of the three dispatcher-side states."""
+    snapshot = service.metrics.to_dict()
+    assert snapshot["gauges"]["inflight"] == 0
+    counters = snapshot["counters"]
+    assert counters["admitted"] == (
+        counters["completed"] + counters["failed"] + counters["timed_out"]
+    )
+    return counters
+
+
+class _FixedOptimizer:
+    """An optimizer hook that answers every request with one decision."""
+
+    def __init__(self, backend="fpga", pad_strategy="keep", isolate=()):
+        from repro.optimize.optimizer import Decision
+
+        self.decision = Decision(
+            backend, pad_strategy, isolate, False, 0.0, "test"
+        )
+        self.observed = []
+        self.fail_observe = 0
+
+    def decide(self, keys, config, reuse=True):
+        return self.decision
+
+    def observe(self, backend, tuples, seconds):
+        if self.fail_observe:
+            self.fail_observe -= 1
+            raise RuntimeError("observe hook broke")
+        self.observed.append(backend)
+
+
+def _join_plan():
+    from repro.plan import join_groupby_query
+    from repro.workloads.relations import make_workload
+
+    workload = make_workload("A", scale=2048, seed=6)
+    return join_groupby_query(workload.r, workload.s, aggregate="sum")
+
+
+class TestRequestErrors:
+    """A request's own error fails that ticket, typed, and nothing else:
+    not the dispatcher, not its batch neighbours, not the breaker."""
+
+    def test_pad_overflow_under_raise_fails_typed(self, relations):
+        # at the parent this exception left _dispatch_loop: the thread
+        # died and every later ticket hung
+        with PartitionService() as service:
+            failed = service.submit(
+                PartitionRequest(relation=OVERFLOWING, config=PAD)
+            ).result(timeout=30)
+            assert service._dispatcher.is_alive()
+            after = service.submit(
+                PartitionRequest(relation=relations[0], config=PAD)
+            ).result(timeout=30)
+        assert failed.status is RequestStatus.FAILED
+        assert failed.error_type == "PartitionOverflowError"
+        assert failed.error.startswith("PartitionOverflowError: ")
+        assert failed.output is None and failed.backend is None
+        assert after.status is RequestStatus.OK and after.error_type is None
+        assert_outputs_equal(
+            after.output, FpgaPartitioner(PAD).partition(relations[0])
+        )
+        counters = _settled_counters(service)
+        assert (counters["failed"], counters["completed"]) == (1, 1)
+        assert counters["degraded"] == counters["cpu_invocations"] == 0
+
+    def test_coalesced_batch_fails_only_the_offender(
+        self, relations, monkeypatch
+    ):
+        calls = []
+        real = FpgaPartitioner.partition_many
+
+        def spy(self, columns, *args, **kwargs):
+            calls.append(len(columns))
+            return real(self, columns, *args, **kwargs)
+
+        monkeypatch.setattr(FpgaPartitioner, "partition_many", spy)
+        batch = relations[:3] + [OVERFLOWING] + relations[3:7]
+        with PartitionService() as service:
+            gate = _park_dispatcher(service, relations[0])
+            tickets = [
+                service.submit(PartitionRequest(relation=keys, config=PAD))
+                for keys in batch
+            ]
+            gate.set()
+            responses = [ticket.result(timeout=30) for ticket in tickets]
+        # one coalesced call, then the cold path: entry by entry
+        assert calls == [8] + [1] * 8
+        reference = FpgaPartitioner(PAD)
+        for keys, response in zip(batch, responses):
+            if keys is OVERFLOWING:
+                assert response.status is RequestStatus.FAILED
+                assert response.error_type == "PartitionOverflowError"
+            else:
+                assert response.status is RequestStatus.OK
+                assert response.backend == "fpga" and not response.degraded
+                assert_outputs_equal(
+                    response.output, reference.partition(keys)
+                )
+        counters = _settled_counters(service)
+        assert (counters["failed"], counters["completed"]) == (1, 7)
+
+    @pytest.mark.parametrize(
+        "case", ["many", "split", "isolated", "spill", "fused", "staged"]
+    )
+    def test_nothing_escapes_an_executor(
+        self, case, relations, monkeypatch, tmp_path
+    ):
+        import repro.optimize.isolation
+        import repro.plan
+        from repro.service.service import PlanRequest
+        from repro.storage import SpillPartitioner
+
+        target, kwargs = {
+            "many": ((FpgaPartitioner, "partition_many"), {}),
+            "split": (
+                (FpgaPartitioner, "partition"), {"split_tuples": 100}
+            ),
+            "isolated": (
+                (repro.optimize.isolation, "partition_isolated"),
+                {"optimizer": _FixedOptimizer("fpga", "isolate", (7,))},
+            ),
+            "spill": (
+                (SpillPartitioner, "run"),
+                {"spill_tuples": 100, "spill_dir": tmp_path},
+            ),
+            "fused": ((repro.plan, "execute_plan"), {}),
+            "staged": ((repro.plan, "execute_plan"), {}),
+        }[case]
+        seen = []
+        called = threading.Event()
+        with PartitionService(**kwargs) as service:
+            with monkeypatch.context() as broken:
+                broken.setattr(*target, _boom)
+                if case in ("fused", "staged"):
+                    ticket = service.submit_plan(
+                        PlanRequest(plan=_join_plan(), fused=case == "fused")
+                    )
+                else:
+                    ticket = service.submit(
+                        PartitionRequest(relation=relations[-1])
+                    )
+                ticket.add_done_callback(
+                    lambda response: (seen.append(response), called.set())
+                )
+                response = ticket.result(timeout=30)
+                assert called.wait(30)
+            assert service._dispatcher.is_alive()
+            after = service.partition(relations[0], timeout=30)
+        assert response.status is RequestStatus.FAILED
+        assert response.error_type == "RuntimeError"
+        assert response.error == "RuntimeError: boom"
+        assert seen == [response]
+        assert after.status is RequestStatus.OK
+        assert_outputs_equal(
+            after.output,
+            FpgaPartitioner(PartitionerConfig()).partition(relations[0]),
+        )
+        counters = _settled_counters(service)
+        assert (counters["failed"], counters["completed"]) == (1, 1)
+        assert counters["dispatcher_errors"] == 0
+        if after.spill is not None:
+            after.spill.cleanup()
+        assert list(tmp_path.iterdir()) == []  # the failed run left nothing
+
+    def test_last_resort_guard_fails_the_batch_and_keeps_looping(
+        self, relations
+    ):
+        # not an executor's error but a hook of the resolver itself
+        optimizer = _FixedOptimizer()
+        optimizer.fail_observe = 1
+        with PartitionService(optimizer=optimizer) as service:
+            failed = service.partition(relations[0], timeout=30)
+            assert service._dispatcher.is_alive()
+            after = service.partition(relations[1], timeout=30)
+        assert failed.status is RequestStatus.FAILED
+        assert failed.error == "RuntimeError: observe hook broke"
+        assert after.status is RequestStatus.OK
+        assert optimizer.observed == ["fpga"]
+        counters = _settled_counters(service)
+        assert (counters["failed"], counters["completed"]) == (1, 1)
+        assert counters["dispatcher_errors"] == 1
+
+
+class TestOneResolver:
+    """Whichever executor ran, the response, the root span and the
+    accounting come out of the same resolver and look the same."""
+
+    @pytest.mark.parametrize(
+        "case, backend, attempts, degraded, reason",
+        [
+            ("fpga", "fpga", 1, False, None),
+            ("cpu-degraded", "cpu", 0, True, "breaker-open"),
+            ("cpu-routed", "cpu", 0, False, "optimizer-routed"),
+            ("split", "fpga", 1, False, None),
+            ("spill", "spill", 1, False, None),
+            ("plan", "fused", 1, False, None),
+            ("plan-degraded", "staged", 2, True, "RuntimeError: boom"),
+        ],
+    )
+    def test_shared_fields(
+        self, case, backend, attempts, degraded, reason,
+        relations, monkeypatch, tmp_path,
+    ):
+        import repro.plan
+        from repro.analysis.verify import outputs_identical
+        from repro.obs import Tracer
+
+        kwargs = {}
+        if case == "cpu-degraded":
+            breaker = CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
+            breaker.record_failure()
+            kwargs["policy"] = DegradationPolicy(breaker=breaker)
+        elif case == "cpu-routed":
+            kwargs["optimizer"] = _FixedOptimizer("cpu")
+        elif case == "split":
+            kwargs["split_tuples"] = 100
+        elif case == "spill":
+            kwargs.update(spill_tuples=100, spill_dir=tmp_path)
+        elif case == "plan-degraded":
+            real = repro.plan.execute_plan
+            monkeypatch.setattr(
+                repro.plan, "execute_plan",
+                lambda plan, fused=True, **kw: (
+                    _boom() if fused else real(plan, fused=False, **kw)
+                ),
+            )
+        tracer = Tracer()
+        with PartitionService(tracer=tracer, **kwargs) as service:
+            if case.startswith("plan"):
+                response = service.submit_plan(_join_plan()).result(timeout=60)
+            else:
+                response = service.partition(relations[0], timeout=60)
+        assert response.status is RequestStatus.OK, response.error
+        assert response.backend == backend
+        assert response.attempts == attempts
+        assert response.degraded is degraded
+        assert response.degrade_reason == reason
+        assert response.batch_size == 1
+        assert response.error is None and response.error_type is None
+        assert response.execute_s > 0
+        assert (
+            response.queue_wait_s + response.execute_s
+            <= response.total_s + 1e-9
+        )
+        if case.startswith("plan"):
+            assert response.result is not None and response.output is None
+        else:
+            # contents, not line accounting: the CPU writes no dummy slots
+            assert outputs_identical(
+                response.output,
+                FpgaPartitioner(PartitionerConfig()).partition(relations[0]),
+                check_accounting=False,
+            )
+        assert (response.spill is not None) == (case == "spill")
+        spans = tracer.export()
+        (root,) = [s for s in spans if s.name == "request"]
+        assert root.attributes["status"] == "ok"
+        assert root.attributes["backend"] == backend
+        assert root.attributes["batch_size"] == 1
+        (execute,) = [s for s in spans if s.name == "execute"]
+        assert execute.attributes["backend"] == backend
+        assert execute.attributes["attempts"] == attempts
+        latency = service.metrics.to_dict()["latency"]
+        assert latency["total"]["count"] == 1
+        assert latency["execute"]["count"] == 1
+        counters = _settled_counters(service)
+        assert counters["completed"] == counters["batches"] == 1
+        assert counters["degraded"] == int(degraded)
+        if response.spill is not None:
+            response.spill.cleanup()
+
+    def test_every_executed_batch_is_counted_once(
+        self, relations, tmp_path
+    ):
+        # spill and plan batches used to bypass observe_batch and the
+        # drain-rate estimate behind the retry_after hint
+        big = np.concatenate(relations)
+        config = PartitionerConfig(num_partitions=32)
+        with PartitionService(
+            spill_tuples=big.shape[0], spill_dir=tmp_path
+        ) as service:
+            rates = []
+            service.queue.note_drain_rate = rates.append
+            spilled = service.partition(big, config=config, timeout=60)
+            planned = service.submit_plan(_join_plan()).result(timeout=60)
+            gate = _park_dispatcher(service, relations[0])
+            pair = [
+                service.submit(PartitionRequest(relation=keys, config=config))
+                for keys in relations[:2]
+            ]
+            gate.set()
+            pair = [ticket.result(timeout=30) for ticket in pair]
+        assert spilled.backend == "spill" and planned.backend == "fused"
+        assert [r.batch_size for r in pair] == [2, 2]
+        spilled.spill.cleanup()
+        counters = _settled_counters(service)
+        assert counters["batches"] == 3
+        assert counters["completed"] == 4
+        assert counters["coalesced_requests"] == 2
+        assert service.metrics.mean_batch_size() == pytest.approx(4 / 3)
+        # and each fed the drain-rate estimate behind retry_after
+        assert len(rates) == 3 and all(rate > 0 for rate in rates)
+
+
 class TestHalfOpenSingleProbe:
     def _half_open_breaker(self, clock) -> CircuitBreaker:
         breaker = CircuitBreaker(
@@ -788,6 +1135,26 @@ class TestHalfOpenSingleProbe:
         # claim must be released or the breaker stays wedged half-open
         assert policy.admit_fpga(1000) == "oversized"
         assert policy.admit_fpga(50) is None
+
+    def test_request_error_on_the_probe_call_hands_the_probe_back(
+        self, relations
+    ):
+        clock = FakeClock()
+        breaker = self._half_open_breaker(clock)
+        with PartitionService(
+            policy=DegradationPolicy(breaker=breaker)
+        ) as service:
+            failed = service.partition(OVERFLOWING, config=PAD, timeout=30)
+            # the request's error is no verdict on the backend: still
+            # half-open, and the claim went back with release_probe()
+            assert breaker.state == CircuitBreaker.HALF_OPEN
+            served = service.partition(relations[0], config=PAD, timeout=30)
+        assert failed.status is RequestStatus.FAILED
+        assert failed.error_type == "PartitionOverflowError"
+        # the next caller got the probe (not "breaker-open" -> cpu)
+        assert served.status is RequestStatus.OK
+        assert served.backend == "fpga" and not served.degraded
+        assert breaker.state == CircuitBreaker.CLOSED
 
 
 class TestTokenBucketValidation:

@@ -127,6 +127,10 @@ def test_stress_mixed_priority_clients():
     assert counters["rejected"] == len(rejected)
     assert counters["completed"] == len(completed)
     assert counters["timed_out"] == len(timed_out)
+    # quiescent: every admitted request ended in exactly one state
+    assert counters["admitted"] == (
+        counters["completed"] + counters["failed"] + counters["timed_out"]
+    )
 
     # every rejection carries a usable backpressure hint
     for response in rejected:
