@@ -242,9 +242,10 @@ class PlacementPolicy:
                 dtype=np.uint32,
             )
             if hot_keys.size:
-                hot[kernels.hash_only(hot_keys, num_partitions, uses_hash)] = (
-                    True
+                parts, _, _ = kernels.hash_histogram(
+                    hot_keys, num_partitions, uses_hash
                 )
+                hot[parts] = True
         if plan_counts is not None and plan_counts.sum() > 0:
             hot |= (
                 plan_counts

@@ -543,9 +543,8 @@ class ShardRouter:
         mapping = np.zeros(P, dtype=np.int64)
         for p in job.partitions:
             mapping[int(p)] = self._next_healthy(int(p), P, banned)
-        slice_parts = kernels.hash_only(job.keys, P, cfg.uses_hash)
-        slice_counts = np.bincount(slice_parts, minlength=P).astype(
-            np.int64
+        slice_parts, slice_counts, _ = kernels.hash_histogram(
+            job.keys, P, cfg.uses_hash
         )
         return self._scatter_jobs(
             job.keys, job.payloads, slice_parts, slice_counts, mapping

@@ -150,9 +150,7 @@ def swwc_partition(
 
     # Phase 1: per-thread partition indices + histograms, through the
     # fused kernel (native: one GIL-free C pass per chunk).
-    from repro.exec.morsels import parts_dtype
-
-    parts = np.empty(n, dtype=parts_dtype(num_partitions))
+    parts = np.empty(n, dtype=kernels.parts_dtype(num_partitions))
     local_hist = np.zeros((threads, num_partitions), dtype=np.int64)
     for t, (lo, hi) in enumerate(chunks):
         if hi > lo:

@@ -2,12 +2,13 @@
 
 This package is the scaling layer of the reproduction.  It contains:
 
-* :mod:`repro.exec.morsels` — the chunk ("morsel") kernels: per-chunk
-  histogram, two-level prefix-sum merge, per-chunk stable scatter.  The
-  kernels are pure functions over NumPy arrays, shared by every
-  execution backend.
+* :mod:`repro.exec.morsels` — the chunk ("morsel") plan and the
+  two-level prefix-sum merge between the two phases.  The phases
+  themselves are plain :mod:`repro.kernels` calls
+  (``hash_histogram``, ``stable_scatter``), shared by every execution
+  backend.
 * :mod:`repro.exec.engine` — :class:`ExecutionEngine`, which runs the
-  morsel kernels serially, on a thread pool, or on a process pool with
+  morsel phases serially, on a thread pool, or on a process pool with
   shared-memory output buffers, and provides ordered task fan-out for
   the join's build+probe phase.
 * :mod:`repro.exec.fast_forward` — the event-driven fast path of the
@@ -26,8 +27,6 @@ from repro.exec.engine import ExecutionEngine, resolve_engine
 from repro.exec.morsels import (
     MorselStats,
     merge_histograms,
-    morsel_histogram,
-    morsel_scatter,
     plan_morsels,
 )
 
@@ -36,7 +35,5 @@ __all__ = [
     "resolve_engine",
     "MorselStats",
     "plan_morsels",
-    "morsel_histogram",
-    "morsel_scatter",
     "merge_histograms",
 ]

@@ -1,7 +1,9 @@
 """The execution engine: serial / thread-pool / process-pool backends.
 
-:class:`ExecutionEngine` runs the morsel kernels of
-:mod:`repro.exec.morsels` on one of three backends:
+:class:`ExecutionEngine` runs the morsel phases — one
+``kernels.hash_histogram`` and one ``kernels.stable_scatter`` call per
+morsel, planned and merged by :mod:`repro.exec.morsels` — on one of
+three backends:
 
 * ``serial`` — the kernels in a plain loop.  Still chunked: the
   small-dtype per-morsel sorts beat one monolithic sort even on one
@@ -45,9 +47,6 @@ from repro.exec.morsels import (
     MorselStats,
     default_morsel_tuples,
     merge_histograms,
-    morsel_histogram,
-    morsel_scatter,
-    parts_dtype,
     plan_morsels,
 )
 
@@ -87,7 +86,7 @@ def _shm_histogram_task(args):
     try:
         keys = np.ndarray(n, dtype=np.uint32, buffer=keys_block.buf)
         parts = np.ndarray(n, dtype=np.dtype(parts_dt), buffer=parts_block.buf)
-        _, hist, lane_hist = morsel_histogram(
+        _, hist, lane_hist = kernels.hash_histogram(
             keys[lo:hi],
             num_partitions,
             use_hash,
@@ -120,7 +119,7 @@ def _shm_scatter_task(args):
         out_payloads = np.ndarray(
             n, dtype=np.uint32, buffer=blocks["out_payloads"].buf
         )
-        morsel_scatter(
+        kernels.stable_scatter(
             keys[lo:hi],
             payloads[lo:hi],
             parts[lo:hi],
@@ -343,11 +342,11 @@ class ExecutionEngine:
     def _begin_local(
         self, backend, keys, payloads, n, num_partitions, use_hash, lanes, chunks
     ) -> PartitionTask:
-        parts = np.empty(n, dtype=parts_dtype(num_partitions))
+        parts = np.empty(n, dtype=kernels.parts_dtype(num_partitions))
 
         def phase_a(chunk):
             lo, hi = chunk
-            _, hist, lane_hist = morsel_histogram(
+            _, hist, lane_hist = kernels.hash_histogram(
                 keys[lo:hi],
                 num_partitions,
                 use_hash,
@@ -392,7 +391,7 @@ class ExecutionEngine:
 
         def phase_b(indexed_chunk):
             c, (lo, hi) = indexed_chunk
-            morsel_scatter(
+            kernels.stable_scatter(
                 keys[lo:hi],
                 payloads[lo:hi],
                 parts[lo:hi],
@@ -438,7 +437,7 @@ class ExecutionEngine:
     ) -> PartitionTask:
         from multiprocessing import shared_memory
 
-        pdt = parts_dtype(num_partitions)
+        pdt = kernels.parts_dtype(num_partitions)
         spec = {
             "keys": (np.uint32, 4),
             "payloads": (np.uint32, 4),

@@ -1,14 +1,16 @@
-"""Morsel kernels: chunked histogram, prefix-sum merge, stable scatter.
+"""Morsel planning and the prefix-sum merge between the two phases.
 
 The partitioning data plane is decomposed into cache-friendly chunks of
 the input ("morsels", after the morsel-driven execution model).  Each
-morsel is processed independently in two phases:
+morsel is processed independently in two phases, each one call of a
+kernel primitive:
 
-1. **histogram** — compute the partition index of every tuple in the
-   morsel and count tuples per partition (and, for the FPGA layout,
-   per (partition, lane) pair);
-2. **scatter** — stable-sort the morsel by partition index and write
-   each group into its preassigned destination range.
+1. **histogram** (``kernels.hash_histogram``) — compute the partition
+   index of every tuple in the morsel and count tuples per partition
+   (and, for the FPGA layout, per (partition, lane) pair);
+2. **scatter** (``kernels.stable_scatter``) — write the morsel's
+   tuples, stably by partition index, into their preassigned
+   destination ranges.
 
 Between the phases, :func:`merge_histograms` turns the per-morsel
 histograms into per-(morsel, partition) destination bases with a
@@ -22,7 +24,7 @@ split.  That property is what lets the parallel engine promise the
 same bytes as the sequential partitioners.
 
 The kernels keep partition indices in the smallest integer dtype that
-fits the fan-out (``uint16`` for up to 2^16 partitions): the stable
+fits the fan-out (``kernels.parts_dtype``): on the NumPy backend the stable
 argsort that dominates the scatter phase runs several times faster on
 small-integer morsels than one monolithic ``int64`` sort of the full
 relation — this is where the engine's single-core speedup comes from,
@@ -32,7 +34,7 @@ independent of the worker pool.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,15 +69,6 @@ class MorselStats:
     workers: int = 1
 
 
-def parts_dtype(num_partitions: int) -> np.dtype:
-    """Smallest unsigned dtype holding partition indices."""
-    if num_partitions <= 1 << 8:
-        return np.dtype(np.uint8)
-    if num_partitions <= 1 << 16:
-        return np.dtype(np.uint16)
-    return np.dtype(np.int64)
-
-
 def plan_morsels(
     n: int,
     workers: int,
@@ -105,46 +98,6 @@ def plan_morsels(
     return chunks
 
 
-def morsel_histogram(
-    keys_chunk: np.ndarray,
-    num_partitions: int,
-    use_hash: bool,
-    lanes: Optional[int] = None,
-    global_offset: int = 0,
-    parts_out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Phase 1 for one morsel: partition indices + histogram(s).
-
-    Args:
-        keys_chunk: the morsel's keys.
-        num_partitions: fan-out.
-        use_hash: murmur-then-radix (True) or raw radix bits.
-        lanes: when given, additionally count per (partition, lane)
-            where ``lane = global_index % lanes`` — the FPGA circuit's
-            lane assignment, needed for its cache-line accounting.
-        global_offset: the morsel's start index in the full input
-            (defines the lane of its first tuple).
-        parts_out: optional preallocated output for the indices.
-
-    Returns:
-        ``(parts, hist, lane_hist)`` — indices in the morsel dtype, the
-        ``int64`` per-partition counts, and the ``(num_partitions,
-        lanes)`` counts (or None when ``lanes`` is None).
-    """
-    if parts_out is None:
-        parts_out = np.empty(
-            keys_chunk.shape[0], dtype=parts_dtype(num_partitions)
-        )
-    return kernels.hash_histogram(
-        keys_chunk,
-        num_partitions,
-        use_hash,
-        lanes=lanes,
-        global_offset=global_offset,
-        parts_out=parts_out,
-    )
-
-
 def merge_histograms(
     chunk_hists: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,34 +118,3 @@ def merge_histograms(
     if local.shape[0] > 1:
         np.cumsum(local[:-1], axis=0, out=chunk_offsets[1:])
     return counts, partition_base, partition_base[None, :] + chunk_offsets
-
-
-def morsel_scatter(
-    keys_chunk: np.ndarray,
-    payloads_chunk: np.ndarray,
-    parts_chunk: np.ndarray,
-    dest_base_row: np.ndarray,
-    num_partitions: int,
-    out_keys: np.ndarray,
-    out_payloads: np.ndarray,
-) -> None:
-    """Phase 2 for one morsel: stable scatter into the output buffers.
-
-    The morsel's tuples land at
-    ``out[dest_base_row[p] : dest_base_row[p] + local_count[p]]`` per
-    partition ``p``, input order preserved within each group — i.e. a
-    stable scatter, byte-identical to a stable sort by partition index
-    (the native backend walks a cursor, the NumPy backend stable-sorts;
-    same bytes either way).
-    """
-    if parts_chunk.shape[0] == 0:
-        return
-    kernels.stable_scatter(
-        keys_chunk,
-        payloads_chunk,
-        parts_chunk,
-        dest_base_row,
-        num_partitions,
-        out_keys,
-        out_payloads,
-    )

@@ -1,11 +1,13 @@
 """Compiled hot-path kernels with a NumPy fallback.
 
-The five inner primitives of the partitioning data plane — hash, radix
-histogram, stable scatter, SWWC buffered flush, fused batch partition —
-behind one dispatch layer with two interchangeable backends:
+The six inner primitives of the partitioning data plane — fused hash +
+radix histogram, stable scatter, SWWC buffered flush, fused batch
+partition, bucket-chaining build and probe — each exactly one Python
+function between its caller and one of two interchangeable backends:
 
 * **native** — a small C library (``_native.c``) compiled on demand
-  with the system compiler and called through ctypes.  Every call
+  with the system compiler, loaded by :mod:`repro.kernels.native` and
+  called straight through ctypes with raw addresses.  Every call
   releases the GIL, so the execution engine's thread backend runs the
   kernels genuinely in parallel; single-thread the fused loops beat
   NumPy dispatch by avoiding intermediates entirely.
@@ -27,11 +29,11 @@ first kernel use):
 Tests can switch backends at runtime with :func:`set_backend` /
 :func:`using_backend`; the switch is process-global.
 
-Dtype coverage: the native path handles contiguous ``uint32`` keys with
-``uint8``/``uint16``/``int64`` partition indices (everything the morsel
-planner emits).  Anything else — notably ``uint64`` keys for 16 B
-tuples — transparently routes to the NumPy backend per call, so callers
-never need to care.
+Each primitive checks its arguments (one rule set for both backends),
+allocates its outputs once and asks :func:`_eligible` whether the call
+can run in C: contiguous ``uint32`` columns and a :func:`parts_dtype`
+index column.  Anything else — notably ``uint64`` keys for 16 B tuples
+— takes the NumPy twin for that call, so callers never need to care.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.hashing import fanout_bits
 from repro.errors import ConfigurationError
 from repro.kernels import numpy_impl
 from repro.kernels.build import (  # noqa: F401  (re-exported)
@@ -58,11 +61,10 @@ __all__ = [
     "bucket_probe",
     "build_native",
     "hash_histogram",
-    "hash_only",
     "library_path",
     "native_available",
     "partition_batch",
-    "scatter",
+    "parts_dtype",
     "set_backend",
     "stable_scatter",
     "swwc_scatter",
@@ -71,67 +73,77 @@ __all__ = [
 
 _VALID_MODES = ("auto", "native", "numpy")
 
-_lock = threading.Lock()
-_native = None          # NativeKernels instance once loaded
+_lock = threading.RLock()  # backend_name holds it across native_available
+_lib = None          # the symbol table of repro.kernels.native.load
 _backend: Optional[str] = None   # "native" | "numpy" once resolved
 _load_error: Optional[str] = None
 
-_NATIVE_PART_DTYPES = (np.uint8, np.uint16, np.int64)
+#: SWWC buffering pays off while the buffer pool stays cache resident;
+#: past this fan-out the plain cursor scatter wins (pool > L2).
+SWWC_MAX_PARTITIONS = 1 << 13
 
 
-def _resolve() -> str:
-    """Resolve the backend once, honouring ``REPRO_KERNELS``."""
-    global _backend, _native, _load_error
-    if _backend is not None:
-        return _backend
-    with _lock:
-        if _backend is not None:
-            return _backend
-        mode = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
-        if mode not in _VALID_MODES:
-            raise KernelBuildError(
-                f"REPRO_KERNELS must be one of {_VALID_MODES}, got {mode!r}"
-            )
-        if mode == "numpy":
-            _backend = "numpy"
-            return _backend
-        try:
-            from repro.kernels.native import load
+def parts_dtype(num_partitions: int) -> np.dtype:
+    """Smallest dtype holding partition indices for a fan-out."""
+    if num_partitions <= 1 << 8:
+        return np.dtype(np.uint8)
+    if num_partitions <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int64)
 
-            _native = load()
-            _backend = "native"
-        except KernelBuildError as error:
-            if mode == "native":
-                raise
-            _load_error = str(error)
-            _backend = "numpy"
-        return _backend
+
+#: C symbol suffix per partition-index dtype: the library holds one
+#: variant of each per-dtype kernel for every dtype :func:`parts_dtype`
+#: returns, and nothing else
+_PART_SUFFIX = {
+    np.dtype(np.uint8): "u8",
+    np.dtype(np.uint16): "u16",
+    np.dtype(np.int64): "i64",
+}
 
 
 def backend_name() -> str:
-    """The active backend: ``"native"`` or ``"numpy"``."""
-    return _resolve()
+    """The active backend, ``"native"`` or ``"numpy"``: resolved once,
+    honouring ``REPRO_KERNELS``."""
+    global _backend
+    if _backend is not None:
+        return _backend
+    mode = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
+    if mode not in _VALID_MODES:
+        raise KernelBuildError(
+            f"REPRO_KERNELS must be one of {_VALID_MODES}, got {mode!r}"
+        )
+    with _lock:
+        if _backend is not None:
+            return _backend
+        if mode != "numpy" and native_available():
+            _backend = "native"
+        elif mode == "native":
+            raise KernelBuildError(f"native kernels unavailable: {_load_error}")
+        else:
+            _backend = "numpy"
+        return _backend
 
 
 def native_available() -> bool:
-    """True when the native kernels are built, loaded and active-able."""
-    global _native
-    if _native is not None:
-        return True
-    try:
-        from repro.kernels.native import load
+    """True when the native kernels are built, loaded and active-able;
+    loads the symbol table on first success, records why on failure."""
+    global _lib, _load_error
+    with _lock:
+        if _lib is None:
+            from repro.kernels.native import load
 
-        with _lock:
-            if _native is None:
-                _native = load()
-        return True
-    except KernelBuildError:
-        return False
+            try:
+                _lib = load(_PART_SUFFIX)
+            except KernelBuildError as error:
+                _load_error = str(error)
+                return False
+    return True
 
 
 def load_error() -> Optional[str]:
-    """Why auto-detection fell back to NumPy (None when it didn't)."""
-    _resolve()
+    """Why the native kernels failed to load (None when they did not)."""
+    backend_name()
     return _load_error
 
 
@@ -146,12 +158,9 @@ def set_backend(name: str) -> str:
         raise KernelBuildError(
             f"backend must be 'native' or 'numpy', got {name!r}"
         )
-    previous = _resolve()
+    previous = backend_name()
     if name == "native" and not native_available():
-        raise KernelBuildError(
-            "native kernels unavailable: "
-            + (_load_error or "build failed")
-        )
+        raise KernelBuildError(f"native kernels unavailable: {_load_error}")
     _backend = name
     return previous
 
@@ -166,20 +175,44 @@ def using_backend(name: str):
         set_backend(previous)
 
 
-def _native_eligible(keys: np.ndarray, *arrays: Optional[np.ndarray]) -> bool:
-    """Whether this call can run on the native path (dtype/layout)."""
-    if _resolve() != "native":
+def _eligible(
+    columns: Iterable[np.ndarray],
+    parts: Optional[np.ndarray] = None,
+    indices: Iterable[np.ndarray] = (),
+) -> bool:
+    """The one native-eligibility rule.
+
+    True when the native backend is active, every array of ``columns``
+    is a contiguous ``uint32`` column, ``parts`` (when given) is a
+    contiguous partition-index column of a dtype the library has, and
+    every array of ``indices`` is a contiguous ``int64`` column.
+    """
+    if backend_name() != "native":
         return False
-    if keys.dtype != np.uint32 or not keys.flags.c_contiguous:
-        return False
-    for array in arrays:
-        if array is not None and not array.flags.c_contiguous:
+    for column in columns:
+        if column.dtype != np.uint32 or not column.flags.c_contiguous:
             return False
-    return True
+    for index in indices:
+        if index.dtype != np.int64 or not index.flags.c_contiguous:
+            return False
+    return parts is None or (
+        parts.dtype in _PART_SUFFIX and parts.flags.c_contiguous
+    )
+
+
+def _check_fanout(num_partitions: int, lanes: Optional[int]) -> None:
+    """The fan-out and lane rules, the same on both backends: a power of
+    two ≥ 2 (:func:`~repro.core.hashing.fanout_bits`, the repo-wide
+    rule), and ``None`` or a positive power of two."""
+    fanout_bits(num_partitions)
+    if lanes is not None and (lanes < 1 or lanes & (lanes - 1)):
+        raise ConfigurationError(
+            f"lanes must be a positive power of two, got {lanes}"
+        )
 
 
 # ----------------------------------------------------------------------
-# The five primitives
+# The six primitives
 # ----------------------------------------------------------------------
 
 def hash_histogram(
@@ -190,45 +223,39 @@ def hash_histogram(
     global_offset: int = 0,
     parts_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Primitive 1+2: partition indices + histogram(s) for one morsel.
+    """Primitive 1: partition indices + histogram(s) of one morsel.
 
-    Returns ``(parts, hist, lane_hist)`` exactly like the historical
-    ``morsel_histogram``; ``lane_hist`` is the per-(partition, lane)
-    matrix when ``lanes`` is given, else None.
+    Returns ``(parts, hist, lane_hist)``: the indices (in ``parts_out``,
+    default a fresh :func:`parts_dtype` column), the ``int64``
+    per-partition counts and, when ``lanes`` is given, the
+    ``(num_partitions, lanes)`` counts with ``lane = (global_offset +
+    i) % lanes`` — the FPGA circuit's lane assignment — else None.
+    ``num_partitions`` must be a power of two ≥ 2 and ``lanes`` a
+    positive power of two.
     """
+    _check_fanout(num_partitions, lanes)
     if parts_out is None:
-        from repro.exec.morsels import parts_dtype
-
         parts_out = np.empty(keys.shape[0], dtype=parts_dtype(num_partitions))
-    if (
-        _native_eligible(keys, parts_out)
-        and parts_out.dtype in _NATIVE_PART_DTYPES
-        and (lanes is None or lanes & (lanes - 1) == 0)
-    ):
-        return _native.hash_histogram(
+    if not _eligible((keys,), parts_out):
+        return numpy_impl.hash_histogram(
             keys, num_partitions, use_hash, lanes, global_offset, parts_out
         )
-    return numpy_impl.hash_histogram(
-        keys, num_partitions, use_hash, lanes, global_offset, parts_out
+    hist = np.zeros(num_partitions, dtype=np.int64)
+    lane_hist = None
+    if lanes is not None:
+        lane_hist = np.zeros((num_partitions, lanes), dtype=np.int64)
+    _lib["hash_hist"][parts_out.dtype](
+        keys.ctypes.data,
+        keys.shape[0],
+        num_partitions,
+        1 if use_hash else 0,
+        lanes or 0,
+        global_offset,
+        parts_out.ctypes.data,
+        hist.ctypes.data,
+        None if lane_hist is None else lane_hist.ctypes.data,
     )
-
-
-def hash_only(
-    keys: np.ndarray,
-    num_partitions: int,
-    use_hash: bool,
-    parts_out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Primitive 1: partition indices without counting."""
-    if parts_out is None:
-        dtype = np.uint16 if num_partitions <= 1 << 16 else np.int64
-        parts_out = np.empty(keys.shape[0], dtype=dtype)
-    if _native_eligible(keys, parts_out) and parts_out.dtype in (
-        np.uint16,
-        np.int64,
-    ):
-        return _native.hash_only(keys, num_partitions, use_hash, parts_out)
-    return numpy_impl.hash_only(keys, num_partitions, use_hash, parts_out)
+    return parts_out, hist, lane_hist
 
 
 def stable_scatter(
@@ -240,27 +267,28 @@ def stable_scatter(
     out_keys: np.ndarray,
     out_payloads: np.ndarray,
 ) -> None:
-    """Primitive 3: stable scatter of one morsel into shared outputs.
+    """Primitive 2: stable scatter of one morsel into shared outputs.
 
-    ``dest_base`` (one row of the two-level prefix sum, length ≥
-    ``num_partitions``) is *not* modified — the kernel advances a
-    private cursor copy — so a caller can re-use the row.
+    Input order is kept within each partition, so the bytes equal a
+    stable sort by partition index; ``num_partitions`` is any positive
+    count (the router scatters by shard).  ``dest_base`` (one row of
+    the two-level prefix sum, length ≥ ``num_partitions``) is *not*
+    modified — the kernel advances a private cursor copy — so a caller
+    can re-use the row.
     """
     cursor = np.ascontiguousarray(dest_base, dtype=np.int64).copy()
-    if (
-        _native_eligible(keys, payloads, parts, out_keys, out_payloads)
-        and parts.dtype in _NATIVE_PART_DTYPES
-        and payloads.dtype == np.uint32
-        and out_keys.dtype == np.uint32
-        and out_payloads.dtype == np.uint32
-    ):
-        _native.scatter(keys, payloads, parts, cursor, out_keys, out_payloads)
+    if not _eligible((keys, payloads, out_keys, out_payloads), parts):
+        numpy_impl.scatter(keys, payloads, parts, cursor, out_keys, out_payloads)
         return
-    numpy_impl.scatter(keys, payloads, parts, cursor, out_keys, out_payloads)
-
-
-#: alias kept intentionally: "scatter" is the primitive's short name
-scatter = stable_scatter
+    _lib["scatter"][parts.dtype](
+        keys.ctypes.data,
+        payloads.ctypes.data,
+        parts.ctypes.data,
+        keys.shape[0],
+        cursor.ctypes.data,
+        out_keys.ctypes.data,
+        out_payloads.ctypes.data,
+    )
 
 
 def swwc_scatter(
@@ -274,39 +302,40 @@ def swwc_scatter(
     out_payloads: np.ndarray,
     threads: int = 1,
 ) -> None:
-    """Primitive 4: the scatter driven through software write-combine
+    """Primitive 3: the scatter driven through software write-combine
     buffers (Code 2) — cache-line batched writes, byte-identical output
     to :func:`stable_scatter`.
 
     ``threads > 1`` (native backend only) splits the fan-out into one
     contiguous partition range per thread and flushes the ranges in
     parallel; each cursor has a single owner, so the result stays
-    byte-identical.  The NumPy fallback ignores ``threads``.
+    byte-identical.  Past :data:`SWWC_MAX_PARTITIONS`, or when the
+    buffer pool cannot be allocated, the native path is the plain
+    cursor scatter.  The NumPy fallback ignores ``threads``.
     """
-    from repro.kernels.native import SWWC_MAX_PARTITIONS
-
     cursor = np.ascontiguousarray(dest_base, dtype=np.int64).copy()
-    if (
-        _native_eligible(keys, payloads, parts, out_keys, out_payloads)
-        and parts.dtype in _NATIVE_PART_DTYPES
-        and payloads.dtype == np.uint32
-        and out_keys.dtype == np.uint32
-        and out_payloads.dtype == np.uint32
-    ):
-        if num_partitions <= SWWC_MAX_PARTITIONS and buffer_tuples >= 1:
-            _native.swwc_scatter(
-                keys, payloads, parts, num_partitions, buffer_tuples,
-                cursor, out_keys, out_payloads, threads=max(1, int(threads)),
-            )
-        else:
-            _native.scatter(
-                keys, payloads, parts, cursor, out_keys, out_payloads
-            )
+    if not _eligible((keys, payloads, out_keys, out_payloads), parts):
+        numpy_impl.swwc_scatter(
+            keys, payloads, parts, num_partitions, buffer_tuples, cursor,
+            out_keys, out_payloads,
+        )
         return
-    numpy_impl.swwc_scatter(
-        keys, payloads, parts, num_partitions, buffer_tuples, cursor,
-        out_keys, out_payloads,
+    inputs = (
+        keys.ctypes.data, payloads.ctypes.data, parts.ctypes.data,
+        keys.shape[0],
     )
+    outputs = (
+        cursor.ctypes.data, out_keys.ctypes.data, out_payloads.ctypes.data,
+    )
+    if num_partitions <= SWWC_MAX_PARTITIONS:
+        # the threaded entry point runs the serial flush for threads
+        # <= 1; a non-zero status means no buffer pool (nothing written)
+        status = _lib["swwc_scatter_mt"][parts.dtype](
+            *inputs, num_partitions, buffer_tuples, int(threads), *outputs
+        )
+        if status == 0:
+            return
+    _lib["scatter"][parts.dtype](*inputs, *outputs)
 
 
 def partition_batch(
@@ -315,7 +344,7 @@ def partition_batch(
     use_hash: bool,
     lanes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primitive 5: primitives 2 and 3 over every request of a batch.
+    """Primitive 4: primitives 1 and 2 over every request of a batch.
 
     ``columns`` holds one aligned ``(keys, payloads)`` pair per request
     (empty requests allowed); the inputs are only read.  Returns
@@ -332,50 +361,66 @@ def partition_batch(
     non-contiguous column takes the NumPy twin, which is also the only
     path without a compiler.
     """
-    if num_partitions < 1 or num_partitions & (num_partitions - 1):
-        raise ConfigurationError(
-            f"num_partitions must be a power of two, got {num_partitions}"
-        )
-    if lanes < 1 or lanes & (lanes - 1):
-        raise ConfigurationError(
-            f"lanes must be a power of two, got {lanes}"
-        )
-    native = _resolve() == "native"
+    _check_fanout(num_partitions, lanes)
     for keys, payloads in columns:
         if keys.ndim != 1 or keys.shape != payloads.shape:
             raise ConfigurationError("keys and payloads must align")
-        native = (
-            native
-            and payloads.dtype == np.uint32
-            and _native_eligible(keys, payloads)
+    if not _eligible([array for pair in columns for array in pair]):
+        return numpy_impl.partition_batch(
+            columns, num_partitions, use_hash, lanes
         )
-    if native:
-        from repro.exec.morsels import parts_dtype
-
-        return _native.partition_batch(
-            columns, num_partitions, use_hash, lanes,
-            parts_dtype(num_partitions),
-        )
-    return numpy_impl.partition_batch(
-        columns, num_partitions, use_hash, lanes
+    batch = len(columns)
+    sizes = [keys.shape[0] for keys, _ in columns]
+    # Few, wide buffers: ``ndarray.ctypes.data`` costs about as much as
+    # partitioning 200 tuples, so the call takes four addresses plus
+    # the two per request it cannot avoid.  The table holds raw
+    # pointers; ``columns`` keeps them alive.
+    table = np.array(
+        sizes
+        + [keys.ctypes.data for keys, _ in columns]
+        + [payloads.ctypes.data for _, payloads in columns],
+        dtype=np.intp,
     )
+    n = sum(sizes)
+    parts = np.empty(max(sizes, default=0), dtype=parts_dtype(num_partitions))
+    out = np.empty(2 * n, dtype=np.uint32)
+    # cursor scratch, then the lane matrix
+    acc = np.zeros(num_partitions * (1 + batch * lanes), dtype=np.int64)
+    _lib["partition_batch"][parts.dtype](
+        table.ctypes.data,
+        batch,
+        num_partitions,
+        1 if use_hash else 0,
+        lanes,
+        parts.ctypes.data,
+        out.ctypes.data,
+        acc.ctypes.data,
+    )
+    lane_matrix = acc[num_partitions:].reshape(batch, num_partitions, lanes)
+    return out[:n], out[n:], lane_matrix
 
 
 def bucket_build(
     keys: np.ndarray, num_buckets: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Primitive 6: bucket-chaining join build → ``(heads, next)``.
+    """Primitive 5: bucket-chaining join build → ``(heads, next)``.
 
     Chains are identical across backends: head = the bucket's last
     tuple, ``next`` pointing to earlier ones (scalar front-insertion
     order).  Buckets come from the murmur in-table hash.
     """
-    if _native_eligible(keys):
-        heads = np.empty(num_buckets, dtype=np.int64)
-        nxt = np.empty(keys.shape[0], dtype=np.int64)
-        _native.bucket_build(keys, num_buckets, heads, nxt)
-        return heads, nxt
-    return numpy_impl.bucket_build(keys, num_buckets)
+    if not _eligible((keys,)):
+        return numpy_impl.bucket_build(keys, num_buckets)
+    heads = np.empty(num_buckets, dtype=np.int64)
+    nxt = np.empty(keys.shape[0], dtype=np.int64)
+    _lib["bucket_build"](
+        keys.ctypes.data,
+        keys.shape[0],
+        num_buckets,
+        heads.ctypes.data,
+        nxt.ctypes.data,
+    )
+    return heads, nxt
 
 
 def bucket_probe(
@@ -385,24 +430,39 @@ def bucket_probe(
     num_buckets: int,
     probe_keys: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Primitive 7: chain-walk probe → ``(probe_idx, build_idx, hops)``.
+    """Primitive 6: chain-walk probe → ``(probe_idx, build_idx, hops)``.
 
     Emission is probe-major on both backends — for each probe tuple in
     input order, its matches follow the chain — so the match ordering
     (and everything derived from it: payload pairs, aggregation input
     order) is backend-invariant.  The native walk runs the whole probe
-    in one GIL-free call.
+    in one GIL-free call; its output capacity carries 25% headroom over
+    the probe count so near-1:1 joins finish in one walk, and if the
+    true match count still exceeds it, the kernel reports the count and
+    the walk re-runs once with exact-size buffers.
     """
-    if (
-        _native_eligible(build_keys, heads, nxt)
-        and probe_keys.dtype == np.uint32
-        and probe_keys.flags.c_contiguous
-        and heads.dtype == np.int64
-        and nxt.dtype == np.int64
-    ):
-        return _native.bucket_probe(
+    if not _eligible((build_keys, probe_keys), indices=(heads, nxt)):
+        return numpy_impl.bucket_probe(
             build_keys, heads, nxt, num_buckets, probe_keys
         )
-    return numpy_impl.bucket_probe(
-        build_keys, heads, nxt, num_buckets, probe_keys
-    )
+    m = int(probe_keys.shape[0])
+    capacity = m + m // 4 + 64
+    hops = np.zeros(1, dtype=np.int64)
+    while True:
+        out_probe = np.empty(capacity, dtype=np.int64)
+        out_build = np.empty(capacity, dtype=np.int64)
+        count = _lib["bucket_probe"](  # restype int64: a Python int
+            build_keys.ctypes.data,
+            heads.ctypes.data,
+            nxt.ctypes.data,
+            num_buckets,
+            probe_keys.ctypes.data,
+            m,
+            out_probe.ctypes.data,
+            out_build.ctypes.data,
+            capacity,
+            hops.ctypes.data,
+        )
+        if count <= capacity:
+            return out_probe[:count], out_build[:count], int(hops[0])
+        capacity = count

@@ -1,28 +1,31 @@
 /* Native hot-path kernels for the partitioning data plane.
  *
- * Five primitives, mirroring the paper's inner loops (Section 4):
+ * Six primitives, mirroring the paper's inner loops (Section 4), each
+ * called straight from its one dispatch function in repro.kernels:
  *
- *   1. hash           — murmur3 finalizer (Code 3) or radix bits;
- *   2. radix histogram — fused hash + per-partition counts, with the
- *      optional per-(partition, lane) histogram the FPGA cache-line
- *      accounting needs;
- *   3. stable scatter — sequential cursor scatter, byte-identical to a
+ *   1. hash + radix histogram — murmur3 finalizer (Code 3) or radix
+ *      bits, fused with the per-partition counts and the optional
+ *      per-(partition, lane) histogram the FPGA cache-line accounting
+ *      needs;
+ *   2. stable scatter — sequential cursor scatter, byte-identical to a
  *      stable sort by partition index;
- *   4. SWWC scatter   — the same scatter driven through cache-line
+ *   3. SWWC scatter   — the same scatter driven through cache-line
  *      sized software write-combine buffers (Code 2): tuples
  *      accumulate per partition and a full buffer is flushed with one
  *      memcpy, so the random-write working set is the buffer pool, not
  *      the whole output;
- *   5. batch partition — 2 and 3 run per request of a batch, straight
+ *   4. batch partition — 1 and 2 run per request of a batch, straight
  *      from each request's own columns into its slice of one shared
- *      output: one call (one GIL release) per batch.
+ *      output: one call (one GIL release) per batch;
+ *   5 + 6. bucket-chaining join build and probe.
  *
  * Deliberately plain C99 with no Python.h: the module is loaded
  * through ctypes, which drops the GIL for the duration of every call —
  * that is what makes the thread backend of the execution engine scale
- * instead of serialising on NumPy dispatch.  Every function is
- * instantiated for the three partition-index dtypes the morsel planner
- * uses (uint8 / uint16 / int64, see exec.morsels.parts_dtype).
+ * instead of serialising on NumPy dispatch.  Every partitioning kernel
+ * is instantiated for the three partition-index dtypes of
+ * repro.kernels.parts_dtype (uint8 / uint16 / int64); the Python
+ * prototypes come from the one signature table in kernels/native.py.
  *
  * The outputs are bit-exact with the NumPy reference implementations
  * (pinned by tests/test_kernels.py): same murmur constants, same
@@ -59,7 +62,7 @@ static inline uint32_t murmur32(uint32_t h)
 }
 
 /* ------------------------------------------------------------------ */
-/* 1 + 2: fused hash + histogram (+ optional lane histogram)           */
+/* 1: fused hash + histogram (+ optional lane histogram)               */
 /*                                                                     */
 /* parts[i] = (use_hash ? murmur32(keys[i]) : keys[i]) & (P - 1)       */
 /* hist[p] += 1; lane_hist[p * lanes + (global_offset + i) % lanes]    */
@@ -104,40 +107,8 @@ DEFINE_HASH_HIST(u8, uint8_t)
 DEFINE_HASH_HIST(u16, uint16_t)
 DEFINE_HASH_HIST(i64, int64_t)
 
-/* Hash only (no histogram): for callers that want raw partition
- * indices (placement, isolation, the NumPy batch twin's packed index). */
-void repro_hash_only_u16(const uint32_t *keys, int64_t n,
-                         int64_t num_partitions, int use_hash,
-                         uint16_t *parts)
-{
-    const uint32_t mask = (uint32_t)(num_partitions - 1);
-    int64_t i;
-    if (use_hash) {
-        for (i = 0; i < n; i++)
-            parts[i] = (uint16_t)(murmur32(keys[i]) & mask);
-    } else {
-        for (i = 0; i < n; i++)
-            parts[i] = (uint16_t)(keys[i] & mask);
-    }
-}
-
-void repro_hash_only_i64(const uint32_t *keys, int64_t n,
-                         int64_t num_partitions, int use_hash,
-                         int64_t *parts)
-{
-    const uint32_t mask = (uint32_t)(num_partitions - 1);
-    int64_t i;
-    if (use_hash) {
-        for (i = 0; i < n; i++)
-            parts[i] = (int64_t)(murmur32(keys[i]) & mask);
-    } else {
-        for (i = 0; i < n; i++)
-            parts[i] = (int64_t)(keys[i] & mask);
-    }
-}
-
 /* ------------------------------------------------------------------ */
-/* 3: stable cursor scatter                                            */
+/* 2: stable cursor scatter                                            */
 /*                                                                     */
 /* cursor[] starts as the morsel's per-partition destination bases and */
 /* is advanced in place; the sequential visit order makes the scatter  */
@@ -172,7 +143,7 @@ DEFINE_SCATTER(u16, uint16_t)
 DEFINE_SCATTER(i64, int64_t)
 
 /* ------------------------------------------------------------------ */
-/* 4: SWWC buffered scatter (Code 2)                                   */
+/* 3: SWWC buffered scatter (Code 2)                                   */
 /*                                                                     */
 /* Key/payload pairs accumulate in per-partition buffers of            */
 /* buffer_tuples entries; a full buffer is drained with two memcpys    */
@@ -239,7 +210,7 @@ DEFINE_SWWC_SCATTER(u16, uint16_t)
 DEFINE_SWWC_SCATTER(i64, int64_t)
 
 /* ------------------------------------------------------------------ */
-/* 4b: multi-threaded SWWC scatter                                     */
+/* 3b: multi-threaded SWWC scatter                                     */
 /*                                                                     */
 /* Partition-parallel flush: the fan-out is split into one contiguous  */
 /* partition range per thread; every thread scans the whole input but  */
@@ -385,13 +356,13 @@ DEFINE_SWWC_MT(u16, uint16_t)
 DEFINE_SWWC_MT(i64, int64_t)
 
 /* ------------------------------------------------------------------ */
-/* 5: fused batch partition                                            */
+/* 4: fused batch partition                                            */
 /*                                                                     */
-/* For each request r of the batch, in order: primitive 2 on its keys  */
+/* For each request r of the batch, in order: primitive 1 on its keys  */
 /* into the parts[] scratch (cursor[] doubling as the histogram, a     */
 /* tuple's lane being its index within its own request mod lanes),     */
 /* an exclusive prefix sum that turns the counts into cursors starting */
-/* at the request's first output slot, and primitive 3.  Request r's   */
+/* at the request's first output slot, and primitive 2.  Request r's   */
 /* tuples land in out[sum(sizes[:r]) : sum(sizes[:r+1])], stable-      */
 /* sorted by partition: the bytes of hash_hist + scatter on that       */
 /* request alone.  The inputs are only read.                           */
@@ -441,7 +412,7 @@ DEFINE_PARTITION_BATCH(u16, uint16_t)
 DEFINE_PARTITION_BATCH(i64, int64_t)
 
 /* ------------------------------------------------------------------ */
-/* 6. bucket-chaining hash join: build + probe (Section 3.3)          */
+/* 5 + 6: bucket-chaining hash join: build + probe (Section 3.3)       */
 /* ------------------------------------------------------------------ */
 
 /* In-table bucket: the HIGH bits of the murmur hash.  The radix join
@@ -512,4 +483,4 @@ int64_t repro_bucket_probe(const uint32_t *build_keys,
 }
 
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 4; }
+int repro_kernels_abi(void) { return 5; }

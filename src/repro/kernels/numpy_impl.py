@@ -1,7 +1,7 @@
 """Pure-NumPy reference implementations of the hot-path kernels.
 
 These are the vectorised kernels the repo shipped before the native
-extension existed, factored behind the same five-primitive API so the
+extension existed, factored behind the same six-primitive API so the
 dispatch layer (:mod:`repro.kernels`) can swap freely between them.
 They are the always-available fallback *and* the correctness oracle:
 the native kernels must match them byte for byte (tests/test_kernels.py
@@ -58,16 +58,6 @@ def hash_histogram(
             .reshape(num_partitions, lanes)
         )
     return parts, hist, lane_hist
-
-
-def hash_only(
-    keys: np.ndarray,
-    num_partitions: int,
-    use_hash: bool,
-    parts_out: np.ndarray,
-) -> np.ndarray:
-    """Partition indices only (no counting)."""
-    return partition_function(num_partitions, use_hash)(keys, out=parts_out)
 
 
 def scatter(
@@ -192,8 +182,8 @@ def _partition_group(
         np.uint16 if batch * num_partitions <= _PACKED_INDEX_LIMIT
         else np.int64
     )
-    parts = hash_only(
-        keys, num_partitions, use_hash, np.empty(n, dtype=packed_dtype)
+    parts = partition_function(num_partitions, use_hash)(
+        keys, out=np.empty(n, dtype=packed_dtype)
     )
     packed = np.repeat(
         (np.arange(batch, dtype=np.int64) * num_partitions).astype(

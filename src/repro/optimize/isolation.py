@@ -50,7 +50,7 @@ def hot_partitions(
     if not len(hot_keys):
         return np.empty(0, dtype=np.int64)
     keys = np.asarray(list(hot_keys), dtype=np.uint32)
-    parts = kernels.hash_only(keys, num_partitions, uses_hash)
+    parts, _, _ = kernels.hash_histogram(keys, num_partitions, uses_hash)
     return np.unique(parts.astype(np.int64))
 
 

@@ -424,7 +424,7 @@ class AdaptiveOptimizer:
         P = config.num_partitions
         by_share = set(profile.isolation_keys(P, self.skew_factor))
         keys = np.asarray(profile.hot_keys, dtype=np.uint32)
-        parts = kernels.hash_only(keys, P, config.uses_hash)
+        parts, _, _ = kernels.hash_histogram(keys, P, config.uses_hash)
         hot_mass = np.zeros(P, dtype=np.float64)
         np.add.at(
             hot_mass,

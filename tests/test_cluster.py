@@ -31,7 +31,11 @@ from repro.cluster.router import _serving_column
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
 from repro.core.pieces import piece_config
-from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.errors import (
+    ConfigurationError,
+    PartitionOverflowError,
+    ReproError,
+)
 from repro.workloads.relations import Relation, make_relation
 
 
@@ -362,6 +366,25 @@ class TestFailover:
             second = router.partition(rel, config=cfg)
             assert second.ok
             _assert_identical(second.output, single, 32)
+
+    def test_submit_failure_reroutes_the_slice(self, monkeypatch):
+        """A shard that fails at submission is banned mid-request: its
+        slice is re-hashed and re-scattered to the next healthy shards,
+        and the output stays byte-identical."""
+        cfg = PartitionerConfig(num_partitions=32)
+        rel = _relation(20_000, seed=3)
+        single = FpgaPartitioner(cfg).partition(rel, on_overflow="hist")
+        with ShardRouter(3, seed=1) as router:
+            victim = router.nodes[1]
+
+            def refuse(request):
+                raise ReproError("injected submit failure")
+
+            monkeypatch.setattr(victim, "submit", refuse)
+            resp = router.partition(rel, config=cfg)
+            assert resp.ok and resp.failovers == 1
+            _assert_identical(resp.output, single, 32)
+            assert victim.shard_id not in set(resp.shard_of_partition)
 
     def test_all_shards_dead_fails_cleanly(self):
         cfg = PartitionerConfig(num_partitions=16)

@@ -1,11 +1,16 @@
-"""Documentation link gate: every repo path the docs name must exist.
+"""Documentation link gate: every repo path and public name the docs
+cite must exist.
 
 The docs cite files by backticked repo-relative path (a benchmark
-script, a test module, another doc page).  Deleting or renaming a file
-leaves such a citation dangling without any other test noticing; this
-one walks the user-facing pages and fails on every path that is gone.
+script, a test module, another doc page) and code by backticked dotted
+name (``repro.exec.engine``, ``kernels.hash_histogram``).  Deleting or
+renaming either leaves the citation dangling without any other test
+noticing; this one walks the user-facing pages and fails on every path
+or name that is gone.
 """
 
+import importlib
+import json
 import pathlib
 import re
 
@@ -82,6 +87,71 @@ def test_service_knob_table_is_the_constructor():
     parameters = set(inspect.signature(PartitionService.__init__).parameters)
     assert len(rows) >= 10, "knob table not found"
     assert documented == parameters - {"self", "clock"}
+
+
+#: the user-facing pages whose public names must exist
+NAME_PAGES = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+_DOTTED = re.compile(r"\b(?:repro|kernels)(?:\.\w+)+")
+
+
+def _cited_names(text: str):
+    """Dotted ``repro.*`` / ``kernels.*`` names in inline code spans."""
+    for span in _INLINE.findall(_FENCE.sub("", text)):
+        yield from _DOTTED.findall(span)
+
+
+def _metric_names():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"] for metric in spec["per_layer"]}
+
+
+def _resolves(name: str) -> bool:
+    """Import the longest module prefix of ``name`` (``kernels.`` means
+    ``repro.kernels.``), then ``getattr`` the rest."""
+    parts = name.split(".")
+    if parts[0] == "kernels":
+        parts.insert(0, "repro")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[split:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "page", NAME_PAGES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_public_names_exist(page):
+    """Every documented ``repro.`` / ``kernels.`` name still imports,
+    or is a per-layer metric of the stack benchmark."""
+    metrics = _metric_names()
+    cited = sorted(set(_cited_names(page.read_text())))
+    missing = [
+        name for name in cited if name not in metrics and not _resolves(name)
+    ]
+    assert not missing, f"{page.relative_to(ROOT)} names missing {missing}"
+
+
+def test_the_gate_sees_names():
+    # a regex or resolver that silently accepts everything would pass
+    cited = set(_cited_names((ROOT / "docs" / "EXECUTION.md").read_text()))
+    assert {"kernels.hash_histogram", "repro.kernels.numpy_impl"} <= cited
+    assert "kernels.stable_scatter_mtps" in _metric_names()
+    assert _resolves("repro.exec.engine.ExecutionEngine")
+    assert not _resolves("kernels.no_such_primitive")
+    assert not _resolves("repro.no_such_module")
 
 
 def test_the_gate_sees_citations():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.hashing import partition_function, partition_of
 from repro.core.modes import OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
@@ -23,8 +24,6 @@ from repro.errors import ConfigurationError, PartitionOverflowError
 from repro.exec import (
     ExecutionEngine,
     merge_histograms,
-    morsel_histogram,
-    morsel_scatter,
     plan_morsels,
     resolve_engine,
 )
@@ -189,11 +188,11 @@ class TestMorselUnits:
     def test_morsel_histogram_and_scatter_roundtrip(self, rng):
         keys = rng.integers(0, 2**32, size=5_000, dtype=np.uint32)
         payloads = np.arange(5_000, dtype=np.uint32)
-        parts, hist, _ = morsel_histogram(keys, 32, True)
+        parts, hist, _ = kernels.hash_histogram(keys, 32, True)
         counts, _, dest_base = merge_histograms(hist[None, :])
         out_keys = np.empty_like(keys)
         out_payloads = np.empty_like(payloads)
-        morsel_scatter(
+        kernels.stable_scatter(
             keys, payloads, parts, dest_base[0], 32, out_keys, out_payloads
         )
         ref_k, ref_p, ref_c = _reference(keys, payloads, 32, True)

@@ -6,15 +6,16 @@ bytes that come out are exactly the bytes the NumPy fallback produces.
 These tests pin that contract:
 
 1. primitive-level property tests (hypothesis): ``hash_histogram``,
-   ``hash_only``, ``stable_scatter``, ``swwc_scatter`` and
-   ``partition_batch`` agree between backends for arbitrary inputs,
-   fan-outs and partition-index dtypes;
+   ``stable_scatter``, ``swwc_scatter``, ``partition_batch`` and the
+   bucket join agree between backends for arbitrary inputs, fan-outs
+   and partition-index dtypes;
 2. partitioner-level property tests: ``FpgaPartitioner`` output is
    byte-identical across backends for HIST/PAD x RID/VRID x hash kind,
    and ``partition_many`` equals per-request ``partition()`` under
    every overflow policy;
-3. dispatch behaviour: the env switch, forced-native failure mode, and
-   the per-call dtype fallback;
+3. dispatch behaviour: the env switch, forced-native failure mode, the
+   per-call dtype fallback (eligible inputs never reach the twin), and
+   the fan-out / lane rules both backends enforce;
 4. zero-copy assertions: partition views share memory with the single
    backing column all the way through the service resolve path.
 
@@ -38,7 +39,8 @@ from repro.core.modes import (
 )
 from repro.core.partitioner import FpgaPartitioner, PartitionSlices
 from repro.errors import ConfigurationError, PartitionOverflowError
-from repro.exec.morsels import parts_dtype
+from repro.exec.engine import ExecutionEngine
+from repro.kernels import numpy_impl, parts_dtype
 
 NATIVE = kernels.native_available()
 needs_native = pytest.mark.skipif(
@@ -94,21 +96,6 @@ def test_hash_histogram_native_equals_numpy(
     else:
         assert np.array_equal(native[2], fallback[2])  # lane histogram
     assert int(native[1].sum()) == keys.shape[0]
-
-
-@needs_native
-@given(
-    keys=key_arrays,
-    num_partitions=st.sampled_from([2, 64, 1 << 16, 1 << 17]),
-    use_hash=st.booleans(),
-)
-@settings(max_examples=40, deadline=None)
-def test_hash_only_native_equals_numpy(keys, num_partitions, use_hash):
-    native, fallback = _both_backends(
-        lambda: kernels.hash_only(keys, num_partitions, use_hash)
-    )
-    assert native.dtype == fallback.dtype
-    assert np.array_equal(native, fallback)
 
 
 @needs_native
@@ -220,11 +207,11 @@ def test_swwc_mt_flush_large_input_byte_identical():
     payloads = rng.integers(0, 2**31, size=n, dtype=np.uint64).astype(
         np.uint32
     )
-    parts = np.empty(n, dtype=parts_dtype(num_partitions))
+    # a scatter takes any positive fan-out, but hash_histogram only
+    # powers of two: index the 96 partitions by key mod 96
+    parts = (keys % num_partitions).astype(parts_dtype(num_partitions))
+    hist = np.bincount(parts, minlength=num_partitions)
     with kernels.using_backend("native"):
-        _, hist, _ = kernels.hash_histogram(
-            keys, num_partitions, True, parts_out=parts
-        )
         dest_base = np.zeros(num_partitions, dtype=np.int64)
         np.cumsum(hist[:-1], out=dest_base[1:])
         ref_keys = np.empty(n, dtype=np.uint32)
@@ -369,8 +356,6 @@ class TestPartitionBatchDispatch:
     ):
         """One ineligible column anywhere in the batch routes the whole
         call to NumPy — never a crash, never a hidden copy into C."""
-        from repro.kernels import numpy_impl
-
         calls = []
         twin = numpy_impl.partition_batch
         monkeypatch.setattr(
@@ -643,6 +628,159 @@ class TestDispatch:
         assert kernels.build_native() == path
 
 
+#: the NumPy twin behind each primitive
+_TWINS = {
+    "hash_histogram": "hash_histogram",
+    "stable_scatter": "scatter",
+    "swwc_scatter": "swwc_scatter",
+    "partition_batch": "partition_batch",
+    "bucket_build": "bucket_build",
+    "bucket_probe": "bucket_probe",
+}
+_PARTITIONING = ("hash_histogram", "stable_scatter", "swwc_scatter")
+
+#: a fan-out per partition-index dtype — the one parts_dtype picks for
+#: the library's three; int32 is none of them (an ineligible column)
+_FANOUT = {np.uint8: 16, np.uint16: 1024, np.int64: 1 << 17, np.int32: 16}
+
+
+def _dispatch_keys(defect=None):
+    keys = np.random.default_rng(31).integers(
+        0, 2**32, size=300, dtype=np.uint64
+    ).astype(np.uint32)
+    if defect == "strided keys":
+        return np.repeat(keys, 2)[::2]
+    if defect == "uint64 keys":
+        return keys.astype(np.uint64)
+    return keys
+
+
+def _run_primitive(name, keys, index_dtype):
+    """Call primitive ``name`` on ``keys`` (partition indices of
+    ``index_dtype`` where it takes them); return its outputs."""
+    n = keys.shape[0]
+    fanout = _FANOUT[index_dtype]
+    payloads = np.arange(n, dtype=np.uint32)
+    if name == "hash_histogram":
+        return kernels.hash_histogram(
+            keys, fanout, True, lanes=4, global_offset=3,
+            parts_out=np.empty(n, dtype=index_dtype),
+        )
+    if name == "partition_batch":
+        return kernels.partition_batch(
+            [(keys, payloads), (keys[:5], payloads[:5])], fanout, True, 4
+        )
+    if name == "bucket_build":
+        return kernels.bucket_build(keys, 64)
+    if name == "bucket_probe":
+        heads, nxt = kernels.bucket_build(keys, 64)
+        return kernels.bucket_probe(keys, heads, nxt, 64, keys[::-1].copy())
+    parts = (keys % fanout).astype(index_dtype)
+    dest_base = np.zeros(fanout, dtype=np.int64)
+    np.cumsum(np.bincount(parts, minlength=fanout)[:-1], out=dest_base[1:])
+    out = (np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32))
+    if name == "stable_scatter":
+        kernels.stable_scatter(keys, payloads, parts, dest_base, fanout, *out)
+    else:
+        kernels.swwc_scatter(
+            keys, payloads, parts, dest_base, fanout, 8, *out, threads=2
+        )
+    return out
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "name, defect, index_dtype",
+    [
+        (name, None, dtype)
+        for name in _PARTITIONING + ("partition_batch",)
+        for dtype in (np.uint8, np.uint16, np.int64)
+    ]
+    + [("bucket_build", None, np.uint8), ("bucket_probe", None, np.uint8)]
+    + [
+        (name, defect, np.uint8)
+        for name in _TWINS
+        for defect in ("strided keys", "uint64 keys")
+    ]
+    + [(name, "int32 parts", np.int32) for name in _PARTITIONING],
+)
+def test_eligible_inputs_never_reach_the_twin(
+    monkeypatch, name, defect, index_dtype
+):
+    """Contiguous ``uint32`` columns with any of the library's
+    partition-index dtypes run in C (zero twin calls); one ineligible
+    input takes the twin exactly once — and either way the bytes are
+    the twin's."""
+    keys = _dispatch_keys(defect)
+    with kernels.using_backend("numpy"):
+        want = _run_primitive(name, keys, index_dtype)
+    calls = []
+    twin = getattr(numpy_impl, _TWINS[name])
+    monkeypatch.setattr(
+        numpy_impl,
+        _TWINS[name],
+        lambda *args: calls.append(1) or twin(*args),
+    )
+    with kernels.using_backend("native"):
+        got = _run_primitive(name, keys, index_dtype)
+    assert len(calls) == (0 if defect is None else 1)
+    assert len(got) == len(want)
+    for ours, reference in zip(got, want):
+        if isinstance(reference, np.ndarray):
+            assert ours.dtype == reference.dtype
+            assert np.array_equal(ours, reference)
+        else:
+            assert ours == reference
+
+
+def _call_with_rules(entry, fanout, lanes):
+    keys = np.arange(16, dtype=np.uint32)
+    payloads = keys.copy()
+    if entry == "hash_histogram":
+        kernels.hash_histogram(keys, fanout, False, lanes=lanes)
+    elif entry == "partition_batch":
+        kernels.partition_batch(
+            [(keys, payloads)], fanout, False, 8 if lanes is None else lanes
+        )
+    elif entry == "begin_partition":
+        with ExecutionEngine(kind="serial") as engine:
+            engine.begin_partition(
+                keys, payloads, fanout, False, lanes=lanes
+            ).close()
+    else:
+        from repro.cpu.swwc_buffers import swwc_partition
+
+        swwc_partition(keys, payloads, fanout)
+
+
+@pytest.mark.parametrize(
+    "backend", [pytest.param("native", marks=needs_native), "numpy"]
+)
+@pytest.mark.parametrize(
+    "entry, fanout, lanes",
+    [
+        (entry, fanout, lanes)
+        for entry in (
+            "hash_histogram", "partition_batch", "begin_partition",
+            "swwc_partition",
+        )
+        for fanout, lanes in [(p, None) for p in (0, 1, 3, 6, 12)]
+        + [(16, 0), (16, 3)]
+        if entry != "swwc_partition" or lanes is None  # it takes no lanes
+    ],
+)
+def test_fanout_and_lane_rules_hold_on_both_backends(
+    backend, entry, fanout, lanes
+):
+    """A fan-out that is not a power of two ≥ 2, or a lane count that
+    is not a positive power of two, is a ``ConfigurationError`` on both
+    backends — never a silently masked histogram or an empty lane
+    matrix from C."""
+    with kernels.using_backend(backend):
+        with pytest.raises(ConfigurationError):
+            _call_with_rules(entry, fanout, lanes)
+
+
 # ---------------------------------------------------------------------------
 # 4. Zero-copy data plane
 
@@ -712,8 +850,6 @@ class TestZeroCopy:
     def test_thread_engine_scatter_is_zero_copy(self):
         """The thread backend scatters straight into the output arrays
         the partitioner hands out — the views alias those buffers."""
-        from repro.exec.engine import ExecutionEngine
-
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 2**32, size=200_000, dtype=np.uint64).astype(
             np.uint32
