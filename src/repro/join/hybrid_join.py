@@ -8,10 +8,9 @@ skewed relation, the join transparently retries in HIST mode or falls
 back to the CPU partitioner, per the chosen policy (Section 5.4).
 
 Relations too large to partition in memory can come in pre-partitioned
-on disk: :func:`hybrid_join_spilled` builds and probes directly from
-two :class:`~repro.storage.spill.PartitionSpill` handles, reading
-one partition pair at a time — the out-of-core completion of the same
-join.
+on disk: :func:`hybrid_join_spilled` runs the same join plan over two
+:class:`~repro.storage.spill.PartitionSpill` handles, reading one
+partition pair at a time — the out-of-core completion of the same join.
 """
 
 from __future__ import annotations
@@ -20,66 +19,106 @@ from typing import Optional
 
 from repro.core.model import FpgaCostModel
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
-from repro.core.partitioner import FpgaPartitioner, OverflowPolicy
+from repro.core.partitioner import OverflowPolicy
 from repro.errors import ConfigurationError
-from repro.join.build_probe import BuildProbeCostModel, shares_if_dense
-from repro.join.radix_join import _join_partitions
+from repro.join.build_probe import BuildProbeCostModel
+from repro.join.radix_join import _build_probe_seconds
 from repro.join.timing import JoinResult, JoinTiming
 from repro.platform.machine import XeonFpgaPlatform
 from repro.workloads.relations import Workload
 
 
 def _partition_timing(
-    config: PartitionerConfig,
-    pairs,
+    inputs,
     fpga_cost_model: FpgaCostModel,
     threads: int,
     calibrated: bool,
 ):
     """Partitioning seconds + effective mode labels for a join's inputs.
 
-    ``pairs`` is ``(tuple_bytes, output, n_timing)`` triples where
-    ``output`` exposes ``fell_back_to_cpu`` and ``config`` — either a
-    full :class:`~repro.core.partitioner.PartitionedOutput` or the
-    fused executor's :class:`~repro.plan.executor.InputSummary`.  Each
-    relation is timed by the mode that actually ran for it — overflow
-    may have forced one (usually the skewed S) into HIST or onto the
-    CPU, with the aborted PAD pass still charged (worst case of
-    Section 5.4: detection at the very end of the run).
+    ``inputs`` is ``(summary, n_timing)`` pairs, one per relation, where
+    ``summary`` is the :class:`~repro.plan.executor.InputSummary` of an
+    in-memory or spilled input.  Each relation is timed by the mode that
+    actually ran for it — overflow may have forced one (usually the
+    skewed S) into HIST or onto the CPU, with the aborted pass of its
+    ``requested_config`` still charged (worst case of Section 5.4:
+    detection at the very end of the run).
     """
     partition_seconds = 0.0
     effective_labels = []
-    for tuple_bytes, output, n_timing in pairs:
-        if output.fell_back_to_cpu:
+    for summary, n_timing in inputs:
+        requested = summary.requested_config
+        if summary.fell_back_to_cpu:
             from repro.cpu.cost_model import CpuCostModel
 
             cpu_seconds = CpuCostModel().partitioning_seconds(
                 n_timing,
                 threads,
-                hash_kind=config.hash_kind,
-                num_partitions=config.num_partitions,
-                tuple_bytes=tuple_bytes,
+                hash_kind=requested.hash_kind,
+                num_partitions=requested.num_partitions,
+                tuple_bytes=requested.tuple_bytes,
             )
             aborted = fpga_cost_model.partitioning_seconds(
-                n_timing, config, calibrated=calibrated
+                n_timing, requested, calibrated=calibrated
             )
             partition_seconds += cpu_seconds + aborted
             effective_labels.append("cpu-fallback")
             continue
         partition_seconds += fpga_cost_model.partitioning_seconds(
-            n_timing, output.config, calibrated=calibrated
+            n_timing, summary.config, calibrated=calibrated
         )
         if (
-            config.output_mode is OutputMode.PAD
-            and output.config.output_mode is OutputMode.HIST
+            requested.output_mode is OutputMode.PAD
+            and summary.config.output_mode is OutputMode.HIST
         ):
             partition_seconds += fpga_cost_model.partitioning_seconds(
-                n_timing, config, calibrated=calibrated
+                n_timing, requested, calibrated=calibrated
             )
-            effective_labels.append(output.config.mode_label + "(retry)")
+            effective_labels.append(summary.config.mode_label + "(retry)")
         else:
-            effective_labels.append(output.config.mode_label)
+            effective_labels.append(summary.config.mode_label)
     return partition_seconds, effective_labels
+
+
+def _timed_join(
+    result,
+    timing_tuples,
+    threads: int,
+    fpga_cost_model: FpgaCostModel,
+    bp_cost_model: Optional[BuildProbeCostModel],
+    calibrated: bool,
+    source: str,
+) -> JoinResult:
+    """Time an executed FPGA-partitioned join plan (in memory or spilled)."""
+    r_in, s_in = result.inputs
+    n_r, n_s = timing_tuples
+    partition_seconds, effective_labels = _partition_timing(
+        ((r_in, n_r), (s_in, n_s)), fpga_cost_model, threads, calibrated
+    )
+    fell_back = r_in.fell_back_to_cpu or s_in.fell_back_to_cpu
+    timing = JoinTiming(
+        partition_seconds=partition_seconds,
+        build_probe_seconds=_build_probe_seconds(
+            bp_cost_model, result, timing_tuples, threads,
+            fpga_partitioned=not fell_back,
+        ),
+        r_tuples=n_r,
+        s_tuples=n_s,
+        threads=threads,
+        partitioner=(
+            "cpu-fallback"
+            if fell_back
+            else f"{source} {'+'.join(effective_labels)}"
+        ),
+        num_partitions=result.num_partitions,
+    )
+    return JoinResult(
+        matches=result.matches,
+        r_payloads=result.r_payloads,
+        s_payloads=result.s_payloads,
+        timing=timing,
+        fell_back_to_cpu=fell_back,
+    )
 
 
 def hybrid_join(
@@ -95,9 +134,14 @@ def hybrid_join(
     timing_r_tuples: Optional[int] = None,
     timing_s_tuples: Optional[int] = None,
     engine=None,
-    fused: bool = False,
 ) -> JoinResult:
     """Execute and time a hybrid FPGA/CPU radix hash join.
+
+    The join runs as a plan (:func:`repro.plan.execute_plan`): fused,
+    so build+probe starts per partition as soon as the scatter lands;
+    staged through the materializing partitioner when a ``platform`` is
+    attached (its accounting needs the FPGA-written regions).  The rows
+    are identical either way.
 
     Args:
         workload: the R/S pair.
@@ -120,15 +164,8 @@ def hybrid_join(
         engine: execution-engine spec (``None``, ``"parallel"``,
             ``"serial"``, ``"thread"``, ``"process"`` or an
             :class:`~repro.exec.engine.ExecutionEngine`); parallelises
-            the partitioning phases and the per-partition build+probe
-            without changing the functional result.
-        fused: run through the plan layer's fused one-pass executor
-            (:func:`repro.plan.execute_plan`) — build+probe starts per
-            partition as soon as the scatter lands, with no
-            materialized ``PartitionedOutput`` between the stages.
-            Row-identical to the staged path; when fusion is declined
-            (e.g. a ``platform`` is attached), the staged operators run
-            with the reason recorded.
+            the partitioning and the per-partition build+probe without
+            changing the functional result.
 
     Returns:
         A :class:`JoinResult`; ``timing.partitioner`` records the FPGA
@@ -145,91 +182,33 @@ def hybrid_join(
             f"is configured for {config.tuple_bytes} B"
         )
 
-    from repro.exec.engine import resolve_engine
+    from repro.plan import execute_plan, join_query
 
-    engine = resolve_engine(engine, threads)
-
-    if fused:
-        from repro.plan import execute_plan, join_query
-
-        result = execute_plan(
-            join_query(
-                r,
-                s,
-                config=config,
-                on_overflow=on_overflow,
-                collect_payloads=collect_payloads,
-            ),
-            engine=engine,
-            platform=platform,
-        )
-        r_out, s_out = result.inputs
-        matches, r_pay, s_pay = (
-            result.matches, result.r_payloads, result.s_payloads
-        )
-    else:
-        partitioner = FpgaPartitioner(
-            config, platform=platform, engine=engine
-        )
-        r_out = partitioner.partition(r, on_overflow=on_overflow)
-        s_out = partitioner.partition(s, on_overflow=on_overflow)
-
-        matches, r_pay, s_pay = _join_partitions(
-            r_out, s_out, collect_payloads, engine=engine
-        )
-
-    fell_back = r_out.fell_back_to_cpu or s_out.fell_back_to_cpu
-
-    fpga_cost_model = fpga_cost_model or FpgaCostModel(
-        bandwidth=platform.bandwidth if platform else None
+    result = execute_plan(
+        join_query(
+            r,
+            s,
+            config=config,
+            on_overflow=on_overflow,
+            collect_payloads=collect_payloads,
+        ),
+        engine=engine,
+        threads=threads,
+        platform=platform,
     )
-    bp_cost_model = bp_cost_model or BuildProbeCostModel()
-
-    n_r = timing_r_tuples if timing_r_tuples is not None else len(r)
-    n_s = timing_s_tuples if timing_s_tuples is not None else len(s)
-    partition_seconds, effective_labels = _partition_timing(
-        config,
-        ((r.tuple_bytes, r_out, n_r), (s.tuple_bytes, s_out, n_s)),
-        fpga_cost_model,
+    return _timed_join(
+        result,
+        (
+            timing_r_tuples if timing_r_tuples is not None else len(r),
+            timing_s_tuples if timing_s_tuples is not None else len(s),
+        ),
         threads,
+        fpga_cost_model or FpgaCostModel(
+            bandwidth=platform.bandwidth if platform else None
+        ),
+        bp_cost_model,
         calibrated,
-    )
-
-    max_share = max(
-        r_out.max_partition_tuples() / max(1, len(r)),
-        s_out.max_partition_tuples() / max(1, len(s)),
-    )
-    bp = bp_cost_model.estimate(
-        r_tuples=n_r,
-        s_tuples=n_s,
-        num_partitions=config.num_partitions,
-        threads=threads,
-        tuple_bytes=r.tuple_bytes,
-        fpga_partitioned=not fell_back,
-        max_partition_share=max_share,
-        r_shares=shares_if_dense(r_out.counts, len(r)),
-        s_shares=shares_if_dense(s_out.counts, len(s)),
-    )
-    label = (
-        "cpu-fallback" if fell_back else f"fpga {'+'.join(effective_labels)}"
-    )
-    if fused:
-        label += " fused"
-    timing = JoinTiming(
-        partition_seconds=partition_seconds,
-        build_probe_seconds=bp.total_seconds,
-        r_tuples=n_r,
-        s_tuples=n_s,
-        threads=threads,
-        partitioner=label,
-        num_partitions=config.num_partitions,
-    )
-    return JoinResult(
-        matches=matches,
-        r_payloads=r_pay,
-        s_payloads=s_pay,
-        timing=timing,
-        fell_back_to_cpu=fell_back,
+        source="fpga",
     )
 
 
@@ -251,9 +230,9 @@ def hybrid_join_spilled(
             from :meth:`SpillPartitioner.run <repro.storage.spill.
             SpillPartitioner.run>` or a spill-routed
             :class:`~repro.service.service.PartitionResponse`).  Both
-            must share a fan-out; partition pairs are read from disk
-            one at a time, so the working set is one pair, not the
-            relations.
+            must share a fan-out; the join plan streams partition pairs
+            from disk one at a time, so the working set is one pair,
+            not the relations.
         threads / collect_payloads / cost models / calibrated / engine:
             as in :func:`hybrid_join`.  Partitioning seconds are timed
             by the mode each spill *effectively* ran (PAD runs demoted
@@ -269,62 +248,19 @@ def hybrid_join_spilled(
             f"spills disagree on fan-out: {r_spill.num_partitions} vs "
             f"{s_spill.num_partitions}"
         )
-    r_out = r_spill.to_output()
-    s_out = s_spill.to_output()
+    from repro.plan import execute_plan, join_query
 
-    from repro.exec.engine import resolve_engine
-
-    engine = resolve_engine(engine, threads)
-    matches, r_pay, s_pay = _join_partitions(
-        r_out, s_out, collect_payloads, engine=engine
-    )
-
-    fpga_cost_model = fpga_cost_model or FpgaCostModel()
-    bp_cost_model = bp_cost_model or BuildProbeCostModel()
-    n_r, n_s = r_spill.num_tuples, s_spill.num_tuples
-    partition_seconds = 0.0
-    labels = []
-    for spill, n in ((r_spill, n_r), (s_spill, n_s)):
-        partition_seconds += fpga_cost_model.partitioning_seconds(
-            n, spill.config, calibrated=calibrated
-        )
-        if spill.config != spill.requested_config:
-            # PAD overflow demoted to HIST at merge: charge the
-            # aborted PAD pass too, like the in-memory retry
-            partition_seconds += fpga_cost_model.partitioning_seconds(
-                n, spill.requested_config, calibrated=calibrated
-            )
-            labels.append(spill.config.mode_label + "(retry)")
-        else:
-            labels.append(spill.config.mode_label)
-
-    max_share = max(
-        r_out.max_partition_tuples() / max(1, n_r),
-        s_out.max_partition_tuples() / max(1, n_s),
-    )
-    bp = bp_cost_model.estimate(
-        r_tuples=n_r,
-        s_tuples=n_s,
-        num_partitions=r_spill.num_partitions,
+    result = execute_plan(
+        join_query(r_spill, s_spill, collect_payloads=collect_payloads),
+        engine=engine,
         threads=threads,
-        tuple_bytes=r_spill.config.tuple_bytes,
-        fpga_partitioned=True,
-        max_partition_share=max_share,
-        r_shares=shares_if_dense(r_out.counts, n_r),
-        s_shares=shares_if_dense(s_out.counts, n_s),
     )
-    timing = JoinTiming(
-        partition_seconds=partition_seconds,
-        build_probe_seconds=bp.total_seconds,
-        r_tuples=n_r,
-        s_tuples=n_s,
-        threads=threads,
-        partitioner=f"spill {'+'.join(labels)}",
-        num_partitions=r_spill.num_partitions,
-    )
-    return JoinResult(
-        matches=matches,
-        r_payloads=r_pay,
-        s_payloads=s_pay,
-        timing=timing,
+    return _timed_join(
+        result,
+        (r_spill.num_tuples, s_spill.num_tuples),
+        threads,
+        fpga_cost_model or FpgaCostModel(),
+        bp_cost_model,
+        calibrated,
+        source="spill",
     )

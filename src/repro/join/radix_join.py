@@ -1,27 +1,20 @@
 """The CPU radix hash join (Section 3.3).
 
-Partition R and S with the software partitioner so every partition pair
-fits in cache, then build+probe each pair.  Functional results come
-from the real partitioner and hash table; wall-clock comes from the
-calibrated cost models (the Python data plane is not the thing being
-timed — the paper's platform is).
+Partition R and S so every partition pair fits in cache, then
+build+probe each pair.  Functional results come from running the join
+plan (:mod:`repro.plan`); wall-clock comes from the calibrated cost
+models of the software partitioner and build+probe (the Python data
+plane is not the thing being timed — the paper's platform is).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.core.modes import HashKind
+from repro.core.modes import HashKind, PartitionerConfig
 from repro.cpu.cost_model import CpuCostModel
-from repro.cpu.partitioner import CpuPartitioner
 from repro.errors import ConfigurationError
-from repro.join.build_probe import (
-    BuildProbeCostModel,
-    build_probe_partition,
-    shares_if_dense,
-)
+from repro.join.build_probe import BuildProbeCostModel, shares_if_dense
 from repro.join.timing import JoinResult, JoinTiming
 from repro.workloads.relations import Workload
 
@@ -37,7 +30,6 @@ def cpu_radix_join(
     timing_r_tuples: Optional[int] = None,
     timing_s_tuples: Optional[int] = None,
     engine=None,
-    fused: bool = False,
 ) -> JoinResult:
     """Execute and time a CPU-only partitioned hash join.
 
@@ -52,13 +44,11 @@ def cpu_radix_join(
     scaled, the modelled seconds become paper-comparable.
 
     ``engine`` (spec or :class:`~repro.exec.engine.ExecutionEngine`)
-    runs the partitioning phases and the per-partition build+probe on
-    a worker pool; the functional result is unchanged.
-
-    ``fused`` routes the partition → build+probe chain through the
-    plan layer's one-pass executor (:func:`repro.plan.execute_plan`):
-    no materialized ``PartitionedOutput``, same rows (partition
-    contents are backend-invariant, pinned by the kernel tests).
+    runs the partitioning and the per-partition build+probe on a worker
+    pool; the functional result is unchanged.  The join runs as a plan
+    (:func:`repro.plan.execute_plan`): partition contents are
+    backend-invariant (pinned by the kernel tests), so the rows are the
+    software partitioner's.
     """
     r, s = workload.r, workload.s
     if r.tuple_bytes != s.tuple_bytes:
@@ -67,128 +57,78 @@ def cpu_radix_join(
     n_r = timing_r_tuples if timing_r_tuples is not None else len(r)
     n_s = timing_s_tuples if timing_s_tuples is not None else len(s)
 
-    from repro.exec.engine import resolve_engine
+    from repro.plan import execute_plan, join_query
 
-    engine = resolve_engine(engine, threads)
-    if fused:
-        from repro.core.modes import PartitionerConfig
-        from repro.plan import execute_plan, join_query
-
-        config = PartitionerConfig(
-            num_partitions=num_partitions,
-            hash_kind=hash_kind,
-            tuple_bytes=r.tuple_bytes,
-        )
-        result = execute_plan(
-            join_query(
-                r, s, config=config, collect_payloads=collect_payloads
-            ),
-            engine=engine,
-        )
-        r_out, s_out = result.inputs
-        matches, r_pay, s_pay = (
-            result.matches, result.r_payloads, result.s_payloads
-        )
-    else:
-        partitioner = CpuPartitioner(
-            num_partitions=num_partitions,
-            hash_kind=hash_kind,
-            threads=threads,
-            tuple_bytes=r.tuple_bytes,
-            engine=engine,
-        )
-        r_out = partitioner.partition(r)
-        s_out = partitioner.partition(s)
-
-        matches, r_pay, s_pay = _join_partitions(
-            r_out, s_out, collect_payloads, engine=engine
-        )
+    config = PartitionerConfig(
+        num_partitions=num_partitions,
+        hash_kind=hash_kind,
+        tuple_bytes=r.tuple_bytes,
+    )
+    result = execute_plan(
+        join_query(r, s, config=config, collect_payloads=collect_payloads),
+        engine=engine,
+        threads=threads,
+    )
 
     cpu_cost_model = cpu_cost_model or CpuCostModel()
-    bp_cost_model = bp_cost_model or BuildProbeCostModel()
-    distribution = workload.distribution
     partition_seconds = cpu_cost_model.partitioning_seconds(
         n_r + n_s,
         threads,
         hash_kind=hash_kind,
-        distribution=distribution,
+        distribution=workload.distribution,
         num_partitions=num_partitions,
         tuple_bytes=r.tuple_bytes,
-    )
-    # The slowest thread is pinned by the heaviest partition on either
-    # side — a skewed probe relation (Figure 13) throttles build+probe
-    # even when the build side is balanced.
-    max_share = max(
-        r_out.max_partition_tuples() / max(1, len(r)),
-        s_out.max_partition_tuples() / max(1, len(s)),
-    )
-    bp = bp_cost_model.estimate(
-        r_tuples=n_r,
-        s_tuples=n_s,
-        num_partitions=num_partitions,
-        threads=threads,
-        tuple_bytes=r.tuple_bytes,
-        fpga_partitioned=False,
-        max_partition_share=max_share,
-        r_shares=shares_if_dense(r_out.counts, len(r)),
-        s_shares=shares_if_dense(s_out.counts, len(s)),
     )
     timing = JoinTiming(
         partition_seconds=partition_seconds,
-        build_probe_seconds=bp.total_seconds,
+        build_probe_seconds=_build_probe_seconds(
+            bp_cost_model, result, (n_r, n_s), threads,
+            fpga_partitioned=False,
+        ),
         r_tuples=n_r,
         s_tuples=n_s,
         threads=threads,
-        partitioner=f"cpu/{hash_kind.value}" + (" fused" if fused else ""),
+        partitioner=f"cpu/{hash_kind.value}",
         num_partitions=num_partitions,
     )
     return JoinResult(
-        matches=matches, r_payloads=r_pay, s_payloads=s_pay, timing=timing
+        matches=result.matches,
+        r_payloads=result.r_payloads,
+        s_payloads=result.s_payloads,
+        timing=timing,
     )
 
 
-def _join_partitions(r_out, s_out, collect_payloads: bool, engine=None):
-    """Build+probe every partition pair of two partitioned outputs.
+def _build_probe_seconds(
+    bp_cost_model: Optional[BuildProbeCostModel],
+    result,
+    timing_tuples,
+    threads: int,
+    fpga_partitioned: bool,
+) -> float:
+    """Modelled build+probe seconds of an executed join plan.
 
-    With an :class:`~repro.exec.engine.ExecutionEngine`, the
-    per-partition build+probe tasks fan out onto the engine's worker
-    pool; results are merged back in partition order, so the match
-    count and payload concatenation are identical to the serial loop.
+    ``result`` is the :class:`~repro.plan.executor.QueryResult`; its
+    input summaries give the partition geometry, ``timing_tuples`` the
+    ``(|R|, |S|)`` the model is evaluated at.  The slowest thread is
+    pinned by the heaviest partition on either side — a skewed probe
+    relation (Figure 13) throttles build+probe even when the build side
+    is balanced.
     """
-
-    def _one(p: int):
-        """Build+probe a single partition pair; returns (count, rp, sp)."""
-        r_keys, r_payloads = r_out.partition(p)
-        s_keys, s_payloads = s_out.partition(p)
-        if r_keys.shape[0] == 0 or s_keys.shape[0] == 0:
-            return 0, None, None
-        count, rp, sp, _hops = build_probe_partition(
-            r_keys, r_payloads, s_keys, s_payloads, collect_payloads
-        )
-        if collect_payloads and count:
-            return count, rp, sp
-        return count, None, None
-
-    partitions = range(r_out.num_partitions)
-    if engine is not None:
-        results = engine.map_tasks(_one, partitions)
-    else:
-        results = [_one(p) for p in partitions]
-
-    matches = 0
-    r_parts: list = []
-    s_parts: list = []
-    for count, rp, sp in results:
-        matches += count
-        if rp is not None:
-            r_parts.append(rp)
-            s_parts.append(sp)
-    if collect_payloads:
-        r_pay = (
-            np.concatenate(r_parts) if r_parts else np.empty(0, np.uint32)
-        )
-        s_pay = (
-            np.concatenate(s_parts) if s_parts else np.empty(0, np.uint32)
-        )
-        return matches, r_pay, s_pay
-    return matches, None, None
+    r_in, s_in = result.inputs
+    n_r, n_s = timing_tuples
+    bp = (bp_cost_model or BuildProbeCostModel()).estimate(
+        r_tuples=n_r,
+        s_tuples=n_s,
+        num_partitions=result.num_partitions,
+        threads=threads,
+        tuple_bytes=r_in.requested_config.tuple_bytes,
+        fpga_partitioned=fpga_partitioned,
+        max_partition_share=max(
+            r_in.max_partition_tuples() / max(1, r_in.tuples),
+            s_in.max_partition_tuples() / max(1, s_in.tuples),
+        ),
+        r_shares=shares_if_dense(r_in.counts, r_in.tuples),
+        s_shares=shares_if_dense(s_in.counts, s_in.tuples),
+    )
+    return bp.total_seconds

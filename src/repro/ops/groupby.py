@@ -6,22 +6,20 @@ then aggregate each partition independently (every key lives in exactly
 one partition, so no cross-partition merge is needed).
 
 Supported aggregates: sum, count, min, max, mean — all computed
-vectorised per partition.  Any partitioner exposing the
-:class:`~repro.core.partitioner.PartitionedOutput` contract can drive
-the partitioning step, so the FPGA and CPU partitioners are drop-in
-interchangeable here exactly as they are for joins.
+vectorised per partition.  :func:`partitioned_groupby` builds a
+group-by plan and runs it through the plan layer's per-partition
+driver (:mod:`repro.plan.executor`), the same one the join+aggregate
+chain uses; this module keeps the per-partition kernels it calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.modes import PartitionerConfig
-from repro.core.partitioner import FpgaPartitioner
-from repro.errors import ConfigurationError
 from repro.workloads.relations import Relation
 
 _AGGREGATES: Dict[str, Callable] = {
@@ -56,12 +54,15 @@ def partitioned_groupby(
     values: Optional[np.ndarray] = None,
     aggregate: str = "sum",
     num_partitions: int = 256,
-    partitioner: Optional[FpgaPartitioner] = None,
+    config: Optional[PartitionerConfig] = None,
     engine=None,
     threads: Optional[int] = None,
-    fused: bool = False,
 ) -> GroupByResult:
     """Group-by aggregation via hash partitioning.
+
+    Runs as a group-by plan (:func:`repro.plan.execute_plan`): the
+    input is partitioned ``<key, row-id>`` and each partition's values
+    are gathered and aggregated on its own.
 
     Args:
         keys: uint32 group keys, or a :class:`Relation` whose payloads
@@ -70,109 +71,38 @@ def partitioned_groupby(
             payloads, or all-ones for ``count``).
         aggregate: one of ``sum``, ``count``, ``min``, ``max``, ``mean``.
         num_partitions: partitioning fan-out (power of two).
-        partitioner: partitioner to drive the split; defaults to an
-            FPGA partitioner in HIST mode with murmur hashing (the
-            robust choice — grouped keys are exactly the structured
-            inputs radix bits mishandle).
+        config: partitioner configuration to split with; defaults to
+            HIST mode with murmur hashing at ``num_partitions``-way
+            (the robust choice — grouped keys are exactly the
+            structured inputs radix bits mishandle).
         engine: execution-engine spec, as the joins accept it — ``None``
             (sequential), ``"serial"``/``"parallel"``/``"thread"``/
             ``"process"``, or a shared
             :class:`~repro.exec.engine.ExecutionEngine`.  Drives both
-            the partitioning morsels and the per-partition aggregation
-            fan-out.  Ignored when ``partitioner`` is given (a supplied
-            partitioner keeps its own engine) except for the
-            aggregation fan-out.
+            the partitioning and the per-partition aggregation fan-out.
         threads: worker count for string engine specs.
-        fused: route through the plan layer's fused one-pass executor
-            (:func:`repro.plan.execute_plan`) — partition and aggregate
-            in a single morsel pass with no materialized
-            ``PartitionedOutput``.  Identical rows either way.
 
     Returns:
         A :class:`GroupByResult` with one entry per distinct key,
         sorted by key.
     """
-    if aggregate not in _AGGREGATES:
-        raise ConfigurationError(
-            f"unknown aggregate {aggregate!r}; "
-            f"expected one of {sorted(_AGGREGATES)}"
-        )
-    if isinstance(keys, Relation):
-        if values is None:
-            values = keys.payloads
-        keys = keys.keys
-    keys = np.ascontiguousarray(keys, dtype=np.uint32)
-    if values is None:
-        values = np.ones(keys.shape[0], dtype=np.uint32)
-    values = np.asarray(values)
-    if values.shape != keys.shape:
-        raise ConfigurationError("values must align with keys")
+    from repro.plan import execute_plan, groupby_query
 
-    from repro.exec.engine import resolve_engine
-
-    engine = resolve_engine(engine, threads)
-
-    if fused:
-        from repro.plan import execute_plan, groupby_query
-
-        config = (
-            partitioner.config
-            if partitioner is not None
-            else PartitionerConfig(num_partitions=num_partitions)
-        )
-        result = execute_plan(
-            groupby_query(keys, values=values, aggregate=aggregate,
-                          config=config),
-            engine=engine,
-        )
-        return GroupByResult(
-            keys=result.group_keys,
-            values=result.group_values,
+    result = execute_plan(
+        groupby_query(
+            keys,
+            values=values,
             aggregate=aggregate,
-            num_partitions_used=result.num_partitions,
-        )
-
-    if partitioner is None:
-        partitioner = FpgaPartitioner(
-            PartitionerConfig(num_partitions=num_partitions), engine=engine
-        )
-    else:
-        num_partitions = partitioner.config.num_partitions
-
-    # Partition <key, row-id> so values can be gathered per partition;
-    # row ids play the role VRIDs play in the column-store mode.
-    row_ids = np.arange(keys.shape[0], dtype=np.uint32)
-    out = partitioner.partition(keys, row_ids)
-
-    def _one(p: int):
-        p_keys, p_rows = out.partition(p)
-        if p_keys.shape[0] == 0:
-            return None
-        p_values = values[p_rows]
-        uniques, starts = _group_starts(p_keys, p_values)
-        return uniques, _aggregate_runs(
-            aggregate, starts["values"], starts["bounds"]
-        )
-
-    if engine is not None:
-        outcomes = engine.map_tasks(_one, range(out.num_partitions))
-    else:
-        outcomes = [_one(p) for p in range(out.num_partitions)]
-    group_keys: List[np.ndarray] = [o[0] for o in outcomes if o is not None]
-    group_values: List[np.ndarray] = [o[1] for o in outcomes if o is not None]
-
-    if group_keys:
-        all_keys = np.concatenate(group_keys)
-        all_values = np.concatenate(group_values)
-    else:
-        all_keys = np.empty(0, dtype=np.uint32)
-        all_values = np.empty(0)
-    order = np.argsort(all_keys, kind="stable")
+            config=config or PartitionerConfig(num_partitions=num_partitions),
+        ),
+        engine=engine,
+        threads=threads,
+    )
     return GroupByResult(
-        keys=all_keys[order],
-        values=all_values[order],
+        keys=result.group_keys,
+        values=result.group_values,
         aggregate=aggregate,
-        num_partitions_used=num_partitions,
+        num_partitions_used=result.num_partitions,
     )
 
 

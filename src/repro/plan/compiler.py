@@ -19,7 +19,9 @@ checks the **fusion rules**:
 Rule 1 failing is a :class:`~repro.errors.ConfigurationError` (the
 staged path cannot run it either); rules 2–3 raise
 :class:`FusionDeclined`, which the executor catches to fall back to
-staged execution with the reason recorded on the result.
+staged execution with the reason recorded on the result.  The configs
+are resolved before the rules are checked, so a declined plan carries
+the same schedule a fused one would run.
 
 When no config is given, the fan-out comes from the optimizer:
 :func:`~repro.optimize.optimizer.plan_fused_fanout` sizes partitions so
@@ -39,11 +41,13 @@ __all__ = ["CompiledSchedule", "FusionDeclined", "compile_plan"]
 
 
 class FusionDeclined(ReproError):
-    """The plan cannot be fused; carries the human-readable reason."""
+    """The plan cannot be fused; carries the human-readable reason and
+    the resolved schedule the staged fallback runs."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, schedule: "CompiledSchedule"):
         super().__init__(f"fusion declined: {reason}")
         self.reason = reason
+        self.schedule = schedule
 
 
 @dataclasses.dataclass
@@ -101,7 +105,8 @@ def compile_plan(
 
     Raises:
         FusionDeclined: the plan is executable but not fusable (rules
-            2–3 above); callers fall back to staged execution.
+            2–3 above); callers fall back to staged execution of the
+            schedule it carries.
         ConfigurationError: the plan is invalid for *any* execution
             path (e.g. join inputs that partition keys differently).
     """
@@ -149,18 +154,7 @@ def compile_plan(
         shared = _default_config(plan, optimizer)
     resolved = tuple(c if c is not None else shared for c in configs)
 
-    if plan.join is None and plan.aggregate is None:
-        raise FusionDeclined(
-            "partition-only plan: no downstream operator to fuse, the "
-            "materialized PartitionedOutput is the result"
-        )
-    if platform is not None:
-        raise FusionDeclined(
-            "platform accounting requires materialized partition "
-            "regions (coherence directory tracks FPGA-written memory)"
-        )
-
-    return CompiledSchedule(
+    schedule = CompiledSchedule(
         plan=plan,
         configs=resolved,
         on_overflow=on_overflow,
@@ -168,3 +162,16 @@ def compile_plan(
         tracer=resolve_tracer(tracer),
         optimizer=optimizer,
     )
+    if plan.join is None and plan.aggregate is None:
+        raise FusionDeclined(
+            "partition-only plan: no downstream operator to fuse, the "
+            "materialized PartitionedOutput is the result",
+            schedule,
+        )
+    if platform is not None:
+        raise FusionDeclined(
+            "platform accounting requires materialized partition "
+            "regions (coherence directory tracks FPGA-written memory)",
+            schedule,
+        )
+    return schedule

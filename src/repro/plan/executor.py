@@ -1,40 +1,48 @@
-"""Plan execution: one fused morsel-driven pass, or the staged fallback.
+"""Plan execution: one per-partition driver per operator, fused or staged.
 
-The fused executor is the point of the plan layer: as soon as an
-input's partitions are scattered, the downstream build/probe and
-reduceat aggregation run **per partition, immediately, on the same
-worker pool** — intermediates are never assembled into a full
-:class:`~repro.core.partitioner.PartitionedOutput`.  Concretely:
+Every join and group-by in the library runs here: the entry points
+(:func:`~repro.join.hybrid_join.hybrid_join`,
+:func:`~repro.join.radix_join.cpu_radix_join`,
+:func:`~repro.join.hybrid_join.hybrid_join_spilled`,
+:func:`~repro.ops.groupby.partitioned_groupby`) build a logical plan
+and call :func:`execute_plan`.  There is one per-partition driver for
+joins and one for group-by; each runs over any source whose
+``partition(p)`` returns that partition's ``(keys, payloads)``, and
+fans the partitions out over :meth:`ExecutionEngine.map_tasks
+<repro.exec.engine.ExecutionEngine.map_tasks>`.  ``fused`` decides
+only two things:
 
-* in-memory inputs run histogram → overflow check → scatter through
-  :meth:`ExecutionEngine.begin_partition
-  <repro.exec.engine.ExecutionEngine.begin_partition>` (or the kernels
-  directly without an engine); the scattered columns are wrapped in a
-  lazy boundary view (:class:`_FusedColumns`) whose per-partition
-  slices feed the next operator directly;
-* spilled inputs skip partitioning entirely — each partition is
-  read out of the run files on demand, so the chain streams the spill
-  partition-by-partition without ever loading it whole;
-* the per-partition tasks (build+probe, then group-starts + reduceat)
-  fan out over :meth:`ExecutionEngine.map_tasks`, and their results
-  merge in partition order — which is what makes the fused output
-  **row-identical** to the staged operators: every key lives in
-  exactly one partition, stable scatter preserves within-partition
-  order, and the final stable sort runs over *distinct* group keys.
+1. **where partitions come from.**  Fused, an in-memory input runs
+   histogram → overflow check → scatter through
+   :meth:`ExecutionEngine.begin_partition
+   <repro.exec.engine.ExecutionEngine.begin_partition>` (or the kernels
+   directly without an engine) and the scattered columns are wrapped in
+   a lazy boundary view (:class:`_FusedColumns`) — no
+   :class:`~repro.core.partitioner.PartitionedOutput` is ever
+   assembled.  Staged, the input goes through the
+   :class:`~repro.core.partitioner.FpgaPartitioner` into a full
+   ``PartitionedOutput``.  A spilled input is read out of its run files
+   partition by partition (fused) or adapted whole with ``to_output()``
+   (staged).
+2. **where join+aggregate groups.**  Fused, each partition's matches
+   aggregate on the spot over the build index
+   (:func:`_fused_partition_agg`).  Staged, the match columns are
+   concatenated and re-partitioned through the group-by driver — the
+   extra pass the fused path avoids, kept as the identity oracle the
+   property tests and benchmarks compare against.
 
-PAD overflow inside the fused pass keeps the staged policies, settled by
-the shared :meth:`Accounting.finalize
-<repro.core.pieces.Accounting.finalize>`: partition *contents* are
-mode- and backend-independent (pinned repo-wide), so the ``hist``/``cpu``
+Results merge in partition order, which is what makes the two
+**row-identical**: every key lives in exactly one partition, stable
+scatter preserves within-partition order, partition contents are
+mode- and backend-independent (pinned repo-wide), and the final stable
+sort runs over *distinct* group keys.
+
+PAD overflow in the fused scatter keeps the partitioner's policies,
+settled by the shared :meth:`Accounting.finalize
+<repro.core.pieces.Accounting.finalize>`: the ``hist``/``cpu``
 fallbacks proceed with the already-computed scatter and only the
 effective mode label (for cost-model timing) changes; ``raise`` aborts
 before the scatter exactly like the hardware.
-
-The staged path (``fused=False``, or a :class:`FusionDeclined` plan)
-runs the same chain through the classic materializing operators —
-full ``PartitionedOutput`` per input, concatenated match columns, a
-fresh partitioning pass for the group-by — and is the identity oracle
-the property tests and benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from repro.core.partitioner import FpgaPartitioner, PartitionedOutput
 from repro.core.pieces import Accounting, extract_columns
 from repro.errors import ConfigurationError
 from repro.join.hash_table import BucketChainingHashTable
-from repro.obs.tracing import operator_times, resolve_tracer
+from repro.obs.tracing import operator_times
 from repro.ops.groupby import _aggregate_runs, _group_starts
 from repro.plan.compiler import CompiledSchedule, FusionDeclined, compile_plan
 from repro.plan.nodes import LogicalPlan
@@ -60,8 +68,9 @@ __all__ = ["InputSummary", "QueryResult", "execute_plan"]
 
 @dataclasses.dataclass
 class InputSummary:
-    """Per-input partitioning summary (duck-compatible with the
-    ``PartitionedOutput`` fields the join timing models read)."""
+    """Per-input partitioning summary: what the join entry points'
+    timing models read (counts, effective and requested config,
+    fallback flag)."""
 
     name: str
     tuples: int
@@ -81,8 +90,8 @@ class QueryResult:
     """What a plan produced (fused or staged — identical rows).
 
     ``declined`` records why a ``fused=True`` request fell back to
-    staged execution; ``operator_stats`` holds the fused pass's
-    per-operator call/busy-time accumulation.
+    staged execution; ``operator_stats`` holds the pass's per-operator
+    call/busy-time accumulation.
     """
 
     num_partitions: int
@@ -124,18 +133,6 @@ class _FusedColumns:
         return self.keys[lo:hi], self.payloads[lo:hi]
 
 
-class _SpillColumns:
-    """Adapter giving a spill handle the ``_FusedColumns`` surface."""
-
-    __slots__ = ("spill",)
-
-    def __init__(self, spill):
-        self.spill = spill
-
-    def partition(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.spill.partition(p)
-
-
 def execute_plan(
     plan: LogicalPlan,
     engine=None,
@@ -150,9 +147,9 @@ def execute_plan(
     ``fused=True`` (default) runs the one-pass schedule and falls back
     to staged execution — recording the reason — when the compiler
     declines fusion; ``fused=False`` forces the staged operators (the
-    identity baseline).
+    identity baseline).  Either way the configs are the ones
+    :func:`~repro.plan.compiler.compile_plan` resolved.
     """
-    tracer = resolve_tracer(tracer)
     declined = None
     try:
         schedule = compile_plan(
@@ -165,60 +162,78 @@ def execute_plan(
         )
     except FusionDeclined as fell:
         declined = fell.reason
-        schedule = _staged_schedule(plan, engine, threads, tracer, optimizer)
-    if fused and declined is None:
-        return _execute_fused(schedule)
-    result = _execute_staged(schedule, platform=platform)
+        schedule = fell.schedule
+    result = _execute(schedule, fused and declined is None, platform)
     result.declined = declined if fused else None
     return result
 
 
-def _staged_schedule(plan, engine, threads, tracer, optimizer):
-    """Resolve configs for a declined plan without the fusion rules."""
-    from repro.exec.engine import resolve_engine
+def _execute(schedule: CompiledSchedule, fused: bool, platform) -> QueryResult:
+    """Run a resolved schedule, fused or staged, under one span."""
+    plan = schedule.plan
+    engine = schedule.engine
+    tracer = schedule.tracer
+    ops = operator_times(tracer)
 
-    configs = []
-    for scan, node in zip(plan.scans, plan.partitions):
-        if scan.is_spilled:
-            configs.append(scan.source.config)
+    with tracer.span(
+        "plan.execute",
+        fused=fused,
+        chain=plan.describe(),
+        partitions=schedule.num_partitions,
+    ) as root:
+        prepared = []
+        for scan, cfg in zip(plan.scans, schedule.configs):
+            if scan.is_spilled:
+                prepared.append(_spilled_input(scan, fused))
+            elif fused:
+                prepared.append(_prepare_fused_input(
+                    scan, cfg, schedule.on_overflow, engine, ops
+                ))
+            else:
+                prepared.append(_materialize_input(
+                    scan, cfg, schedule.on_overflow, engine, platform
+                ))
+        sources = [source for source, _ in prepared]
+        result = QueryResult(
+            num_partitions=schedule.num_partitions,
+            fused=fused,
+            inputs=[summary for _, summary in prepared],
+        )
+        if plan.join is not None:
+            _join(plan, sources, engine, ops, result)
+        elif plan.aggregate is not None:
+            values = _value_column(plan.values, result.inputs[0])
+            _groupby(
+                sources[0], values, plan.aggregate.aggregate, engine, ops,
+                result,
+            )
         else:
-            configs.append(node.config or PartitionerConfig(
-                num_partitions=256
-            ))
-    policies = {
-        node.on_overflow
-        for scan, node in zip(plan.scans, plan.partitions)
-        if not scan.is_spilled
-    }
-    return CompiledSchedule(
-        plan=plan,
-        configs=tuple(configs),
-        on_overflow=policies.pop() if policies else "raise",
-        engine=resolve_engine(engine, threads, tracer=tracer),
-        tracer=resolve_tracer(tracer),
-        optimizer=optimizer,
+            result.outputs = sources
+        ops.emit(tracer, parent=root)
+        result.operator_stats = ops.to_dict()
+        return result
+
+
+# ----------------------------------------------------------------------
+# Where partitions come from
+# ----------------------------------------------------------------------
+
+def _spilled_input(scan, fused: bool):
+    """A spilled input: its partitioning already happened on disk."""
+    spill = scan.source
+    summary = InputSummary(
+        name=scan.name,
+        tuples=int(spill.num_tuples),
+        counts=np.asarray(spill.counts, dtype=np.int64),
+        config=spill.config,
+        requested_config=spill.requested_config,
+        spilled=True,
     )
+    return (spill if fused else spill.to_output()), summary
 
-
-# ----------------------------------------------------------------------
-# The fused pass
-# ----------------------------------------------------------------------
 
 def _prepare_fused_input(scan, config, on_overflow, engine, ops):
-    """Histogram + overflow check + scatter for one in-memory input
-    (spilled inputs pass straight through, read partition by partition)."""
-    if scan.is_spilled:
-        spill = scan.source
-        summary = InputSummary(
-            name=scan.name,
-            tuples=int(spill.num_tuples),
-            counts=np.asarray(spill.counts, dtype=np.int64),
-            config=spill.config,
-            requested_config=spill.requested_config,
-            spilled=True,
-        )
-        return _SpillColumns(spill), summary
-
+    """Histogram + overflow check + scatter for one in-memory input."""
     keys, payloads = extract_columns(config, scan.source, scan.payloads)
     n = int(keys.shape[0])
 
@@ -273,40 +288,36 @@ def _prepare_fused_input(scan, config, on_overflow, engine, ops):
     return _FusedColumns(sorted_keys, sorted_payloads, boundaries), summary
 
 
-def _execute_fused(schedule: CompiledSchedule) -> QueryResult:
-    plan = schedule.plan
-    engine = schedule.engine
-    tracer = schedule.tracer
-    ops = operator_times(tracer)
-    num_partitions = schedule.num_partitions
+def _materialize_input(scan, config, on_overflow, engine, platform):
+    """Full ``PartitionedOutput`` for one in-memory input (staged)."""
+    keys, payloads = extract_columns(config, scan.source, scan.payloads)
+    partitioner = FpgaPartitioner(config, platform=platform, engine=engine)
+    output = partitioner.partition(keys, payloads, on_overflow=on_overflow)
+    summary = InputSummary(
+        name=scan.name,
+        tuples=int(keys.shape[0]),
+        counts=np.asarray(output.counts, dtype=np.int64),
+        config=output.config,
+        requested_config=config,
+        fell_back_to_cpu=output.fell_back_to_cpu,
+    )
+    return output, summary
 
-    with tracer.span(
-        "plan.execute",
-        fused=True,
-        chain=plan.describe(),
-        partitions=num_partitions,
-    ) as root:
-        prepared = [
-            _prepare_fused_input(
-                scan, cfg, schedule.on_overflow, engine, ops
-            )
-            for scan, cfg in zip(plan.scans, schedule.configs)
-        ]
-        inputs = [columns for columns, _ in prepared]
-        summaries = [summary for _, summary in prepared]
 
-        result = QueryResult(
-            num_partitions=num_partitions,
-            fused=True,
-            inputs=summaries,
-        )
-        if plan.join is not None:
-            _fused_join(plan, inputs, engine, ops, result)
-        else:
-            _fused_groupby(plan, inputs[0], summaries[0], engine, ops, result)
-        ops.emit(tracer, parent=root)
-        result.operator_stats = ops.to_dict()
-        return result
+# ----------------------------------------------------------------------
+# The per-partition drivers
+# ----------------------------------------------------------------------
+
+def _map_partitions(engine, task, num_partitions: int) -> list:
+    """``task(p)`` for every partition, in partition order."""
+    partitions = range(num_partitions)
+    if engine is None:
+        return [task(p) for p in partitions]
+    return engine.map_tasks(task, partitions)
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, np.uint32)
 
 
 #: float64 integer sums stay exact below 2^53; past that the bincount
@@ -328,9 +339,9 @@ def _fused_partition_agg(
     ``sum``/``count``/``mean`` aggregate per *build tuple* with a
     bincount — no sort of the match stream — and only the matched build
     tuples get sorted for the final per-key grouping.  The staged
-    pipeline cannot do this: by the time ``partitioned_groupby`` runs,
-    the matches are a flat key/value stream and the build index is
-    gone.  Exactness: integer values accumulate exactly in the float64
+    pipeline cannot do this: by the time its group-by runs, the matches
+    are a flat key/value stream and the build index is gone.
+    Exactness: integer values accumulate exactly in the float64
     bincount while the largest possible group sum stays below 2^53
     (checked), so the results are bit-identical to the staged reduceat;
     outside that envelope — and for ``min``/``max`` — the sort-based
@@ -379,94 +390,106 @@ def _fused_partition_agg(
     return uniques, sum_runs / count_runs
 
 
-def _fused_join(plan, inputs, engine, ops, result: QueryResult) -> None:
-    """Per-partition build+probe (+ immediate reduceat aggregation)."""
-    r_in, s_in = inputs
-    join = plan.join
+def _join(plan, sources, engine, ops, result: QueryResult) -> None:
+    """Per-partition build+probe; an aggregate groups each partition's
+    matches on the spot (fused) or regroups the concatenated match
+    columns through :func:`_groupby` afterwards (staged)."""
+    r_in, s_in = sources
     agg = plan.aggregate
-    collect = join.collect_payloads
+    collect = plan.join.collect_payloads
+    fused = result.fused
 
     def _one(p: int):
         r_keys, r_pays = r_in.partition(p)
         s_keys, s_pays = s_in.partition(p)
         if r_keys.shape[0] == 0 or s_keys.shape[0] == 0:
-            return 0, None, None, None, None
+            return None
         with ops.time("join.build_probe"):
             table = BucketChainingHashTable(r_keys)
             probe_idx, build_idx, _hops = table.probe(s_keys)
         count = int(probe_idx.shape[0])
-        r_pay = s_pay = None
-        if collect and count:
-            r_pay = np.asarray(r_pays)[build_idx]
-            s_pay = np.asarray(s_pays)[probe_idx]
-        uniques = values = None
-        if agg is not None and count:
-            if agg.value_side == "s":
-                match_values = np.asarray(s_pays)[probe_idx]
-            else:
-                match_values = np.asarray(r_pays)[build_idx]
-            with ops.time("aggregate.reduce"):
-                uniques, values = _fused_partition_agg(
-                    agg.aggregate,
-                    np.asarray(table.keys),
-                    build_idx,
-                    np.asarray(s_keys),
-                    probe_idx,
-                    match_values,
-                )
-        return count, r_pay, s_pay, uniques, values
+        if count == 0:
+            return None
+        r_pays, s_pays = np.asarray(r_pays), np.asarray(s_pays)
+        pairs = (r_pays[build_idx], s_pays[probe_idx]) if collect else None
+        if agg is None:
+            return count, pairs, None
+        if agg.value_side == "s":
+            match_values = s_pays[probe_idx]
+        else:
+            match_values = r_pays[build_idx]
+        if not fused:
+            return count, pairs, (np.asarray(s_keys)[probe_idx], match_values)
+        with ops.time("aggregate.reduce"):
+            return count, pairs, _fused_partition_agg(
+                agg.aggregate,
+                np.asarray(table.keys),
+                build_idx,
+                np.asarray(s_keys),
+                probe_idx,
+                match_values,
+            )
 
-    partitions = range(result.num_partitions)
-    if engine is not None:
-        outcomes = engine.map_tasks(_one, partitions)
-    else:
-        outcomes = [_one(p) for p in partitions]
-
-    matches = 0
-    r_parts: List[np.ndarray] = []
-    s_parts: List[np.ndarray] = []
-    g_keys: List[np.ndarray] = []
-    g_values: List[np.ndarray] = []
-    for count, r_pay, s_pay, uniques, values in outcomes:
-        matches += count
-        if r_pay is not None:
-            r_parts.append(r_pay)
-            s_parts.append(s_pay)
-        if uniques is not None:
-            g_keys.append(uniques)
-            g_values.append(values)
-
-    result.matches = matches
+    outcomes = [
+        out
+        for out in _map_partitions(engine, _one, result.num_partitions)
+        if out is not None
+    ]
+    result.matches = sum(count for count, _, _ in outcomes)
     if collect:
-        result.r_payloads = (
-            np.concatenate(r_parts) if r_parts else np.empty(0, np.uint32)
+        result.r_payloads = _concat([pairs[0] for _, pairs, _ in outcomes])
+        result.s_payloads = _concat([pairs[1] for _, pairs, _ in outcomes])
+    if agg is None:
+        return
+    groups = [grouped for _, _, grouped in outcomes]
+    if fused or not groups:
+        _merge_groups(
+            [keys for keys, _ in groups],
+            [vals for _, vals in groups],
+            agg.aggregate,
+            result,
         )
-        result.s_payloads = (
-            np.concatenate(s_parts) if s_parts else np.empty(0, np.uint32)
-        )
-    if agg is not None:
-        _merge_groups(g_keys, g_values, agg.aggregate, result)
+        return
+    # the staged intermediate: the full concatenated match columns,
+    # partitioned <key, row-id> again for the group-by
+    match_keys = np.concatenate([keys for keys, _ in groups])
+    match_values = np.concatenate([vals for _, vals in groups])
+    regroup = FpgaPartitioner(
+        PartitionerConfig(num_partitions=result.num_partitions),
+        engine=engine,
+    ).partition(match_keys)
+    _groupby(regroup, match_values, agg.aggregate, engine, ops, result)
 
 
-def _fused_groupby(plan, columns, summary, engine, ops, result) -> None:
-    """Per-partition group-starts + reduceat straight off the scatter."""
-    agg = plan.aggregate
-    spilled = summary.spilled
-    values = plan.values
-    if not spilled and values is None:
-        values = np.ones(summary.tuples, dtype=np.uint32)
-    if values is not None:
-        values = np.asarray(values)
-        if values.shape[0] != summary.tuples:
-            raise ConfigurationError("values must align with keys")
+def _value_column(values, summary: InputSummary) -> Optional[np.ndarray]:
+    """A group-by plan's value column, gathered per partition by row id.
+
+    In-memory scans partition ``<key, row-id>``: an explicit column is
+    gathered, and without one every row counts one.  A spilled scan's
+    payloads *are* its values (``None``) unless an explicit column
+    reinterprets them as row ids.
+    """
+    if values is None:
+        if summary.spilled:
+            return None
+        return np.ones(summary.tuples, dtype=np.uint32)
+    values = np.asarray(values)
+    if values.shape[0] != summary.tuples:
+        raise ConfigurationError("values must align with keys")
+    return values
+
+
+def _groupby(source, values, aggregate, engine, ops, result) -> None:
+    """Per-partition group-starts + reduceat.
+
+    ``values`` is gathered by each partition's payloads (row ids), or
+    is ``None`` when the payloads are the values themselves.
+    """
 
     def _one(p: int):
-        p_keys, p_rows = columns.partition(p)
+        p_keys, p_rows = source.partition(p)
         if p_keys.shape[0] == 0:
             return None
-        # in-memory scans partitioned <key, row-id>: gather the value
-        # column; a spilled scan's payloads *are* its values unless an
-        # explicit column reinterprets them as row ids
         if values is None:
             p_values = np.asarray(p_rows)
         else:
@@ -474,18 +497,20 @@ def _fused_groupby(plan, columns, summary, engine, ops, result) -> None:
         with ops.time("aggregate.reduce"):
             uniques, starts = _group_starts(np.asarray(p_keys), p_values)
             return uniques, _aggregate_runs(
-                agg.aggregate, starts["values"], starts["bounds"]
+                aggregate, starts["values"], starts["bounds"]
             )
 
-    partitions = range(result.num_partitions)
-    if engine is not None:
-        outcomes = engine.map_tasks(_one, partitions)
-    else:
-        outcomes = [_one(p) for p in partitions]
-
-    g_keys = [u for out in outcomes if out is not None for u in (out[0],)]
-    g_values = [v for out in outcomes if out is not None for v in (out[1],)]
-    _merge_groups(g_keys, g_values, agg.aggregate, result)
+    outcomes = [
+        out
+        for out in _map_partitions(engine, _one, result.num_partitions)
+        if out is not None
+    ]
+    _merge_groups(
+        [keys for keys, _ in outcomes],
+        [vals for _, vals in outcomes],
+        aggregate,
+        result,
+    )
 
 
 def _merge_groups(g_keys, g_values, aggregate, result: QueryResult) -> None:
@@ -505,183 +530,3 @@ def _merge_groups(g_keys, g_values, aggregate, result: QueryResult) -> None:
     result.group_keys = all_keys[order]
     result.group_values = all_values[order]
     result.aggregate = aggregate
-
-
-# ----------------------------------------------------------------------
-# The staged reference path
-# ----------------------------------------------------------------------
-
-def _materialize_input(scan, config, on_overflow, engine, platform):
-    """Full ``PartitionedOutput`` for one input (the staged way)."""
-    if scan.is_spilled:
-        output = scan.source.to_output()
-        summary = InputSummary(
-            name=scan.name,
-            tuples=int(scan.source.num_tuples),
-            counts=np.asarray(output.counts, dtype=np.int64),
-            config=scan.source.config,
-            requested_config=scan.source.requested_config,
-            spilled=True,
-        )
-        return output, summary
-    keys, payloads = extract_columns(config, scan.source, scan.payloads)
-    partitioner = FpgaPartitioner(config, platform=platform, engine=engine)
-    output = partitioner.partition(keys, payloads, on_overflow=on_overflow)
-    summary = InputSummary(
-        name=scan.name,
-        tuples=int(keys.shape[0]),
-        counts=np.asarray(output.counts, dtype=np.int64),
-        config=output.config,
-        requested_config=config,
-        fell_back_to_cpu=output.fell_back_to_cpu,
-    )
-    return output, summary
-
-
-def _execute_staged(
-    schedule: CompiledSchedule, platform=None
-) -> QueryResult:
-    """The materializing pipeline: every stage assembles its output."""
-    plan = schedule.plan
-    engine = schedule.engine
-    tracer = schedule.tracer
-    num_partitions = schedule.num_partitions
-
-    with tracer.span(
-        "plan.execute",
-        fused=False,
-        chain=plan.describe(),
-        partitions=num_partitions,
-    ):
-        prepared = [
-            _materialize_input(
-                scan, cfg, schedule.on_overflow, engine, platform
-            )
-            for scan, cfg in zip(plan.scans, schedule.configs)
-        ]
-        outputs = [output for output, _ in prepared]
-        summaries = [summary for _, summary in prepared]
-        result = QueryResult(
-            num_partitions=num_partitions,
-            fused=False,
-            inputs=summaries,
-        )
-        if plan.join is not None:
-            _staged_join(plan, outputs, engine, result)
-        elif plan.aggregate is not None:
-            _staged_groupby(plan, outputs[0], summaries[0], engine, result)
-        else:
-            result.outputs = outputs
-        return result
-
-
-def _staged_join(plan, outputs, engine, result: QueryResult) -> None:
-    """Join all partitions, materializing the match columns, then (for
-    an aggregate) re-partition the matches through the staged
-    group-by — the extra pass the fused path avoids."""
-    r_out, s_out = outputs
-    agg = plan.aggregate
-    collect = plan.join.collect_payloads
-
-    if agg is None:
-        from repro.join.radix_join import _join_partitions
-
-        matches, r_pay, s_pay = _join_partitions(
-            r_out, s_out, collect, engine=engine
-        )
-        result.matches = matches
-        result.r_payloads = r_pay
-        result.s_payloads = s_pay
-        return
-
-    def _one(p: int):
-        r_keys, r_pays = r_out.partition(p)
-        s_keys, s_pays = s_out.partition(p)
-        if r_keys.shape[0] == 0 or s_keys.shape[0] == 0:
-            return None
-        table = BucketChainingHashTable(r_keys)
-        probe_idx, build_idx, _hops = table.probe(s_keys)
-        if probe_idx.shape[0] == 0:
-            return None
-        match_keys = np.asarray(s_keys)[probe_idx]
-        if agg.value_side == "s":
-            match_values = np.asarray(s_pays)[probe_idx]
-        else:
-            match_values = np.asarray(r_pays)[build_idx]
-        r_pay = s_pay = None
-        if collect:
-            r_pay = np.asarray(r_pays)[build_idx]
-            s_pay = np.asarray(s_pays)[probe_idx]
-        return match_keys, match_values, r_pay, s_pay
-
-    partitions = range(result.num_partitions)
-    if engine is not None:
-        outcomes = engine.map_tasks(_one, partitions)
-    else:
-        outcomes = [_one(p) for p in partitions]
-    outcomes = [out for out in outcomes if out is not None]
-
-    # the staged intermediate: the full concatenated match columns
-    if outcomes:
-        match_keys = np.concatenate([out[0] for out in outcomes])
-        match_values = np.concatenate([out[1] for out in outcomes])
-    else:
-        match_keys = np.empty(0, dtype=np.uint32)
-        match_values = np.empty(0, dtype=np.uint32)
-    result.matches = int(match_keys.shape[0])
-    if collect:
-        r_parts = [out[2] for out in outcomes if out[2] is not None]
-        s_parts = [out[3] for out in outcomes if out[3] is not None]
-        result.r_payloads = (
-            np.concatenate(r_parts) if r_parts else np.empty(0, np.uint32)
-        )
-        result.s_payloads = (
-            np.concatenate(s_parts) if s_parts else np.empty(0, np.uint32)
-        )
-
-    if match_keys.shape[0] == 0:
-        result.group_keys = np.empty(0, dtype=np.uint32)
-        result.group_values = np.empty(0)
-        result.aggregate = agg.aggregate
-        return
-    from repro.ops.groupby import partitioned_groupby
-
-    grouped = partitioned_groupby(
-        match_keys,
-        match_values,
-        aggregate=agg.aggregate,
-        num_partitions=result.num_partitions,
-    )
-    result.group_keys = grouped.keys
-    result.group_values = grouped.values
-    result.aggregate = agg.aggregate
-
-
-def _staged_groupby(plan, output, summary, engine, result) -> None:
-    """Aggregate a fully materialized partitioning, partition by
-    partition (the classic ``partitioned_groupby`` loop)."""
-    agg = plan.aggregate
-    values = plan.values
-    if not summary.spilled and values is None:
-        values = np.ones(summary.tuples, dtype=np.uint32)
-    if values is not None:
-        values = np.asarray(values)
-        if values.shape[0] != summary.tuples:
-            raise ConfigurationError("values must align with keys")
-
-    g_keys: List[np.ndarray] = []
-    g_values: List[np.ndarray] = []
-    for p in range(result.num_partitions):
-        p_keys, p_rows = output.partition(p)
-        if p_keys.shape[0] == 0:
-            continue
-        if values is None:
-            p_values = np.asarray(p_rows)
-        else:
-            p_values = values[np.asarray(p_rows)]
-        uniques, starts = _group_starts(np.asarray(p_keys), p_values)
-        g_keys.append(uniques)
-        g_values.append(
-            _aggregate_runs(agg.aggregate, starts["values"], starts["bounds"])
-        )
-    _merge_groups(g_keys, g_values, agg.aggregate, result)

@@ -52,3 +52,35 @@ def assert_same_partitions(left_keys, right_keys):
     assert len(left_keys) == len(right_keys)
     for p, (a, b) in enumerate(zip(left_keys, right_keys)):
         assert sorted(map(int, a)) == sorted(map(int, b)), f"partition {p}"
+
+
+def reference_groupby(keys, values, aggregate):
+    """Dict-of-lists group-by: the oracle for every partitioned one."""
+    out = {}
+    for k, v in zip(map(int, keys), map(int, values)):
+        out.setdefault(k, []).append(v)
+    if aggregate == "sum":
+        return {k: sum(v) for k, v in out.items()}
+    if aggregate == "count":
+        return {k: len(v) for k, v in out.items()}
+    if aggregate == "min":
+        return {k: min(v) for k, v in out.items()}
+    if aggregate == "max":
+        return {k: max(v) for k, v in out.items()}
+    if aggregate == "mean":
+        return {k: sum(v) / len(v) for k, v in out.items()}
+    raise AssertionError(aggregate)
+
+
+def assert_matches_reference_groupby(
+    group_keys, group_values, keys, values, aggregate
+):
+    """Sorted distinct keys, each with the reference aggregate: exact
+    for sum/count/min/max, ``approx`` for mean (float division order)."""
+    expected = reference_groupby(keys, values, aggregate)
+    assert list(map(int, group_keys)) == sorted(expected)
+    got = dict(zip(map(int, group_keys), group_values.tolist()))
+    if aggregate == "mean":
+        assert got == pytest.approx(expected)
+    else:
+        assert got == expected

@@ -160,3 +160,56 @@ def test_the_gate_sees_citations():
     assert "benchmarks/stack/README.md" in cited
     assert "EXPERIMENTS.md" in cited
     assert not _exists("benchmarks/no_such_bench.py")
+
+
+#: the pages whose ``python -m repro <verb>`` commands must run
+CLI_PAGES = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+#: ``python -m repro serve ...`` or ``python -m repro {list,join}``
+_CLI_VERB = re.compile(r"python -m repro +(\{[\w,-]+\}|[a-z][\w-]*)")
+
+
+def _cited_verbs(text: str):
+    for match in _CLI_VERB.findall(text):
+        yield from match.strip("{}").split(",")
+
+
+def _cli_verbs():
+    import argparse
+
+    from repro.cli import build_parser
+
+    (subcommands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(subcommands.choices)
+
+
+@pytest.mark.parametrize(
+    "page", CLI_PAGES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_documented_cli_verbs_exist(page):
+    """Every ``python -m repro <verb>`` a page shows is a subcommand."""
+    cited = set(_cited_verbs(page.read_text()))
+    missing = sorted(cited - _cli_verbs())
+    assert not missing, f"{page.relative_to(ROOT)} runs missing {missing}"
+
+
+def test_the_gate_sees_verbs():
+    # a regex that silently matches nothing would pass every page
+    cited = {
+        verb for page in CLI_PAGES for verb in _cited_verbs(page.read_text())
+    }
+    assert {"list", "pipeline", "spill", "serve", "simulate"} <= cited
+    assert list(_cited_verbs("python -m repro {list,join} x")) == [
+        "list", "join",
+    ]
+    assert not list(_cited_verbs("from repro import PartitionerConfig"))
+    assert "no-such-verb" not in _cli_verbs()

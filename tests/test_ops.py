@@ -4,28 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.modes import HashKind, PartitionerConfig
-from repro.core.partitioner import FpgaPartitioner
 from repro.errors import ConfigurationError
 from repro.ops import RangePartitioner, partitioned_groupby
 from repro.workloads.distributions import random_keys, reverse_grid_keys
 from repro.workloads.relations import make_relation
-
-
-def reference_groupby(keys, values, aggregate):
-    out = {}
-    for k, v in zip(map(int, keys), map(int, values)):
-        out.setdefault(k, []).append(v)
-    if aggregate == "sum":
-        return {k: sum(v) for k, v in out.items()}
-    if aggregate == "count":
-        return {k: len(v) for k, v in out.items()}
-    if aggregate == "min":
-        return {k: min(v) for k, v in out.items()}
-    if aggregate == "max":
-        return {k: max(v) for k, v in out.items()}
-    if aggregate == "mean":
-        return {k: sum(v) / len(v) for k, v in out.items()}
-    raise AssertionError(aggregate)
+from tests.conftest import reference_groupby
 
 
 class TestGroupBy:
@@ -72,11 +55,12 @@ class TestGroupBy:
 
     def test_custom_partitioner(self, data):
         keys, values = data
-        partitioner = FpgaPartitioner(
-            PartitionerConfig(num_partitions=64, hash_kind=HashKind.RADIX)
-        )
         result = partitioned_groupby(
-            keys, values, partitioner=partitioner
+            keys,
+            values,
+            config=PartitionerConfig(
+                num_partitions=64, hash_kind=HashKind.RADIX
+            ),
         )
         assert result.num_partitions_used == 64
         expected = reference_groupby(keys, values, "sum")

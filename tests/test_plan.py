@@ -36,7 +36,8 @@ from repro.plan import (
     partition_query,
 )
 from repro.storage import RelationStore, SpillPartitioner
-from repro.workloads.relations import Relation
+from repro.workloads.relations import Relation, make_workload
+from tests.conftest import assert_matches_reference_groupby
 
 
 def _keys(n: int, seed: int, key_space: int = 64) -> np.ndarray:
@@ -152,12 +153,10 @@ def test_fused_groupby_equals_staged_and_reference(
         if engine is not None:
             engine.close()
     _assert_same_result(fused, staged, aggregate)
-    # and both match the library group-by on the same fan-out
-    reference = partitioned_groupby(
-        keys, values, aggregate=aggregate, num_partitions=8
+    # and both match the dict-of-lists reference
+    assert_matches_reference_groupby(
+        fused.group_keys, fused.group_values, keys, values, aggregate
     )
-    assert np.array_equal(fused.group_keys, reference.keys)
-    assert np.array_equal(fused.group_values, reference.values)
 
 
 @given(
@@ -245,6 +244,20 @@ class TestCompiler:
         with pytest.raises(FusionDeclined) as err:
             compile_plan(plan, platform=XeonFpgaPlatform())
         assert "platform" in err.value.reason
+
+    def test_declined_plan_resolves_configs_like_a_fused_one(self):
+        from repro.platform.machine import XeonFpgaPlatform
+
+        wl = make_workload("A", scale=4096, seed=2)
+        plan = join_query(wl.r, wl.s, collect_payloads=True)
+        declined = execute_plan(plan, platform=XeonFpgaPlatform())
+        staged = execute_plan(plan, fused=False)
+        assert declined.declined is not None and not declined.fused
+        assert declined.num_partitions == staged.num_partitions
+        for attr in ("matches", "r_payloads", "s_payloads"):
+            assert np.array_equal(
+                getattr(declined, attr), getattr(staged, attr)
+            ), attr
 
     def test_mismatched_join_configs_rejected(self):
         plan = join_query(_relation(100, 5), _relation(100, 6))
@@ -354,46 +367,69 @@ class TestFusedOverflow:
 
 
 class TestOperatorWiring:
-    def test_hybrid_join_fused_equals_staged(self):
-        from repro.join.hybrid_join import hybrid_join
-        from repro.workloads.relations import make_workload
+    @pytest.mark.parametrize("engine_kind", [None, "thread"])
+    @pytest.mark.parametrize(
+        "entry,on_overflow",
+        [
+            ("hybrid_join", "hist"),
+            ("hybrid_join", "cpu"),
+            ("cpu_radix_join", "hist"),
+            ("partitioned_groupby", "hist"),
+        ],
+    )
+    def test_entry_points_equal_staged_plan(
+        self, entry, on_overflow, engine_kind
+    ):
+        """The library entry points run the fused plan; their rows
+        equal the staged plan's (a skewed S overflows PAD, so the
+        hist/cpu fallbacks are exercised)."""
+        from repro.join import cpu_radix_join, hybrid_join
 
-        wl = make_workload("A", scale=4096, seed=2)
-        config = PartitionerConfig(num_partitions=64)
-        staged = hybrid_join(wl, config=config, collect_payloads=True)
-        fused = hybrid_join(
-            wl, config=config, collect_payloads=True, fused=True
+        wl = make_workload("A", scale=4096, seed=2, skew_s_zipf=1.0)
+        engine = (
+            ExecutionEngine(workers=2, kind="thread")
+            if engine_kind == "thread"
+            else None
         )
-        assert fused.matches == staged.matches
-        assert np.array_equal(fused.r_payloads, staged.r_payloads)
-        assert np.array_equal(fused.s_payloads, staged.s_payloads)
-        assert fused.timing.partitioner.endswith(" fused")
-        assert (
-            fused.timing.partition_seconds
-            == staged.timing.partition_seconds
-        )
-
-    def test_cpu_radix_join_fused_equals_staged(self):
-        from repro.join.radix_join import cpu_radix_join
-        from repro.workloads.relations import make_workload
-
-        wl = make_workload("A", scale=4096, seed=5)
-        staged = cpu_radix_join(wl, num_partitions=64)
-        fused = cpu_radix_join(wl, num_partitions=64, fused=True)
-        assert fused.matches == staged.matches
-        assert "fused" in fused.timing.partitioner
-
-    def test_partitioned_groupby_fused_flag(self):
-        keys = _keys(5_000, 21)
-        values = _keys(5_000, 22, key_space=1000)
-        classic = partitioned_groupby(
-            keys, values, aggregate="mean", num_partitions=32
-        )
-        fused = partitioned_groupby(
-            keys, values, aggregate="mean", num_partitions=32, fused=True
-        )
-        assert np.array_equal(classic.keys, fused.keys)
-        assert np.array_equal(classic.values, fused.values)
+        try:
+            if entry == "partitioned_groupby":
+                config = PartitionerConfig(num_partitions=32)
+                got = partitioned_groupby(
+                    wl.s, aggregate="mean", config=config, engine=engine
+                )
+                rows = (got.keys, got.values)
+                plan = groupby_query(wl.s, aggregate="mean", config=config)
+                attrs = ("group_keys", "group_values")
+            else:
+                if entry == "hybrid_join":
+                    config = PartitionerConfig(
+                        num_partitions=64, output_mode=OutputMode.PAD
+                    )
+                    got = hybrid_join(
+                        wl, config=config, collect_payloads=True,
+                        on_overflow=on_overflow, engine=engine,
+                    )
+                    assert got.fell_back_to_cpu == (on_overflow == "cpu")
+                else:
+                    config = PartitionerConfig(
+                        num_partitions=64, hash_kind=HashKind.RADIX
+                    )
+                    got = cpu_radix_join(
+                        wl, num_partitions=64, collect_payloads=True,
+                        engine=engine,
+                    )
+                rows = (got.matches, got.r_payloads, got.s_payloads)
+                plan = join_query(
+                    wl.r, wl.s, config=config, on_overflow=on_overflow,
+                    collect_payloads=True,
+                )
+                attrs = ("matches", "r_payloads", "s_payloads")
+            staged = execute_plan(plan, engine=engine, fused=False)
+        finally:
+            if engine is not None:
+                engine.close()
+        for attr, row in zip(attrs, rows):
+            assert np.array_equal(row, getattr(staged, attr)), attr
 
     def test_service_executes_plans(self):
         from repro.service.service import (
@@ -476,9 +512,7 @@ class TestPlanValidation:
         rel = _relation(500, 43)
         plan = groupby_query(rel, aggregate="sum")
         result = execute_plan(plan, fused=True)
-        reference = partitioned_groupby(
-            rel.keys, rel.payloads, aggregate="sum",
-            num_partitions=result.num_partitions,
+        assert_matches_reference_groupby(
+            result.group_keys, result.group_values,
+            rel.keys, rel.payloads, "sum",
         )
-        assert np.array_equal(result.group_keys, reference.keys)
-        assert np.array_equal(result.group_values, reference.values)

@@ -695,10 +695,49 @@ class TestJoinFromSpill:
         )
         joined = hybrid_join_spilled(r_spill, s_spill, collect_payloads=True)
         assert joined.matches == mem.matches
-        assert np.array_equal(
-            np.sort(joined.r_payloads), np.sort(mem.r_payloads)
-        )
+        assert np.array_equal(joined.r_payloads, mem.r_payloads)
+        assert np.array_equal(joined.s_payloads, mem.s_payloads)
         assert joined.timing.partitioner.startswith("spill")
+
+    @pytest.mark.filterwarnings("ignore:ingest sketch predicts")
+    def test_pad_retry_charged_in_memory_and_spilled(self, tmp_path):
+        """A skewed S overflows PAD under ``on_overflow="hist"``: both
+        joins label it ``(retry)`` and charge the HIST pass plus the
+        aborted PAD pass."""
+        import dataclasses
+
+        from repro.core.model import FpgaCostModel
+        from repro.join import hybrid_join, hybrid_join_spilled
+        from repro.workloads.relations import make_workload
+
+        workload = make_workload("A", scale=4096, seed=2, skew_s_zipf=1.0)
+        pad = PartitionerConfig(num_partitions=64, output_mode=OutputMode.PAD)
+        hist = dataclasses.replace(pad, output_mode=OutputMode.HIST)
+        model = FpgaCostModel()
+        n_r, n_s = len(workload.r), len(workload.s)
+        expected = (
+            model.partitioning_seconds(n_r, pad, calibrated=True)
+            + model.partitioning_seconds(n_s, hist, calibrated=True)
+            + model.partitioning_seconds(n_s, pad, calibrated=True)
+        )
+        mem = hybrid_join(workload, config=pad, on_overflow="hist")
+        spiller = SpillPartitioner(pad, max_bytes_in_memory=50_000)
+        r_spill, s_spill = (
+            spiller.run(
+                RelationStore.ingest(relation, tmp_path / name),
+                tmp_path / f"{name}-run",
+                on_overflow="hist",
+            )
+            for name, relation in (("r", workload.r), ("s", workload.s))
+        )
+        spilled = hybrid_join_spilled(r_spill, s_spill)
+        for joined, source in ((mem, "fpga"), (spilled, "spill")):
+            assert joined.timing.partitioner == (
+                f"{source} PAD/RID+HIST/RID(retry)"
+            )
+            assert joined.timing.partition_seconds == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_fanout_mismatch_rejected(self, tmp_path):
         from repro.join import hybrid_join_spilled
