@@ -1,8 +1,9 @@
 """Compiled hot-path kernels with a NumPy fallback.
 
-The six inner primitives of the partitioning data plane — fused hash +
+The eight inner primitives of the partitioning data plane — fused hash +
 radix histogram, stable scatter, SWWC buffered flush, fused batch
-partition, bucket-chaining build and probe — each exactly one Python
+partition, bucket-chaining build and probe, fused join + aggregate over
+a partition range, and the group sort — each exactly one Python
 function between its caller and one of two interchangeable backends:
 
 * **native** — a small C library (``_native.c``) compiled on demand
@@ -31,8 +32,8 @@ Tests can switch backends at runtime with :func:`set_backend` /
 
 Each primitive checks its arguments (one rule set for both backends),
 allocates its outputs once and asks :func:`_eligible` whether the call
-can run in C: contiguous ``uint32`` columns and a :func:`parts_dtype`
-index column.  Anything else — notably ``uint64`` keys for 16 B tuples
+can run in C: contiguous ``uint32`` columns, a :func:`parts_dtype`
+index column and contiguous ``int64`` index/accumulator columns.  Anything else — notably ``uint64`` keys for 16 B tuples
 — takes the NumPy twin for that call, so callers never need to care.
 """
 
@@ -61,11 +62,13 @@ __all__ = [
     "bucket_probe",
     "build_native",
     "hash_histogram",
+    "join_aggregate",
     "library_path",
     "native_available",
     "partition_batch",
     "parts_dtype",
     "set_backend",
+    "sort_groups",
     "stable_scatter",
     "swwc_scatter",
     "using_backend",
@@ -185,7 +188,8 @@ def _eligible(
     True when the native backend is active, every array of ``columns``
     is a contiguous ``uint32`` column, ``parts`` (when given) is a
     contiguous partition-index column of a dtype the library has, and
-    every array of ``indices`` is a contiguous ``int64`` column.
+    every array of ``indices`` is a contiguous ``int64`` column (a
+    ``None`` there is an absent optional column).
     """
     if backend_name() != "native":
         return False
@@ -193,6 +197,8 @@ def _eligible(
         if column.dtype != np.uint32 or not column.flags.c_contiguous:
             return False
     for index in indices:
+        if index is None:
+            continue
         if index.dtype != np.int64 or not index.flags.c_contiguous:
             return False
     return parts is None or (
@@ -212,7 +218,7 @@ def _check_fanout(num_partitions: int, lanes: Optional[int]) -> None:
 
 
 # ----------------------------------------------------------------------
-# The six primitives
+# The eight primitives
 # ----------------------------------------------------------------------
 
 def hash_histogram(
@@ -466,3 +472,69 @@ def bucket_probe(
         if count <= capacity:
             return out_probe[:count], out_build[:count], int(hops[0])
         capacity = count
+
+
+#: the C fold code per aggregate (``mean`` folds sums, ``count`` counts)
+_FOLD = {"sum": 0, "mean": 0, "count": 1, "min": 2, "max": 3}
+
+
+def join_aggregate(
+    r_keys: np.ndarray, r_values: np.ndarray, r_bounds: np.ndarray,
+    s_keys: np.ndarray, s_values: np.ndarray, s_bounds: np.ndarray,
+    p0: int, p1: int, aggregate: str, value_side: str,
+    out_keys: np.ndarray, out_values: np.ndarray,
+    out_counts: Optional[np.ndarray] = None,
+) -> Tuple[int, int]:
+    """Primitive 7: build + probe + aggregate over partitions ``[p0,
+    p1)`` of scattered build (``r_*``) and probe (``s_*``) columns,
+    partition ``p`` being ``[bounds[p], bounds[p + 1])`` → ``(rows,
+    matches)``.  Each matched build tuple yields one row, in build
+    order, at the front of the outputs: its key, the exact ``int64``
+    ``aggregate`` of its matches' ``value_side`` (``"r"``/``"s"``)
+    values and (into ``out_counts``, if given) its match count.
+    """
+    if not _eligible(
+        (r_keys, r_values, s_keys, s_values, out_keys),
+        indices=(r_bounds, s_bounds, out_values, out_counts),
+    ):
+        return numpy_impl.join_aggregate(
+            r_keys, r_values, r_bounds, s_keys, s_values, s_bounds,
+            p0, p1, aggregate, value_side, out_keys, out_values, out_counts,
+        )
+    matches = np.zeros(1, dtype=np.int64)
+    rows = _lib["join_aggregate"](
+        r_keys.ctypes.data, r_values.ctypes.data, r_bounds.ctypes.data,
+        s_keys.ctypes.data, s_values.ctypes.data, s_bounds.ctypes.data,
+        p0, p1, _FOLD[aggregate], 1 if value_side == "s" else 0,
+        out_keys.ctypes.data, out_values.ctypes.data,
+        None if out_counts is None else out_counts.ctypes.data,
+        matches.ctypes.data,
+    )
+    if rows < 0:
+        raise MemoryError("join_aggregate: no memory for the hash table")
+    return rows, int(matches[0])
+
+
+def sort_groups(
+    keys: np.ndarray,
+    values: np.ndarray,
+    aggregate: str,
+    counts: Optional[np.ndarray] = None,
+) -> int:
+    """Primitive 8: stable sort of group rows by key *in place*, equal
+    keys folded (values add, or keep the ``min``/``max``; ``counts``
+    add) → the group count; the groups are each column's first rows.
+
+    Natively one LSD radix sort of ``uint32`` keys with ``int64``
+    columns; other dtypes take the twin (a stable argsort).
+    """
+    if not _eligible((keys,), indices=(values, counts)):
+        return numpy_impl.sort_groups(keys, values, aggregate, counts)
+    groups = _lib["sort_groups"](
+        keys.ctypes.data, values.ctypes.data,
+        None if counts is None else counts.ctypes.data,
+        keys.shape[0], _FOLD[aggregate],
+    )
+    if groups < 0:
+        raise MemoryError("sort_groups: no memory for the sort scratch")
+    return groups

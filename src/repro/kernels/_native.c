@@ -1,6 +1,6 @@
 /* Native hot-path kernels for the partitioning data plane.
  *
- * Six primitives, mirroring the paper's inner loops (Section 4), each
+ * Eight primitives, mirroring the paper's inner loops (Section 4), each
  * called straight from its one dispatch function in repro.kernels:
  *
  *   1. hash + radix histogram — murmur3 finalizer (Code 3) or radix
@@ -17,7 +17,12 @@
  *   4. batch partition — 1 and 2 run per request of a batch, straight
  *      from each request's own columns into its slice of one shared
  *      output: one call (one GIL release) per batch;
- *   5 + 6. bucket-chaining join build and probe.
+ *   5 + 6. bucket-chaining join build and probe;
+ *   7. fused join + aggregate — 5 and 6 per partition of a range, with
+ *      an exact int64 aggregate per matched build tuple: the consumer
+ *      side of the hybrid join (Section 5) in one call per range;
+ *   8. group sort — stable LSD radix sort of group rows by key that
+ *      folds equal keys (the final merge of every grouped result).
  *
  * Deliberately plain C99 with no Python.h: the module is loaded
  * through ctypes, which drops the GIL for the duration of every call —
@@ -482,5 +487,205 @@ int64_t repro_bucket_probe(const uint32_t *build_keys,
     return count;
 }
 
+/* ------------------------------------------------------------------ */
+/* 7: fused join + aggregate over a range of partitions                */
+/*                                                                     */
+/* For each partition p in [p0, p1) of the scattered R (build) and S   */
+/* (probe) columns: build the bucket chains over R_p (the buckets of   */
+/* 5), probe them with S_p, and accumulate per matched build tuple an  */
+/* exact int64 count and sum, min or max of the match values (taken    */
+/* from R or S).  Emits one (key, value[, count]) row per matched      */
+/* build tuple, in build order; rows of the whole range are written   */
+/* contiguously from out_keys[0].  One call replaces a build, a probe  */
+/* and the per-partition NumPy grouping glue.                          */
+/* ------------------------------------------------------------------ */
+
+enum { REPRO_AGG_SUM = 0, REPRO_AGG_COUNT = 1, REPRO_AGG_MIN = 2,
+       REPRO_AGG_MAX = 3 };
+
+/* Returns the rows written, or -1 when the scratch cannot be
+ * allocated (nothing written).  out_counts may be NULL (only mean
+ * needs the counts next to the sums); *matches_out gets the number of
+ * matching (build, probe) pairs.                                      */
+int64_t repro_join_aggregate(
+    const uint32_t *r_keys, const uint32_t *r_vals, const int64_t *r_bounds,
+    const uint32_t *s_keys, const uint32_t *s_vals, const int64_t *s_bounds,
+    int64_t p0, int64_t p1, int agg, int value_side_s,
+    uint32_t *out_keys, int64_t *out_values, int64_t *out_counts,
+    int64_t *matches_out)
+{
+    int64_t max_n = 0, rows = 0, matches = 0, p, i;
+    for (p = p0; p < p1; p++) {
+        const int64_t n = r_bounds[p + 1] - r_bounds[p];
+        if (n > max_n) max_n = n;
+    }
+    int64_t max_buckets = 2;
+    while (max_buckets < max_n) max_buckets <<= 1;
+    int64_t *heads = (int64_t *)malloc((size_t)max_buckets * 8);
+    int64_t *nxt = (int64_t *)malloc((size_t)(max_n + 1) * 8);
+    int64_t *cnt = (int64_t *)malloc((size_t)(max_n + 1) * 8);
+    int64_t *acc = (int64_t *)malloc((size_t)(max_n + 1) * 8);
+    if (!heads || !nxt || !cnt || !acc) {
+        free(heads); free(nxt); free(cnt); free(acc);
+        return -1;
+    }
+    const int64_t acc_init = agg == REPRO_AGG_MIN ? INT64_MAX
+                           : agg == REPRO_AGG_MAX ? INT64_MIN : 0;
+    const int probe_values = value_side_s && agg != REPRO_AGG_COUNT;
+
+    for (p = p0; p < p1; p++) {
+        const uint32_t *rk = r_keys + r_bounds[p];
+        const uint32_t *rv = r_vals + r_bounds[p];
+        const uint32_t *sk = s_keys + s_bounds[p];
+        const uint32_t *sv = s_vals + s_bounds[p];
+        const int64_t n = r_bounds[p + 1] - r_bounds[p];
+        const int64_t m = s_bounds[p + 1] - s_bounds[p];
+        if (n == 0 || m == 0) continue;
+        int64_t num_buckets = 2;
+        while (num_buckets < n) num_buckets <<= 1;
+        const uint32_t mask = (uint32_t)(num_buckets - 1);
+        const uint32_t shift = repro_bucket_shift(num_buckets);
+
+        for (i = 0; i < num_buckets; i++) heads[i] = -1;
+        for (i = 0; i < n; i++) {
+            const uint32_t b = (murmur32(rk[i]) >> shift) & mask;
+            nxt[i] = heads[b];
+            heads[b] = i;
+            cnt[i] = 0;
+            acc[i] = acc_init;
+        }
+        for (i = 0; i < m; i++) {
+            const uint32_t key = sk[i];
+            int64_t c = heads[(murmur32(key) >> shift) & mask];
+            while (c >= 0) {
+                if (rk[c] == key) {
+                    cnt[c]++;
+                    if (probe_values) {
+                        const int64_t v = sv[i];
+                        if (agg == REPRO_AGG_SUM) acc[c] += v;
+                        else if (agg == REPRO_AGG_MIN) {
+                            if (v < acc[c]) acc[c] = v;
+                        } else if (v > acc[c]) acc[c] = v;
+                    }
+                }
+                c = nxt[c];
+            }
+        }
+        for (i = 0; i < n; i++) {
+            const int64_t k = cnt[i];
+            if (k == 0) continue;
+            int64_t value;
+            if (agg == REPRO_AGG_COUNT) value = k;
+            else if (probe_values) value = acc[i];
+            else if (agg == REPRO_AGG_SUM) value = k * (int64_t)rv[i];
+            else value = rv[i];
+            out_keys[rows] = rk[i];
+            out_values[rows] = value;
+            if (out_counts) out_counts[rows] = k;
+            rows++;
+            matches += k;
+        }
+    }
+    free(heads); free(nxt); free(cnt); free(acc);
+    *matches_out = matches;
+    return rows;
+}
+
+/* ------------------------------------------------------------------ */
+/* 8: group sort — stable LSD radix sort by uint32 key, in place, then */
+/* a fold of adjacent equal keys                                       */
+/*                                                                     */
+/* Three passes of 11 key bits (a pass whose digit is the same for     */
+/* every row is skipped), ping-ponging between the columns and one     */
+/* scratch copy.  Equal keys are then folded in place: values added    */
+/* (fold 0 / 1), or their min (2) / max (3); counts, when given, added. */
+/* ------------------------------------------------------------------ */
+
+#define SORT_DIGIT_BITS 11
+#define SORT_RADIX (1 << SORT_DIGIT_BITS)
+#define SORT_PASSES 3
+
+/* Returns the folded row count (the groups are the first rows of each
+ * column), or -1 when the scratch cannot be allocated (nothing
+ * written).  counts may be NULL.                                      */
+int64_t repro_sort_groups(uint32_t *keys, int64_t *values, int64_t *counts,
+                          int64_t n, int fold)
+{
+    int64_t hist[SORT_PASSES][SORT_RADIX];
+    int passes[SORT_PASSES], num_passes = 0, d, q;
+    int64_t i;
+    memset(hist, 0, sizeof hist);
+    for (i = 0; i < n; i++) {
+        const uint32_t k = keys[i];
+        for (d = 0; d < SORT_PASSES; d++)
+            hist[d][(k >> (d * SORT_DIGIT_BITS)) & (SORT_RADIX - 1)]++;
+    }
+    for (d = 0; d < SORT_PASSES; d++) {
+        const uint32_t first = n ? (keys[0] >> (d * SORT_DIGIT_BITS))
+                                   & (SORT_RADIX - 1) : 0;
+        if (hist[d][first] != n) passes[num_passes++] = d;
+    }
+
+    if (num_passes > 0) {
+        uint32_t *tmp_keys = (uint32_t *)malloc((size_t)n * 4);
+        int64_t *tmp_values = (int64_t *)malloc((size_t)n * 8);
+        int64_t *tmp_counts = counts ? (int64_t *)malloc((size_t)n * 8)
+                                     : NULL;
+        if (!tmp_keys || !tmp_values || (counts && !tmp_counts)) {
+            free(tmp_keys); free(tmp_values); free(tmp_counts);
+            return -1;
+        }
+        uint32_t *src_k = keys, *dst_k = tmp_keys, *swap_k;
+        int64_t *src_v = values, *dst_v = tmp_values, *swap_v;
+        int64_t *src_c = counts, *dst_c = tmp_counts, *swap_c;
+        for (q = 0; q < num_passes; q++) {
+            const int shift = passes[q] * SORT_DIGIT_BITS;
+            int64_t *cursor = hist[passes[q]], sum = 0;
+            for (i = 0; i < SORT_RADIX; i++) {
+                const int64_t c = cursor[i];
+                cursor[i] = sum;
+                sum += c;
+            }
+            for (i = 0; i < n; i++) {
+                const int64_t at =
+                    cursor[(src_k[i] >> shift) & (SORT_RADIX - 1)]++;
+                dst_k[at] = src_k[i];
+                dst_v[at] = src_v[i];
+                if (src_c) dst_c[at] = src_c[i];
+            }
+            swap_k = src_k; src_k = dst_k; dst_k = swap_k;
+            swap_v = src_v; src_v = dst_v; dst_v = swap_v;
+            swap_c = src_c; src_c = dst_c; dst_c = swap_c;
+        }
+        if (src_k != keys) {  /* an odd pass count ends in the scratch */
+            memcpy(keys, src_k, (size_t)n * 4);
+            memcpy(values, src_v, (size_t)n * 8);
+            if (counts) memcpy(counts, src_c, (size_t)n * 8);
+        }
+        free(tmp_keys); free(tmp_values); free(tmp_counts);
+    }
+
+    int64_t groups = 0;
+    for (i = 0; i < n; i++) {
+        if (groups > 0 && keys[groups - 1] == keys[i]) {
+            int64_t *v = values + groups - 1;
+            if (fold == REPRO_AGG_MIN) {
+                if (values[i] < *v) *v = values[i];
+            } else if (fold == REPRO_AGG_MAX) {
+                if (values[i] > *v) *v = values[i];
+            } else {
+                *v += values[i];
+            }
+            if (counts) counts[groups - 1] += counts[i];
+            continue;
+        }
+        keys[groups] = keys[i];
+        values[groups] = values[i];
+        if (counts) counts[groups] = counts[i];
+        groups++;
+    }
+    return groups;
+}
+
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 5; }
+int repro_kernels_abi(void) { return 6; }

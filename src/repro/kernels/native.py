@@ -20,13 +20,14 @@ from repro.kernels.build import KernelBuildError, build_native
 
 #: bumped whenever a symbol is added, removed or re-typed, so a stale
 #: cached library is never silently reused
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 #: C type per signature letter: ``p`` address, ``q`` int64, ``i`` int.
 #: Every array argument is a raw address (``ndarray.ctypes.data``):
 #: cheaper per call than ``data_as`` pointer casts, which matters for
-#: the per-partition build/probe kernels called hundreds of times per
-#: query.  The dispatch layer guarantees dtype and contiguity.
+#: the per-partition build/probe kernels a join-only plan calls
+#: hundreds of times per query.  The dispatch layer guarantees dtype
+#: and contiguity.
 _CTYPES = {"p": ctypes.c_void_p, "q": ctypes.c_int64, "i": ctypes.c_int}
 
 #: The one signature table: symbol family → (argument letters, result
@@ -42,6 +43,8 @@ SIGNATURES = {
     "partition_batch": ("pqqiqppp", None, True),
     "bucket_build": ("pqqpp", None, False),
     "bucket_probe": ("pppqpqppqp", "q", False),
+    "join_aggregate": ("ppppppqqiipppp", "q", False),
+    "sort_groups": ("pppqi", "q", False),
 }
 
 

@@ -1,7 +1,7 @@
 """Pure-NumPy reference implementations of the hot-path kernels.
 
 These are the vectorised kernels the repo shipped before the native
-extension existed, factored behind the same six-primitive API so the
+extension existed, factored behind the same eight-primitive API so the
 dispatch layer (:mod:`repro.kernels`) can swap freely between them.
 They are the always-available fallback *and* the correctness oracle:
 the native kernels must match them byte for byte (tests/test_kernels.py
@@ -289,3 +289,60 @@ def bucket_probe(
         return probe_idx[order], build_idx[order], hops
     empty = np.empty(0, dtype=np.int64)
     return empty, empty.copy(), hops
+
+
+#: each aggregate's fold of one key's rows (``count`` and ``mean`` add
+#: counts and sums)
+_FOLDS = {"sum": np.add, "count": np.add, "mean": np.add,
+          "min": np.minimum, "max": np.maximum}
+
+
+def join_aggregate(
+    r_keys, r_values, r_bounds, s_keys, s_values, s_bounds, p0, p1,
+    aggregate, value_side, out_keys, out_values, out_counts,
+) -> Tuple[int, int]:
+    """Per partition of ``[p0, p1)``: :func:`bucket_build` +
+    :func:`bucket_probe`, then the matches grouped by build index with
+    :func:`sort_groups` — one row per matched build tuple, in build
+    order.  Returns ``(rows, matches)``."""
+    rows = matches = 0
+    for p in range(p0, p1):
+        r_lo, s_lo = int(r_bounds[p]), int(s_bounds[p])
+        build = r_keys[r_lo:int(r_bounds[p + 1])]
+        num_buckets = max(2, 1 << (build.shape[0] - 1).bit_length())
+        heads, nxt = bucket_build(build, num_buckets)
+        probe_idx, build_idx, _ = bucket_probe(
+            build, heads, nxt, num_buckets, s_keys[s_lo:int(s_bounds[p + 1])]
+        )
+        counts = np.ones_like(build_idx)
+        if aggregate == "count":
+            values = np.ones_like(build_idx)
+        elif value_side == "s":
+            values = s_values[s_lo + probe_idx].astype(np.int64)
+        else:
+            values = r_values[r_lo + build_idx].astype(np.int64)
+        matches += build_idx.shape[0]
+        groups = sort_groups(build_idx, values, aggregate, counts)
+        end = rows + groups
+        out_keys[rows:end] = build[build_idx[:groups]]
+        out_values[rows:end] = values[:groups]
+        if out_counts is not None:
+            out_counts[rows:end] = counts[:groups]
+        rows = end
+    return rows, matches
+
+
+def sort_groups(keys, values, aggregate, counts) -> int:
+    """Stable argsort by key, then one ``reduceat`` per column over the
+    runs of equal keys, written back to the columns' first rows."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]][: keys.size]
+    )
+    groups = starts.shape[0]
+    keys[:groups] = sorted_keys[starts]
+    values[:groups] = _FOLDS[aggregate].reduceat(values[order], starts)
+    if counts is not None:
+        counts[:groups] = np.add.reduceat(counts[order], starts)
+    return groups

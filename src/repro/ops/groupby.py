@@ -123,7 +123,9 @@ def _aggregate_runs(aggregate: str, values: np.ndarray, starts: np.ndarray):
         ends = np.append(starts[1:], values.shape[0])
         return (ends - starts).astype(np.int64)
     if aggregate == "mean":
-        sums = np.add.reduceat(values.astype(np.float64), starts)
+        # integer sums stay exact in int64 (float64 rounds past 2**53)
+        exact = np.int64 if values.dtype.kind in "iu" else np.float64
+        sums = np.add.reduceat(values.astype(exact), starts)
         ends = np.append(starts[1:], values.shape[0])
         return sums / (ends - starts)
     if aggregate == "sum":

@@ -1,41 +1,37 @@
-"""Plan execution: one per-partition driver per operator, fused or staged.
+"""Plan execution: one driver per operator, fused or staged.
 
 Every join and group-by in the library runs here: the entry points
 (:func:`~repro.join.hybrid_join.hybrid_join`,
 :func:`~repro.join.radix_join.cpu_radix_join`,
 :func:`~repro.join.hybrid_join.hybrid_join_spilled`,
 :func:`~repro.ops.groupby.partitioned_groupby`) build a logical plan
-and call :func:`execute_plan`.  There is one per-partition driver for
-joins and one for group-by; each runs over any source whose
-``partition(p)`` returns that partition's ``(keys, payloads)``, and
-fans the partitions out over :meth:`ExecutionEngine.map_tasks
+and call :func:`execute_plan`.  The join and group-by drivers run over
+any source whose ``partition(p)`` returns that partition's ``(keys,
+payloads)`` and fan out over :meth:`ExecutionEngine.map_tasks
 <repro.exec.engine.ExecutionEngine.map_tasks>`.  ``fused`` decides
 only two things:
 
-1. **where partitions come from.**  Fused, an in-memory input runs
-   histogram → overflow check → scatter through
+1. **where partitions come from.**  Fused, an in-memory input is
+   histogrammed, overflow-checked and scattered (through
    :meth:`ExecutionEngine.begin_partition
-   <repro.exec.engine.ExecutionEngine.begin_partition>` (or the kernels
-   directly without an engine) and the scattered columns are wrapped in
-   a lazy boundary view (:class:`_FusedColumns`) — no
-   :class:`~repro.core.partitioner.PartitionedOutput` is ever
-   assembled.  Staged, the input goes through the
-   :class:`~repro.core.partitioner.FpgaPartitioner` into a full
-   ``PartitionedOutput``.  A spilled input is read out of its run files
-   partition by partition (fused) or adapted whole with ``to_output()``
-   (staged).
-2. **where join+aggregate groups.**  Fused, each partition's matches
-   aggregate on the spot over the build index
-   (:func:`_fused_partition_agg`).  Staged, the match columns are
+   <repro.exec.engine.ExecutionEngine.begin_partition>`, or the kernels
+   directly without an engine) into a lazy boundary view
+   (:class:`_FusedColumns`), and a spilled input is read out of its run
+   files partition by partition.  Staged, the
+   :class:`~repro.core.partitioner.FpgaPartitioner` (or the spill's
+   ``to_output()``) assembles a full
+   :class:`~repro.core.partitioner.PartitionedOutput`.
+2. **where join+aggregate groups.**  Fused, inside the join: one
+   native call per partition range (:func:`_join_aggregate`) aggregates
+   per matched build tuple.  Staged, the match columns are
    concatenated and re-partitioned through the group-by driver — the
    extra pass the fused path avoids, kept as the identity oracle the
    property tests and benchmarks compare against.
 
-Results merge in partition order, which is what makes the two
-**row-identical**: every key lives in exactly one partition, stable
-scatter preserves within-partition order, partition contents are
-mode- and backend-independent (pinned repo-wide), and the final stable
-sort runs over *distinct* group keys.
+The two are **row-identical**: every key lives in exactly one
+partition, partition contents are mode- and backend-independent
+(pinned repo-wide), integer aggregates are exact on both paths, and
+one stable sort by key orders (and folds) the final groups.
 
 PAD overflow in the fused scatter keeps the partitioner's policies,
 settled by the shared :meth:`Accounting.finalize
@@ -308,96 +304,50 @@ def _materialize_input(scan, config, on_overflow, engine, platform):
 # The per-partition drivers
 # ----------------------------------------------------------------------
 
-def _map_partitions(engine, task, num_partitions: int) -> list:
-    """``task(p)`` for every partition, in partition order."""
-    partitions = range(num_partitions)
+def _map_partitions(engine, task, items) -> list:
+    """``task(item)`` for every partition (or range), in order."""
     if engine is None:
-        return [task(p) for p in partitions]
-    return engine.map_tasks(task, partitions)
+        return [task(item) for item in items]
+    return engine.map_tasks(task, items)
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, np.uint32)
 
 
-#: float64 integer sums stay exact below 2^53; past that the bincount
-#: fast path could round where the staged reduceat would not.
-_EXACT_F64 = 1 << 53
+def _split_ranges(costs: np.ndarray, ways: int) -> List[Tuple[int, int]]:
+    """≤ ``ways`` contiguous partition ranges covering every partition
+    once: range ``k`` ends where the running cost first reaches ``(k +
+    1) / ways`` of the total, so none costs more than ``total / ways``
+    plus its largest partition."""
+    prefix = np.zeros(len(costs) + 1, dtype=np.int64)
+    np.cumsum(costs, out=prefix[1:])
+    cuts = np.searchsorted(
+        prefix * ways, np.arange(1, ways, dtype=np.int64) * prefix[-1]
+    )
+    bounds = [0, *cuts.tolist(), len(costs)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _fused_partition_agg(
-    aggregate: str,
-    build_keys: np.ndarray,
-    build_idx: np.ndarray,
-    probe_keys: np.ndarray,
-    probe_idx: np.ndarray,
-    match_values: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregate one partition's matches grouped by key.
-
-    The fused operator still holds the join's internal build index, so
-    ``sum``/``count``/``mean`` aggregate per *build tuple* with a
-    bincount — no sort of the match stream — and only the matched build
-    tuples get sorted for the final per-key grouping.  The staged
-    pipeline cannot do this: by the time its group-by runs, the matches
-    are a flat key/value stream and the build index is gone.
-    Exactness: integer values accumulate exactly in the float64
-    bincount while the largest possible group sum stays below 2^53
-    (checked), so the results are bit-identical to the staged reduceat;
-    outside that envelope — and for ``min``/``max`` — the sort-based
-    grouping runs instead.
-    """
-    fast = aggregate in ("sum", "count", "mean")
-    if fast and aggregate != "count":
-        if match_values.dtype.kind not in "iu" or (
-            match_values.size
-            and int(probe_idx.shape[0]) * int(match_values.max())
-            >= _EXACT_F64
-        ):
-            fast = False
-    if not fast:
-        match_keys = probe_keys[probe_idx]
-        uniques, starts = _group_starts(match_keys, match_values)
-        return uniques, _aggregate_runs(
-            aggregate, starts["values"], starts["bounds"]
-        )
-    n = int(build_keys.shape[0])
-    counts = np.bincount(build_idx, minlength=n)
-    if counts.min() > 0:  # every build tuple matched (common FK case)
-        keys_c = build_keys
-        counts_c = counts
-        matched = None
-    else:
-        matched = counts > 0
-        keys_c = build_keys[matched]
-        counts_c = counts[matched]
-    order = np.argsort(keys_c, kind="stable")
-    sorted_keys = keys_c[order]
-    boundaries = np.empty(sorted_keys.shape[0], dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.nonzero(boundaries)[0]
-    uniques = sorted_keys[starts]
-    count_runs = np.add.reduceat(counts_c[order], starts)
-    if aggregate == "count":
-        return uniques, count_runs.astype(np.int64)
-    sums = np.bincount(build_idx, weights=match_values, minlength=n)
-    if matched is not None:
-        sums = sums[matched]
-    sum_runs = np.add.reduceat(sums[order], starts)
-    if aggregate == "sum":
-        return uniques, sum_runs.astype(np.int64)
-    return uniques, sum_runs / count_runs
+def _one_partition(source, p: int):
+    """Partition ``p`` as a one-partition range: columns + bounds."""
+    keys, payloads = (np.asarray(column) for column in source.partition(p))
+    return keys, payloads, np.array([0, keys.shape[0]], dtype=np.int64)
 
 
 def _join(plan, sources, engine, ops, result: QueryResult) -> None:
-    """Per-partition build+probe; an aggregate groups each partition's
-    matches on the spot (fused) or regroups the concatenated match
-    columns through :func:`_groupby` afterwards (staged)."""
+    """Per-partition build+probe for join-only plans, payload pairs and
+    the staged oracle, which regroups the concatenated match columns
+    through :func:`_groupby`; a fused aggregate runs
+    :func:`_join_aggregate` instead."""
     r_in, s_in = sources
     agg = plan.aggregate
     collect = plan.join.collect_payloads
-    fused = result.fused
+    if agg is not None and result.fused:
+        _join_aggregate(sources, agg, engine, ops, result)
+        if not collect:
+            return
+    regroup = agg is not None and not result.fused
 
     def _one(p: int):
         r_keys, r_pays = r_in.partition(p)
@@ -412,53 +362,91 @@ def _join(plan, sources, engine, ops, result: QueryResult) -> None:
             return None
         r_pays, s_pays = np.asarray(r_pays), np.asarray(s_pays)
         pairs = (r_pays[build_idx], s_pays[probe_idx]) if collect else None
-        if agg is None:
+        if not regroup:
             return count, pairs, None
         if agg.value_side == "s":
             match_values = s_pays[probe_idx]
         else:
             match_values = r_pays[build_idx]
-        if not fused:
-            return count, pairs, (np.asarray(s_keys)[probe_idx], match_values)
-        with ops.time("aggregate.reduce"):
-            return count, pairs, _fused_partition_agg(
-                agg.aggregate,
-                np.asarray(table.keys),
-                build_idx,
-                np.asarray(s_keys),
-                probe_idx,
-                match_values,
-            )
+        return count, pairs, (np.asarray(s_keys)[probe_idx], match_values)
 
     outcomes = [
         out
-        for out in _map_partitions(engine, _one, result.num_partitions)
+        for out in _map_partitions(engine, _one, range(result.num_partitions))
         if out is not None
     ]
     result.matches = sum(count for count, _, _ in outcomes)
     if collect:
         result.r_payloads = _concat([pairs[0] for _, pairs, _ in outcomes])
         result.s_payloads = _concat([pairs[1] for _, pairs, _ in outcomes])
-    if agg is None:
+    if not regroup:
         return
-    groups = [grouped for _, _, grouped in outcomes]
-    if fused or not groups:
-        _merge_groups(
-            [keys for keys, _ in groups],
-            [vals for _, vals in groups],
-            agg.aggregate,
-            result,
-        )
+    if not outcomes:
+        _merge_groups(_concat([]), np.empty(0), agg.aggregate, ops, result)
         return
     # the staged intermediate: the full concatenated match columns,
     # partitioned <key, row-id> again for the group-by
-    match_keys = np.concatenate([keys for keys, _ in groups])
-    match_values = np.concatenate([vals for _, vals in groups])
-    regroup = FpgaPartitioner(
+    match_keys = np.concatenate([grouped[0] for _, _, grouped in outcomes])
+    match_values = np.concatenate([grouped[1] for _, _, grouped in outcomes])
+    regrouped = FpgaPartitioner(
         PartitionerConfig(num_partitions=result.num_partitions),
         engine=engine,
     ).partition(match_keys)
-    _groupby(regroup, match_values, agg.aggregate, engine, ops, result)
+    _groupby(regrouped, match_values, agg.aggregate, engine, ops, result)
+
+
+def _join_aggregate(sources, agg, engine, ops, result: QueryResult) -> None:
+    """Fused join+aggregate: one :func:`kernels.join_aggregate
+    <repro.kernels.join_aggregate>` call per partition range, then one
+    sort folding the rows of duplicate build keys.
+
+    In-memory inputs split into one range per worker, balanced by
+    ``|R_p| + |S_p|``; a spilled input is joined one partition at a
+    time.  Range ``[p0, p1)`` yields at most one row per build tuple,
+    so it writes its own slice ``[rb[p0], rb[p1])`` of one buffer.
+    """
+    r_counts, s_counts = (summary.counts for summary in result.inputs)
+    rb = np.zeros(len(r_counts) + 1, dtype=np.int64)
+    np.cumsum(r_counts, out=rb[1:])
+    in_memory = all(isinstance(source, _FusedColumns) for source in sources)
+    if in_memory:
+        ways = 1 if engine is None or engine.kind == "serial" else engine.workers
+        ranges = _split_ranges(r_counts + s_counts, ways)
+    else:
+        ranges = [(p, p + 1) for p in range(result.num_partitions)]
+    out = [np.empty(rb[-1], dtype=np.uint32), np.empty(rb[-1], np.int64)]
+    if agg.aggregate == "mean":
+        out.append(np.empty(rb[-1], dtype=np.int64))
+
+    def _one(span: Tuple[int, int]):
+        p0, p1 = span
+        lo, hi = rb[p0], rb[p1]
+        if in_memory:
+            columns = [(c.keys, c.payloads, c.boundaries) for c in sources]
+        else:
+            columns = [_one_partition(source, p0) for source in sources]
+            p0, p1 = 0, 1
+        with ops.time("join.build_probe"):
+            rows, matches = kernels.join_aggregate(
+                *columns[0], *columns[1], p0, p1, agg.aggregate,
+                agg.value_side, *(column[lo:hi] for column in out),
+            )
+        return slice(lo, lo + rows), matches
+
+    pieces = _map_partitions(engine, _one, ranges)
+    result.matches = sum(matches for _, matches in pieces)
+    rows = 0
+    for span, _ in pieces:  # close the gaps between the ranges' rows
+        if span.start != rows:
+            for column in out:
+                column[rows:rows + span.stop - span.start] = column[span]
+        rows += span.stop - span.start
+    for column in out:  # shrink in place, no copy: the rows are the result
+        column.resize(rows, refcheck=False)
+    _merge_groups(*out[:2], agg.aggregate, ops, result, *out[2:])
+    if agg.aggregate in ("min", "max"):
+        # a min or max is one of the (uint32) payloads, as staged
+        result.group_values = result.group_values.astype(np.uint32)
 
 
 def _value_column(values, summary: InputSummary) -> Optional[np.ndarray]:
@@ -502,31 +490,26 @@ def _groupby(source, values, aggregate, engine, ops, result) -> None:
 
     outcomes = [
         out
-        for out in _map_partitions(engine, _one, result.num_partitions)
+        for out in _map_partitions(engine, _one, range(result.num_partitions))
         if out is not None
     ]
     _merge_groups(
-        [keys for keys, _ in outcomes],
-        [vals for _, vals in outcomes],
+        _concat([keys for keys, _ in outcomes]),
+        np.concatenate([vals for _, vals in outcomes]) if outcomes
+        else np.empty(0),
         aggregate,
+        ops,
         result,
     )
 
 
-def _merge_groups(g_keys, g_values, aggregate, result: QueryResult) -> None:
-    """Concatenate per-partition groups; final stable sort by key.
-
-    No cross-partition merge is needed — a key lives in exactly one
-    partition — so the sort runs over *distinct* keys and the
-    concatenation order cannot affect the result.
-    """
-    if g_keys:
-        all_keys = np.concatenate(g_keys)
-        all_values = np.concatenate(g_values)
-    else:
-        all_keys = np.empty(0, dtype=np.uint32)
-        all_values = np.empty(0)
-    order = np.argsort(all_keys, kind="stable")
-    result.group_keys = all_keys[order]
-    result.group_values = all_values[order]
+def _merge_groups(keys, values, aggregate, ops, result, counts=None):
+    """One in-place :func:`kernels.sort_groups <repro.kernels.sort_groups>`
+    by key; only the fused join's rows (one per matched build tuple) can
+    repeat a key and fold.  Fused ``mean`` rows carry sums + ``counts``."""
+    with ops.time("aggregate.reduce"):
+        groups = kernels.sort_groups(keys, values, aggregate, counts)
+    result.group_keys = keys[:groups]
+    values = values[:groups]
+    result.group_values = values if counts is None else values / counts[:groups]
     result.aggregate = aggregate

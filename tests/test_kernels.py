@@ -6,9 +6,9 @@ bytes that come out are exactly the bytes the NumPy fallback produces.
 These tests pin that contract:
 
 1. primitive-level property tests (hypothesis): ``hash_histogram``,
-   ``stable_scatter``, ``swwc_scatter``, ``partition_batch`` and the
-   bucket join agree between backends for arbitrary inputs, fan-outs
-   and partition-index dtypes;
+   ``stable_scatter``, ``swwc_scatter``, ``partition_batch``, the
+   bucket join, ``join_aggregate`` and ``sort_groups`` agree between
+   backends for arbitrary inputs, fan-outs and partition-index dtypes;
 2. partitioner-level property tests: ``FpgaPartitioner`` output is
    byte-identical across backends for HIST/PAD x RID/VRID x hash kind,
    and ``partition_many`` equals per-request ``partition()`` under
@@ -194,6 +194,144 @@ def test_bucket_join_native_equals_numpy(build_keys, probe_keys, num_buckets):
         int((build_keys == key).sum()) for key in probe_keys.tolist()
     )
     assert p_n.shape[0] == expected
+
+
+AGGREGATES = ("sum", "count", "min", "max", "mean")
+
+#: one partition: (build keys, probe keys), each possibly empty; a tiny
+#: key space so duplicate build keys and partitions without matches
+#: are common
+_partition_pairs = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 12), max_size=25),
+        st.lists(st.integers(0, 12), max_size=40),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _columns(parts_keys, seed):
+    """Concatenated keys, random uint32 values and boundary prefix sums
+    of per-partition key lists."""
+    keys = np.array([k for part in parts_keys for k in part], dtype=np.uint32)
+    values = np.random.default_rng(seed).integers(
+        0, 2**32, size=keys.shape[0], dtype=np.uint64
+    ).astype(np.uint32)
+    bounds = np.zeros(len(parts_keys) + 1, dtype=np.int64)
+    np.cumsum([len(part) for part in parts_keys], out=bounds[1:])
+    return keys, values, bounds
+
+
+def _reference_join_aggregate(r, s, p0, p1, aggregate, value_side):
+    """Dict-free scalar oracle: per partition, one row per matched
+    build tuple in build order."""
+    (r_keys, r_values, r_bounds), (s_keys, s_values, s_bounds) = r, s
+    rows = []
+    for p in range(p0, p1):
+        probe = range(s_bounds[p], s_bounds[p + 1])
+        for i in range(r_bounds[p], r_bounds[p + 1]):
+            hits = [j for j in probe if s_keys[j] == r_keys[i]]
+            if not hits:
+                continue
+            if value_side == "s":
+                values = [int(s_values[j]) for j in hits]
+            else:
+                values = [int(r_values[i])] * len(hits)
+            value = {
+                "sum": sum(values), "mean": sum(values), "count": len(hits),
+                "min": min(values), "max": max(values),
+            }[aggregate]
+            rows.append((int(r_keys[i]), value, len(hits)))
+    return rows
+
+
+@needs_native
+@given(
+    r_parts=_partition_pairs,
+    seed=st.integers(0, 2**16),
+    aggregate=st.sampled_from(AGGREGATES),
+    value_side=st.sampled_from(["r", "s"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_join_aggregate_native_equals_numpy(
+    r_parts, seed, aggregate, value_side, data
+):
+    """Native kernel ≡ twin ≡ a scalar oracle over a random partition
+    range, with duplicate build keys, empty partitions and partitions
+    without matches."""
+    num_partitions = len(r_parts)
+    r = _columns([build for build, _ in r_parts], seed)
+    s = _columns([probe for _, probe in r_parts], seed + 1)
+    p0 = data.draw(st.integers(0, num_partitions))
+    p1 = data.draw(st.integers(p0, num_partitions))
+    capacity = int(r[2][p1] - r[2][p0])
+
+    def run():
+        out = (
+            np.empty(capacity, dtype=np.uint32),
+            np.empty(capacity, dtype=np.int64),
+            np.empty(capacity, dtype=np.int64),
+        )
+        rows, matches = kernels.join_aggregate(
+            *r, *s, p0, p1, aggregate, value_side, *out
+        )
+        return rows, matches, [column[:rows] for column in out]
+
+    (rows, matches, got), (rows_f, matches_f, want) = _both_backends(run)
+    assert (rows, matches) == (rows_f, matches_f)
+    for ours, reference in zip(got, want):
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference)
+    expected = _reference_join_aggregate(r, s, p0, p1, aggregate, value_side)
+    assert list(zip(*(column.tolist() for column in got))) == expected
+    assert matches == sum(count for _, _, count in expected)
+
+
+@needs_native
+@given(
+    keys=st.lists(st.integers(0, 2**32 - 1), max_size=300),
+    duplicates=st.integers(1, 40),
+    aggregate=st.sampled_from(AGGREGATES),
+    with_counts=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_sort_groups_native_equals_numpy(
+    keys, duplicates, aggregate, with_counts, seed
+):
+    """In-place radix sort + fold ≡ stable argsort + reduceat ≡ a dict
+    oracle, for keys spanning every radix digit and keys that repeat."""
+    rng = np.random.default_rng(seed)
+    keys = np.array(keys, dtype=np.uint32) // np.uint32(duplicates)
+    values = rng.integers(-(2**40), 2**40, size=keys.shape[0])
+    counts = rng.integers(1, 9, size=keys.shape[0]) if with_counts else None
+
+    def run():
+        columns = [keys.copy(), values.copy()]
+        columns.append(None if counts is None else counts.copy())
+        groups = kernels.sort_groups(*columns[:2], aggregate, columns[2])
+        return [None if c is None else c[:groups] for c in columns]
+
+    native, fallback = _both_backends(run)
+    for ours, reference in zip(native, fallback):
+        if reference is None:
+            assert ours is None
+            continue
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference)
+    fold = {"min": min, "max": max}.get(aggregate, sum)
+    expected = {}
+    for key, value in zip(keys.tolist(), values.tolist()):
+        expected.setdefault(key, []).append(value)
+    assert native[0].tolist() == sorted(expected)
+    assert native[1].tolist() == [fold(expected[k]) for k in sorted(expected)]
+    if with_counts:
+        totals = {}
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            totals[key] = totals.get(key, 0) + count
+        assert native[2].tolist() == [totals[k] for k in sorted(totals)]
 
 
 @needs_native
@@ -636,6 +774,8 @@ _TWINS = {
     "partition_batch": "partition_batch",
     "bucket_build": "bucket_build",
     "bucket_probe": "bucket_probe",
+    "join_aggregate": "join_aggregate",
+    "sort_groups": "sort_groups",
 }
 _PARTITIONING = ("hash_histogram", "stable_scatter", "swwc_scatter")
 
@@ -675,6 +815,28 @@ def _run_primitive(name, keys, index_dtype):
     if name == "bucket_probe":
         heads, nxt = kernels.bucket_build(keys, 64)
         return kernels.bucket_probe(keys, heads, nxt, 64, keys[::-1].copy())
+    if name == "join_aggregate":
+        # three build partitions (the middle one empty) probed by the
+        # reversed keys plus a repeat of the first 50
+        probe = np.concatenate([keys[::-1], keys[:50]])
+        out = (
+            np.empty(n, dtype=np.uint32),
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+        )
+        rows, matches = kernels.join_aggregate(
+            keys, payloads, np.array([0, 100, 100, n], dtype=np.int64),
+            probe, np.arange(probe.shape[0], dtype=np.uint32),
+            np.array([0, 150, 150, probe.shape[0]], dtype=np.int64),
+            0, 3, "mean", "s", *out,
+        )
+        return (rows, matches) + tuple(column[:rows] for column in out)
+    if name == "sort_groups":
+        # it sorts in place: a private copy of the keys, strided if they are
+        own_keys = keys.copy() if keys.flags.c_contiguous else np.repeat(keys, 2)[::2]
+        columns = (own_keys, np.arange(n, dtype=np.int64), np.ones(n, np.int64))
+        groups = kernels.sort_groups(columns[0], columns[1], "min", columns[2])
+        return tuple(column[:groups] for column in columns)
     parts = (keys % fanout).astype(index_dtype)
     dest_base = np.zeros(fanout, dtype=np.int64)
     np.cumsum(np.bincount(parts, minlength=fanout)[:-1], out=dest_base[1:])
@@ -696,7 +858,12 @@ def _run_primitive(name, keys, index_dtype):
         for name in _PARTITIONING + ("partition_batch",)
         for dtype in (np.uint8, np.uint16, np.int64)
     ]
-    + [("bucket_build", None, np.uint8), ("bucket_probe", None, np.uint8)]
+    + [
+        (name, None, np.uint8)
+        for name in (
+            "bucket_build", "bucket_probe", "join_aggregate", "sort_groups"
+        )
+    ]
     + [
         (name, defect, np.uint8)
         for name in _TWINS

@@ -8,6 +8,7 @@ materializing pipeline.  The staged path is the oracle — it is built
 from the operators the rest of the suite already pins.
 """
 
+import collections
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.modes import (
     HashKind,
     LayoutMode,
@@ -36,7 +38,7 @@ from repro.plan import (
     partition_query,
 )
 from repro.storage import RelationStore, SpillPartitioner
-from repro.workloads.relations import Relation, make_workload
+from repro.workloads.relations import Relation, make_relation, make_workload
 from tests.conftest import assert_matches_reference_groupby
 
 
@@ -359,6 +361,133 @@ class TestFusedOverflow:
     def test_cpu_policy_flags_fallback(self):
         result = execute_plan(self._skewed_plan("cpu"), fused=True)
         assert result.inputs[0].fell_back_to_cpu
+
+
+# ---------------------------------------------------------------------------
+# The fused join+aggregate: native crossings, range split, exactness
+# ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="native kernels unavailable"
+)
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Count every call into the native library, per symbol family."""
+    calls = collections.Counter()
+
+    def counted(family, fn):
+        def call(*args):
+            calls[family] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(kernels, "_lib", {
+        family: (
+            {dtype: counted(family, fn) for dtype, fn in entry.items()}
+            if isinstance(entry, dict) else counted(family, entry)
+        )
+        for family, entry in kernels._lib.items()
+    })
+    with kernels.using_backend("native"):
+        yield calls
+
+
+def _skewed_join(aggregate="sum"):
+    """R linear 2^14 x S Zipf-1.05 2^15: the hottest of 512 partitions
+    holds ~12% of S."""
+    r = make_relation(1 << 14, "linear")
+    s = make_relation(1 << 15, "zipf", seed=3, zipf_factor=1.05)
+    return join_groupby_query(
+        r, s, aggregate=aggregate,
+        config=PartitionerConfig(num_partitions=512),
+    )
+
+
+@needs_native
+class TestNativeCrossings:
+    def test_serial_query_crosses_six_times(self, native_calls):
+        """A serial 512-way join+aggregate: two histograms, two
+        scatters, one join_aggregate, one sort — not two kernel calls
+        per partition."""
+        result = execute_plan(_skewed_join(), fused=True)
+        assert result.matches > 0
+        assert sum(native_calls.values()) <= 6, dict(native_calls)
+        assert native_calls["join_aggregate"] == 1
+        assert native_calls["sort_groups"] == 1
+
+    def test_two_workers_one_call_each(self, native_calls):
+        with ExecutionEngine(workers=2, kind="thread") as engine:
+            execute_plan(_skewed_join(), engine=engine, fused=True)
+        assert native_calls["join_aggregate"] <= 2
+        assert native_calls["sort_groups"] == 1
+        assert native_calls["bucket_build"] == native_calls["bucket_probe"] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    costs=st.lists(st.integers(0, 1_000), min_size=1, max_size=600),
+    ways=st.integers(1, 9),
+)
+def test_split_ranges_contiguous_cover_and_balanced(costs, ways):
+    from repro.plan.executor import _split_ranges
+
+    ranges = _split_ranges(np.array(costs, dtype=np.int64), ways)
+    assert 1 <= len(ranges) <= ways
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(costs)
+    for (_, end), (start, _) in zip(ranges, ranges[1:]):
+        assert end == start  # contiguous: each partition exactly once
+    assert all(p0 < p1 for p0, p1 in ranges)
+    largest = max(sum(costs[p0:p1]) for p0, p1 in ranges)
+    assert largest <= sum(costs) / ways + max(costs)
+
+
+@pytest.mark.parametrize("aggregate", ["sum", "min", "mean"])
+def test_thread_engine_rows_equal_serial_on_a_hot_partition(aggregate):
+    plan = _skewed_join(aggregate)
+    serial = execute_plan(plan, fused=True)
+    s_counts = serial.inputs[1].counts
+    assert s_counts.max() > 0.05 * s_counts.sum()
+    with ExecutionEngine(workers=2, kind="thread") as engine:
+        threaded = execute_plan(plan, engine=engine, fused=True)
+    assert threaded.matches == serial.matches
+    for attr in ("group_keys", "group_values"):
+        ours, reference = getattr(threaded, attr), getattr(serial, attr)
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference), attr
+
+
+@pytest.mark.parametrize(
+    "backend", [pytest.param("native", marks=needs_native), "numpy"]
+)
+def test_sums_past_2_53_exact_fused_and_staged(backend):
+    """One build key matched 2^21 + 2^20 times by payloads near 2^32:
+    the sum passes 2^53, where float64 accumulation would round."""
+    matches = (1 << 21) + (1 << 20)
+    # 0xFFFFFFFF is the reserved dummy payload
+    payloads = (2**32 - 2) - np.random.default_rng(53).integers(
+        0, 1_000, size=matches, dtype=np.uint32
+    )
+    r = Relation(
+        keys=np.array([7], dtype=np.uint32),
+        payloads=np.zeros(1, dtype=np.uint32),
+    )
+    s = Relation(keys=np.full(matches, 7, dtype=np.uint32), payloads=payloads)
+    exact = int(payloads.astype(np.int64).sum())
+    assert exact > 2**53
+    config = PartitionerConfig(num_partitions=16)
+    with kernels.using_backend(backend):
+        for aggregate, want in (
+            ("sum", exact), ("mean", np.int64(exact) / np.int64(matches))
+        ):
+            plan = join_groupby_query(r, s, aggregate=aggregate, config=config)
+            fused = execute_plan(plan, fused=True)
+            staged = execute_plan(plan, fused=False)
+            _assert_same_result(fused, staged, aggregate)
+            assert fused.group_keys.tolist() == [7]
+            assert fused.group_values.tolist() == [want]
 
 
 # ---------------------------------------------------------------------------
