@@ -595,7 +595,6 @@ def cmd_spill(args) -> int:
     store.verify()
     with SpillPartitioner(
         config,
-        backend=args.backend,
         max_bytes_in_memory=args.memory_budget,
         tracer=tracer,
     ) as spiller:
@@ -1218,8 +1217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-tuples", type=int, default=1 << 17,
                    help="store ingest granularity (tuples per chunk)")
     p.add_argument("--memory-budget", type=int, default=4 << 20,
-                   help="max bytes of chunk output buffered in memory")
-    p.add_argument("--backend", choices=["fpga", "cpu"], default="fpga")
+                   help="max bytes of stored chunks buffered in memory "
+                        "before a run is written (8 per tuple)")
     p.add_argument("--dir", default=None,
                    help="store/run directory (default: fresh temp dir)")
     p.add_argument("--keep", action="store_true",

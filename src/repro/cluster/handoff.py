@@ -125,7 +125,6 @@ class SpillHandoff:
                 ).seal()
                 with SpillPartitioner(
                     config=config,
-                    backend="fpga",
                     max_bytes_in_memory=self.bytes_in_memory,
                     tracer=self.tracer if self.tracer.enabled else None,
                     # a handed-off slice is *expected* to be skewed —

@@ -22,7 +22,10 @@ them get there the same way:
    the PAD capacity check and its ``raise``/``hist`` policy with the
    aborted-scan surcharge (Section 5.4), the region layout of the four
    modes (Section 4.5), and the traffic counters;
-5. serve the result lazily through :class:`PieceColumn`.
+5. serve the result lazily through :class:`PieceColumn`, or write the
+   pieces into one partition-major pair of columns with
+   :func:`partition_major` (the spill's run files, the gateway's
+   stitched stream).
 
 :class:`Layout` is what step 4 returns; its :meth:`~Layout.to_dict` /
 :meth:`~Layout.from_dict` pair is the one (de)serialiser behind the
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "Layout",
     "PieceColumn",
     "extract_columns",
+    "partition_major",
     "piece_config",
 ]
 
@@ -183,16 +187,23 @@ class Accounting:
         """Fold the next piece (in input order) in; returns the global
         input offset of its first tuple."""
         offset = self.tuples
-        _, _, lane_hist = kernels.hash_histogram(
+        self.observe_parts(keys)
+        return offset
+
+    def observe_parts(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`observe`, returning what its one histogram pass
+        computed: the piece's partition indices and per-partition
+        counts — all a caller needs to scatter the piece."""
+        parts, counts, lane_hist = kernels.hash_histogram(
             np.asarray(keys),
             self.config.num_partitions,
             self.config.uses_hash,
             lanes=self.config.num_lanes,
-            global_offset=offset,
+            global_offset=self.tuples,
         )
         self.lane_counts += lane_hist
         self.tuples += int(keys.shape[0])
-        return offset
+        return parts, counts
 
     def finalize(
         self, on_overflow: str = "raise", hot: Sequence[int] = ()
@@ -281,6 +292,36 @@ class Accounting:
             overflow=overflow,
             aborted_scan_bytes=surcharge,
         )
+
+
+def partition_major(
+    pieces: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    counts: np.ndarray,
+    out_keys: np.ndarray,
+    out_payloads: np.ndarray,
+) -> np.ndarray:
+    """Write pieces, in order, as one partition-major pair of columns.
+
+    ``pieces`` yields ``(keys, payloads, parts)`` and ``counts`` is
+    their ``int64[pieces, P]`` histogram.  Partition ``p`` starts at the
+    exclusive prefix of the column totals; each piece is one
+    :func:`~repro.kernels.stable_scatter` at a running cursor that its
+    counts row then advances, so a partition's tuples land in piece
+    order — the offline partition contents.  Returns the ``int64[P +
+    1]`` partition boundaries.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    num_partitions = counts.shape[1]
+    bounds = np.zeros(num_partitions + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    cursor = bounds[:-1].copy()
+    for (keys, payloads, parts), row in zip(pieces, counts):
+        kernels.stable_scatter(
+            keys, payloads, parts, cursor, num_partitions,
+            out_keys, out_payloads,
+        )
+        cursor += row
+    return bounds
 
 
 class PieceColumn(collections.abc.Sequence):

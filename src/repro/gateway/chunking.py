@@ -16,18 +16,20 @@ ends.  :class:`StreamAccounting` is the wire adapter over the shared
 serialises the final :class:`~repro.core.pieces.Layout` as the MANIFEST
 frame.  :func:`stitch_output` is the client-side inverse: chunk frames +
 manifest → a :class:`PartitionedOutput` indistinguishable from the
-offline call.
+offline call, written by :func:`~repro.core.pieces.partition_major`
+into one pair of columns — the in-process partitioner's shape.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.modes import PartitionerConfig
-from repro.core.partitioner import PartitionedOutput
-from repro.core.pieces import Accounting, Layout
+from repro.core.partitioner import PartitionedOutput, PartitionSlices
+from repro.core.pieces import Accounting, Layout, partition_major
 
 __all__ = [
     "StreamAccounting",
@@ -115,38 +117,38 @@ def stitch_output(
 
     ``chunks`` are the decoded CHUNK frames **in sequence order**:
     ``(counts, keys, payloads)`` with both columns concatenated in
-    partition order.  Stability of the partitioner guarantees that
-    per-partition concatenation across chunks in stream order equals
-    the offline single-call output byte for byte.
+    partition order, so a frame's partition indices are
+    ``repeat(arange(P), counts)``.  :func:`partition_major` scatters the
+    frames into one pair of columns; stability of the partitioner
+    guarantees that per-partition concatenation across chunks in stream
+    order equals the offline single-call output byte for byte.
     """
     layout = Layout.from_dict(manifest)
     num_partitions = layout.config.num_partitions
-    empty = np.empty(0, dtype=np.uint32)
-    slices_keys: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
-    slices_pays: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
-    for counts, keys, pays in chunks:
-        bounds = np.zeros(num_partitions + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        for p in range(num_partitions):
-            if counts[p]:
-                slices_keys[p].append(keys[bounds[p]:bounds[p + 1]])
-                slices_pays[p].append(pays[bounds[p]:bounds[p + 1]])
-    partition_keys = [
-        np.concatenate(parts) if parts else empty for parts in slices_keys
-    ]
-    partition_payloads = [
-        np.concatenate(parts) if parts else empty for parts in slices_pays
-    ]
-    stitched = np.asarray([k.shape[0] for k in partition_keys], dtype=np.int64)
-    if not np.array_equal(layout.counts, stitched):
+    counts = np.array([chunk[0] for chunk in chunks], dtype=np.int64)
+    counts = counts.reshape(-1, num_partitions)
+    if not np.array_equal(layout.counts, counts.sum(axis=0)):
         raise ValueError(
             "stitched partition sizes disagree with the manifest "
             "(missing or reordered chunk frames?)"
         )
+    tuples = int(layout.counts.sum())
+    out_keys = np.empty(tuples, dtype=np.uint32)
+    out_payloads = np.empty(tuples, dtype=np.uint32)
+    ids = np.arange(num_partitions, dtype=kernels.parts_dtype(num_partitions))
+    bounds = partition_major(
+        (
+            (keys, pays, np.repeat(ids, row))
+            for row, (_, keys, pays) in zip(counts, chunks)
+        ),
+        counts,
+        out_keys,
+        out_payloads,
+    )
     return PartitionedOutput.from_layout(
         layout,
-        partition_keys,
-        partition_payloads,
+        PartitionSlices(out_keys, bounds),
+        PartitionSlices(out_payloads, bounds),
         produced_by=produced_by,
         fell_back_to_cpu=degraded,
     )

@@ -1017,8 +1017,6 @@ class PartitionService:
             ).seal()
             with SpillPartitioner(
                 config=request.config,
-                backend="fpga",
-                engine=self._engine_spec,
                 max_bytes_in_memory=self.spill_bytes_in_memory,
                 tracer=self.tracer,
             ) as spiller:

@@ -1,22 +1,24 @@
 """Spill-to-disk partitioning: stream chunks, spill sorted runs, resume.
 
 :class:`SpillPartitioner` partitions a stored relation far larger than
-memory by streaming it chunk by chunk through one of the existing
-in-memory backends (:class:`~repro.core.partitioner.FpgaPartitioner`
-or :class:`~repro.cpu.partitioner.CpuPartitioner`, optionally on the
-morsel engine) and spilling the buffered chunk outputs as **sorted
-runs**: each flush writes one partition-major run file (per-partition
-counts, then keys, then payloads) in a single sequential pass — on
-disk what the paper's write combiner does per cache line (Section
-4.2).  A stable partition sort keeps a partition's tuples in input
-order, so every run's slice ``p`` concatenated in run order is *byte
-for byte* partition ``p`` of one giant in-memory ``partition()`` call
-(pinned by ``tests/test_storage.py``); the runs are the final output.
+memory by streaming it chunk by chunk and spilling **sorted runs**.
+Each chunk gets exactly one hash + histogram pass — the same pass folds
+the chunk into the run's lane-exact accounting
+(:meth:`~repro.core.pieces.Accounting.observe_parts`) — and stays
+buffered as the store's views plus its partition indices.  A flush
+scatters every buffered chunk into one partition-major run body with
+:func:`~repro.core.pieces.partition_major` and writes it as one run
+file (per-partition counts, then keys, then payloads) in two writes —
+on disk what the paper's write combiner does per cache line (Section
+4.2).  The scatter is stable, so every run's slice ``p`` concatenated
+in run order is *byte for byte* partition ``p`` of one giant in-memory
+``partition()`` call (pinned by ``tests/test_storage.py``); the runs
+are the final output.
 
-Memory is bounded by ``max_bytes_in_memory``: chunk outputs buffer in
-RAM and are flushed into a run whenever the buffered bytes reach the
-budget, so peak usage is ~one chunk plus the budget, independent of
-relation size.
+Memory is bounded by ``max_bytes_in_memory``: a buffered chunk counts
+8 B per tuple, and the buffer is flushed into a run whenever it reaches
+the budget, so the run body a flush allocates is ~the budget plus one
+chunk, independent of relation size.
 
 **Crash recovery.**  Every flush is a checkpoint: the run file is
 written and fsynced, then the accumulated per-(partition, lane)
@@ -53,7 +55,7 @@ import numpy as np
 
 from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import PartitionedOutput
-from repro.core.pieces import Accounting, Layout, PieceColumn, piece_config
+from repro.core.pieces import Accounting, Layout, PieceColumn, partition_major
 from repro.errors import ConfigurationError
 from repro.obs.tracing import resolve_tracer
 from repro.storage.store import (
@@ -73,10 +75,6 @@ SPILL_MANIFEST_VERSION = 2
 DEFAULT_MAX_BYTES_IN_MEMORY = 64 << 20
 
 _RUNS_DIR = "runs"
-
-#: a run is written as many small slices; this buffer turns them into
-#: block-sized writes (and CRC updates)
-_WRITE_BUFFER_BYTES = 256 << 10
 
 
 def _check_run_size(path: pathlib.Path, fanout: int, tuples: int) -> None:
@@ -246,7 +244,7 @@ class PartitionSpill:
 class _ChunkPrefetcher:
     """Double-buffered chunk read-ahead for the spill drive loop.
 
-    While the partitioning kernels chew on chunk ``k``, one background
+    While the histogram kernel chews on chunk ``k``, one background
     thread opens chunk ``k + 1`` and faults its pages into the page
     cache (touching one element per page), so the next iteration's
     reads hit warm memory — I/O overlaps compute, and the chunk data is
@@ -308,14 +306,12 @@ class SpillPartitioner:
 
     Args:
         config: the *requested* partitioner configuration; accounting
-            (line layout, traffic, PAD capacity) follows it exactly.
-            Chunk kernels run its :func:`~repro.core.pieces.piece_config`
-            (the store supplies global positions as payloads).
-        backend: ``"fpga"`` (default), ``"cpu"``, or a ready
-            partitioner instance exposing ``partition(keys, payloads)``.
-        engine / threads: forwarded to a string-spec backend.
-        max_bytes_in_memory: flush buffered chunk outputs into a run
-            file once they reach this many bytes.
+            (line layout, traffic, PAD capacity) follows it exactly, and
+            chunks are hashed under its fan-out and hash (the store
+            supplies global positions as payloads, so every mode writes
+            the HIST/RID contents of the offline call).
+        max_bytes_in_memory: flush the buffered chunks into a run file
+            once they reach this many bytes (8 per tuple).
         tracer: optional tracer; the run emits ``spill`` /
             ``spill_chunk`` / ``spill_flush`` / ``spill_merge`` /
             ``resume`` spans with tuple and byte attributes.
@@ -327,25 +323,18 @@ class SpillPartitioner:
         skew_warn_factor: warn (``warnings.warn``) when the store's
             ingest sketch predicts the largest partition exceeds this
             many fair shares.
-        prefetch: double-buffered chunk read-ahead (default on) — a
-            background thread faults the next chunk's pages into the
-            page cache while the kernels partition the current one, so
-            disk I/O overlaps compute.  Purely a read-side overlap:
-            checkpoints, fault injection and the output bytes are
-            unaffected.
+
+    Chunks are read ahead double-buffered (:class:`_ChunkPrefetcher`),
+    so disk I/O overlaps the histogram pass.
     """
 
     def __init__(
         self,
         config: Optional[PartitionerConfig] = None,
-        backend="fpga",
-        engine=None,
-        threads: Optional[int] = None,
         max_bytes_in_memory: int = DEFAULT_MAX_BYTES_IN_MEMORY,
         tracer=None,
         fault_injector=None,
         skew_warn_factor: float = 2.0,
-        prefetch: bool = True,
     ):
         if max_bytes_in_memory < 1:
             raise ConfigurationError(
@@ -356,56 +345,12 @@ class SpillPartitioner:
         self.tracer = resolve_tracer(tracer)
         self.fault_injector = fault_injector
         self.skew_warn_factor = skew_warn_factor
-        self.prefetch = prefetch
-        self._backend_spec = backend
-        self._engine = engine
-        self._threads = threads
-        #: HIST/RID clone driving the per-chunk kernels (see class doc)
-        self.backend_config = piece_config(self.config)
-        self.backend = self._resolve_backend(backend)
-
-    def _resolve_backend(self, backend):
-        if backend == "fpga":
-            from repro.core.partitioner import FpgaPartitioner
-
-            return FpgaPartitioner(
-                self.backend_config,
-                engine=self._engine,
-                threads=self._threads,
-                tracer=self.tracer if self.tracer.enabled else None,
-            )
-        if backend == "cpu":
-            from repro.cpu.partitioner import CpuPartitioner
-
-            return CpuPartitioner.matching(
-                self.backend_config,
-                threads=self._threads or 1,
-                engine=self._engine,
-            )
-        if hasattr(backend, "partition"):
-            return backend
-        raise ConfigurationError(
-            f"unknown spill backend {backend!r}; expected 'fpga', 'cpu' "
-            "or a partitioner instance"
-        )
-
-    def close(self) -> None:
-        """Release backend resources (worker pools); idempotent.
-
-        Only backends this spiller built from a string spec are
-        closed; a caller-supplied instance stays the caller's to close
-        (same ownership rule as the in-memory partitioners).
-        """
-        if isinstance(self._backend_spec, str):
-            close = getattr(self.backend, "close", None)
-            if close is not None:
-                close()
 
     def __enter__(self) -> "SpillPartitioner":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        """Nothing to release: each run owns its read-ahead thread."""
 
     # -- checkpointed fault injection -----------------------------------
 
@@ -486,31 +431,22 @@ class SpillPartitioner:
             chunks=store.num_chunks,
             next_chunk=state.next_chunk,
         ):
-            prefetcher = (
-                _ChunkPrefetcher(store, state.next_chunk, store.num_chunks)
-                if self.prefetch
-                else None
+            prefetcher = _ChunkPrefetcher(
+                store, state.next_chunk, store.num_chunks
             )
             try:
                 for index in range(state.next_chunk, store.num_chunks):
-                    keys, payloads = (
-                        prefetcher.take(index)
-                        if prefetcher is not None
-                        else store.chunk(index)
-                    )
+                    keys, payloads = prefetcher.take(index)
                     n = int(keys.shape[0])
                     self._checkpoint()
                     with self.tracer.span(
                         "spill_chunk", chunk=index, tuples=n, bytes=n * 8
                     ):
-                        output = self.backend.partition(keys, payloads)
-                        state.accounting.observe(keys)
-                        state.buffer_output(output)
+                        state.buffer(keys, payloads)
                     if state.buffered_bytes >= self.max_bytes_in_memory:
                         self._flush(state, next_chunk=index + 1)
             finally:
-                if prefetcher is not None:
-                    prefetcher.close()
+                prefetcher.close()
             if state.buffered_bytes:
                 self._flush(state, next_chunk=store.num_chunks)
             return self._merge(state)
@@ -562,23 +498,19 @@ class SpillPartitioner:
 
 
 class _CrcFile(io.FileIO):
-    """Unbuffered file that folds every byte it writes into a CRC-32."""
+    """Unbuffered file that writes all of ``data`` (looping over short
+    writes) and folds exactly the bytes written into a CRC-32."""
 
     crc32 = 0
 
     def write(self, data) -> int:
-        written = super().write(data)
-        self.crc32 = zlib.crc32(memoryview(data)[:written], self.crc32)
-        return written
-
-
-def _partition_major(column, tuples: int) -> np.ndarray:
-    """One chunk output column as a single contiguous array."""
-    contiguous = getattr(column, "contiguous", None)
-    whole = contiguous() if contiguous is not None else None
-    if whole is None or whole.shape[0] != tuples:
-        whole = np.concatenate([np.asarray(part) for part in column])
-    return np.ascontiguousarray(whole, dtype=np.uint32)
+        view = memoryview(data).cast("B")
+        done = 0
+        while done < len(view):
+            written = super().write(view[done:])
+            self.crc32 = zlib.crc32(view[done : done + written], self.crc32)
+            done += written
+        return done
 
 
 class _RunState:
@@ -611,9 +543,11 @@ class _RunState:
         #: fsync calls issued so far (``spill_flush`` reports its share)
         self.fsyncs = 0
         self.buffered_bytes = 0
-        #: (keys, payloads, counts) per buffered chunk; both columns
-        #: partition-major, ``counts`` their per-partition lengths
+        #: (keys, payloads, parts) per buffered chunk: the store's views
+        #: and the chunk's partition indices
         self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: the buffered chunks' per-partition counts, one row each
+        self._counts: List[np.ndarray] = []
         self.runs_dir = run_dir / _RUNS_DIR
         self.runs_dir.mkdir(parents=True, exist_ok=True)
 
@@ -649,44 +583,35 @@ class _RunState:
 
     # -- buffering ------------------------------------------------------
 
-    def buffer_output(self, output: PartitionedOutput) -> None:
-        """Stash one chunk's partition-major columns in memory."""
-        counts = np.asarray(output.counts, dtype=np.int64)
-        tuples = int(counts.sum())
-        self._buffered.append(
-            (
-                _partition_major(output.partition_keys, tuples),
-                _partition_major(output.partition_payloads, tuples),
-                counts,
-            )
-        )
-        self.buffered_bytes += tuples * 8
+    def buffer(self, keys: np.ndarray, payloads: np.ndarray) -> None:
+        """Hash the next chunk once — folding it into the accounting —
+        and keep its views and partition indices for the next flush."""
+        parts, counts = self.accounting.observe_parts(keys)
+        self._buffered.append((keys, payloads, parts))
+        self._counts.append(counts)
+        self.buffered_bytes += int(keys.shape[0]) * 8
 
     def write_run(self) -> ChunkMeta:
-        """Write everything buffered as the next run file — header,
-        keys, payloads, each partition's slices in chunk order — in one
-        sequential pass; fsync it and its directory entry so the
-        following manifest commit orders after the data."""
+        """Write everything buffered as the next run file: the header,
+        then one body of keys and payloads, each partition's tuples in
+        chunk order (:func:`~repro.core.pieces.partition_major`); fsync
+        it and its directory entry so the following manifest commit
+        orders after the data."""
         name = f"run-{len(self.runs):06d}.bin"
-        counts = np.stack([chunk[2] for chunk in self._buffered])
-        starts = (np.cumsum(counts, axis=1) - counts).T.tolist()
-        raw = _CrcFile(self.runs_dir / name, "w")
-        with io.BufferedWriter(raw, _WRITE_BUFFER_BYTES) as handle:
-            handle.write(counts.sum(axis=0).astype("<i8").tobytes())
-            for section in (0, 1):
-                for p_starts, p_counts in zip(starts, counts.T.tolist()):
-                    for chunk, start, count in zip(
-                        self._buffered, p_starts, p_counts
-                    ):
-                        if count:
-                            handle.write(chunk[section][start : start + count])
-            handle.flush()
-            os.fsync(raw.fileno())
+        counts = np.stack(self._counts)
+        tuples = int(counts.sum())
+        body = np.empty(2 * tuples, dtype=np.uint32)
+        partition_major(self._buffered, counts, body[:tuples], body[tuples:])
+        with _CrcFile(self.runs_dir / name, "w") as handle:
+            handle.write(counts.sum(axis=0).astype("<i8"))
+            handle.write(body)
+            os.fsync(handle.fileno())
         fsync_dir(self.runs_dir)
         self.fsyncs += 2
         self._buffered = []
+        self._counts = []
         self.buffered_bytes = 0
-        return ChunkMeta(file=name, tuples=int(counts.sum()), crc32=raw.crc32)
+        return ChunkMeta(file=name, tuples=tuples, crc32=handle.crc32)
 
     def commit(self, next_chunk: int, run: Optional[ChunkMeta] = None) -> None:
         """Checkpoint: lane histogram side file, then atomic manifest

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
-from repro import PartitionerConfig
+from repro import PartitionerConfig, kernels
 from repro.core.modes import HashKind, LayoutMode, OutputMode
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="native kernels unavailable"
+)
 
 
 @pytest.fixture
@@ -45,6 +51,29 @@ def hist_config():
         layout_mode=LayoutMode.RID,
         hash_kind=HashKind.MURMUR,
     )
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Count every call into the native library, per symbol family."""
+    calls = collections.Counter()
+
+    def counted(family, fn):
+        def call(*args):
+            calls[family] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(kernels, "_lib", {
+        family: (
+            {dtype: counted(family, fn) for dtype, fn in entry.items()}
+            if isinstance(entry, dict) else counted(family, entry)
+        )
+        for family, entry in kernels._lib.items()
+    })
+    with kernels.using_backend("native"):
+        yield calls
 
 
 def assert_same_partitions(left_keys, right_keys):

@@ -37,10 +37,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.analysis.verify import outputs_identical
 from repro.cluster import ShardRouter
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
+from repro.core.pieces import piece_config
 from repro.errors import PartitionOverflowError
 from repro.gateway import (
     GatewayClient,
@@ -48,7 +50,10 @@ from repro.gateway import (
     GatewayProtocolError,
     GatewayServer,
     GatewayStreamError,
+    StreamAccounting,
+    global_payloads,
     iter_chunks,
+    stitch_output,
     stream_partition,
 )
 from repro.gateway import protocol
@@ -60,6 +65,7 @@ from repro.service import (
     ServiceDrainingError,
 )
 from repro.workloads.relations import make_relation
+from tests.conftest import needs_native
 
 MODES = [
     (OutputMode.HIST, LayoutMode.RID),
@@ -339,6 +345,53 @@ class TestByteIdentity:
 
         output = asyncio.run(_with_service_server(body))
         assert outputs_identical(output, reference)
+
+
+@pytest.mark.parametrize(
+    "backend", [pytest.param("native", marks=needs_native), "numpy"]
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=10),
+    empty=st.integers(0, 15),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_stitch_output_is_offline_partition(backend, mode, sizes, empty, seed):
+    """The server side of a stream without the socket — accounting,
+    one partition call per chunk, CHUNK frames encoded and decoded —
+    then the client's stitch: the offline output, served from one
+    buffer.  Every stream has a 1-tuple chunk (15 partitions empty) and
+    partition ``empty`` holds no tuple in any chunk."""
+    config = _config(*mode, partitions=16)
+    sizes = [1, *sizes]
+    total = sum(sizes)
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 2**32, 2 * total, dtype=np.uint64).astype(np.uint32)
+    with kernels.using_backend(backend):
+        parts, _, _ = kernels.hash_histogram(keys, 16, config.uses_hash)
+        keys = keys[parts != empty][:total]
+        reference = _offline(config, keys)
+        accounting = StreamAccounting(config, on_overflow="hist")
+        frames = []
+        with FpgaPartitioner(piece_config(config)) as partitioner:
+            for seq, stop in enumerate(np.cumsum(sizes)):
+                chunk = keys[stop - sizes[seq]:stop]
+                offset = accounting.observe(chunk)
+                out = partitioner.partition(
+                    chunk, global_payloads(None, offset, len(chunk))
+                )
+                frame = protocol.encode_chunk(
+                    seq, out.counts, out.partition_keys, out.partition_payloads
+                )
+                frames.append(protocol.decode_chunk(frame[5:], 16)[1:])
+        output = stitch_output(accounting.finalize(), frames)
+    assert reference.counts[empty] == 0
+    assert outputs_identical(output, reference)
+    assert np.array_equal(
+        output.partition_keys.contiguous(),
+        np.concatenate(list(reference.partition_keys)),
+    )
 
 
 # ---------------------------------------------------------------------------

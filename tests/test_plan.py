@@ -8,7 +8,6 @@ materializing pipeline.  The staged path is the oracle — it is built
 from the operators the rest of the suite already pins.
 """
 
-import collections
 import tempfile
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from repro.plan import (
 )
 from repro.storage import RelationStore, SpillPartitioner
 from repro.workloads.relations import Relation, make_relation, make_workload
-from tests.conftest import assert_matches_reference_groupby
+from tests.conftest import assert_matches_reference_groupby, needs_native
 
 
 def _keys(n: int, seed: int, key_space: int = 64) -> np.ndarray:
@@ -366,34 +365,6 @@ class TestFusedOverflow:
 # ---------------------------------------------------------------------------
 # The fused join+aggregate: native crossings, range split, exactness
 # ---------------------------------------------------------------------------
-
-needs_native = pytest.mark.skipif(
-    not kernels.native_available(), reason="native kernels unavailable"
-)
-
-
-@pytest.fixture
-def native_calls(monkeypatch):
-    """Count every call into the native library, per symbol family."""
-    calls = collections.Counter()
-
-    def counted(family, fn):
-        def call(*args):
-            calls[family] += 1
-            return fn(*args)
-
-        return call
-
-    monkeypatch.setattr(kernels, "_lib", {
-        family: (
-            {dtype: counted(family, fn) for dtype, fn in entry.items()}
-            if isinstance(entry, dict) else counted(family, entry)
-        )
-        for family, entry in kernels._lib.items()
-    })
-    with kernels.using_backend("native"):
-        yield calls
-
 
 def _skewed_join(aggregate="sum"):
     """R linear 2^14 x S Zipf-1.05 2^15: the hottest of 512 partitions

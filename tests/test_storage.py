@@ -9,6 +9,7 @@ and across a crash + :meth:`SpillPartitioner.resume`.
 
 from __future__ import annotations
 
+import io
 import json
 import zlib
 
@@ -35,6 +36,8 @@ from repro.storage import (
     SpillPartitioner,
     StorageError,
 )
+from repro.storage.spill import _CrcFile
+from tests.conftest import needs_native
 
 
 def random_keys(n, seed=0):
@@ -163,9 +166,9 @@ class TestSpillByteIdentity:
             keys, np.arange(12_000, dtype=np.uint32)
         )
         store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=2_500)
-        spill = SpillPartitioner(
-            cfg, backend="cpu", max_bytes_in_memory=30_000
-        ).run(store, tmp_path / "run")
+        spill = SpillPartitioner(cfg, max_bytes_in_memory=30_000).run(
+            store, tmp_path / "run"
+        )
         for p in range(16):
             assert np.array_equal(
                 np.asarray(spill.partition(p)[0]),
@@ -557,6 +560,48 @@ def test_spill_crc_matches_manifest(tmp_path):
         raw = (spill.path / "runs" / run["file"]).read_bytes()
         assert len(raw) == 8 * 4 + 8 * run["tuples"]
         assert zlib.crc32(raw) == run["crc32"]
+
+
+def test_crc_file_short_write_crcs_the_bytes_written(tmp_path):
+    """A raw write that takes fewer bytes than a ``uint32`` body: the
+    rest is written too, and the CRC covers exactly the bytes on disk
+    (a byte count, not an item count)."""
+
+    class ShortFirstWrite(io.FileIO):
+        short = True
+
+        def write(self, data):
+            if self.short:
+                self.short = False
+                data = memoryview(data).cast("B")[:6]
+            return super().write(data)
+
+    class ShortCrcFile(_CrcFile, ShortFirstWrite):
+        pass
+
+    body = np.arange(1_000, dtype=np.uint32)
+    path = tmp_path / "run.bin"
+    with ShortCrcFile(path, "w") as handle:
+        assert handle.write(body) == body.nbytes
+    raw = path.read_bytes()
+    assert raw == body.tobytes()
+    assert handle.crc32 == zlib.crc32(raw)
+
+
+@needs_native
+def test_spill_hashes_and_scatters_each_chunk_once(tmp_path, native_calls):
+    """A chunk crosses into C twice: one histogram pass, which is also
+    its accounting pass, and one scatter into its run."""
+    keys = random_keys(10_000, seed=54)
+    store = RelationStore.ingest(keys, tmp_path / "s", chunk_tuples=1_000)
+    native_calls.clear()
+    spill = SpillPartitioner(
+        PartitionerConfig(num_partitions=16), max_bytes_in_memory=20_000
+    ).run(store, tmp_path / "run")
+    assert len(spill.runs) == 4
+    assert native_calls["hash_hist"] == store.num_chunks
+    assert native_calls["scatter"] == store.num_chunks
+    assert sum(native_calls.values()) == 2 * store.num_chunks
 
 
 def test_single_flush_and_zero_chunk_runs_round_trip(tmp_path):
