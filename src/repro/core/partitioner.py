@@ -26,7 +26,13 @@ import numpy as np
 from repro import kernels
 from repro.core.circuit import CircuitResult, PartitionerCircuit
 from repro.core.modes import LayoutMode, PartitionerConfig
-from repro.core.pieces import Accounting, Layout, extract_columns
+from repro.core.pieces import (
+    Accounting,
+    Layout,
+    batch_layouts,
+    extract_columns,
+    normalize_columns,
+)
 from repro.errors import ConfigurationError
 from repro.platform.machine import XeonFpgaPlatform
 from repro.platform.coherence import Socket
@@ -378,7 +384,10 @@ class FpgaPartitioner:
         :func:`repro.kernels.partition_batch`, which hashes, counts
         and scatters every request straight from its own columns into
         its slice of one shared pair of output columns — one foreign
-        call (one GIL release) per batch, no input concatenation.
+        call (one GIL release) per batch, no input concatenation, and
+        the record ids of bare key arrays and VRID requests written by
+        the kernel.  The layouts follow in one
+        :func:`~repro.core.pieces.batch_layouts` pass.
         Without compiled kernels the byte-identical NumPy twin packs
         the request index with the partition index and radix-sorts the
         batch once.  Either way the per-call fixed costs are paid per
@@ -410,8 +419,9 @@ class FpgaPartitioner:
             raise ConfigurationError(
                 "payloads must align with relations when given"
             )
+        # generated record ids stay ``None``: the batch kernel writes them
         columns = [
-            extract_columns(cfg, rel, pay)
+            normalize_columns(cfg, rel, pay)
             for rel, pay in zip(relations, payloads)
         ]
         # A max_bytes_in_flight cap closes a group before its columns
@@ -436,11 +446,13 @@ class FpgaPartitioner:
 
     def _partition_group(
         self,
-        columns: List[Tuple[np.ndarray, np.ndarray]],
+        columns: List[Tuple[np.ndarray, Optional[np.ndarray]]],
         on_overflow: OverflowPolicy,
     ) -> List[PartitionedOutput]:
         """One kernel pass over a non-empty group of requests (see
-        :meth:`partition_many` for the contract)."""
+        :meth:`partition_many` for the contract): one batch kernel call,
+        one layout pass and one boundary prefix sum for the group; what
+        remains per request is wrapping its output."""
         cfg = self.config
         with self.tracer.span(
             "fpga.partition_many",
@@ -454,15 +466,24 @@ class FpgaPartitioner:
                     columns, cfg.num_partitions, cfg.uses_hash, cfg.num_lanes
                 )
             )
-            # Layout and overflow policy per request.  An overflowing
-            # request falls back individually: under ``hist`` its slice
-            # of the batch scatter already holds the contents.
+            # An overflowing request falls back individually: under
+            # ``hist`` its slice of the batch scatter already holds the
+            # contents.
+            layouts = batch_layouts(cfg, lane_matrix, on_overflow)
+            counts = np.array([layout.counts for layout in layouts])
+            boundaries = np.zeros(
+                (len(layouts), cfg.num_partitions + 1), dtype=np.int64
+            )
+            np.cumsum(counts, axis=1, out=boundaries[:, 1:])
             outputs: List[PartitionedOutput] = []
             low = 0
-            for (keys, payloads), lane_counts in zip(columns, lane_matrix):
+            for (keys, payloads), layout, bounds in zip(
+                columns, layouts, boundaries
+            ):
                 high = low + keys.shape[0]
-                layout = Accounting(cfg, lane_counts).finalize(on_overflow)
                 if layout.overflow is not None:
+                    if payloads is None:
+                        payloads = np.arange(keys.shape[0], dtype=np.uint32)
                     outputs.append(self._cpu_fallback(keys, payloads))
                 else:
                     outputs.append(
@@ -471,6 +492,7 @@ class FpgaPartitioner:
                             sorted_keys[low:high],
                             sorted_payloads[low:high],
                             None,
+                            bounds,
                         )
                     )
                 low = high
@@ -523,12 +545,17 @@ class FpgaPartitioner:
         sorted_keys: np.ndarray,
         sorted_payloads: np.ndarray,
         region_name: Optional[str],
+        boundaries: Optional[np.ndarray] = None,
     ) -> PartitionedOutput:
         """Wrap one run's sorted columns and layout, and account it on
         the attached platform: QPI traffic, and the output region marked
-        FPGA-written in the coherence directory."""
-        boundaries = np.zeros(self.config.num_partitions + 1, dtype=np.int64)
-        np.cumsum(layout.counts, out=boundaries[1:])
+        FPGA-written in the coherence directory.  ``boundaries`` are the
+        ``P + 1`` partition offsets when the caller already has them."""
+        if boundaries is None:
+            boundaries = np.zeros(
+                self.config.num_partitions + 1, dtype=np.int64
+            )
+            np.cumsum(layout.counts, out=boundaries[1:])
         output = PartitionedOutput.from_layout(
             layout,
             PartitionSlices(sorted_keys, boundaries),

@@ -6,8 +6,9 @@ the spill partitioner, the fused plan executor, heavy-hitter isolation —
 must reproduce the bytes of one offline ``partition()`` call, and all of
 them get there the same way:
 
-1. normalise the input once (:func:`extract_columns`), so every piece
-   carries the payload column the offline call would have used —
+1. normalise the input once (:func:`normalize_columns`, or
+   :func:`extract_columns` with generated ids materialised), so every
+   piece carries the payload column the offline call would have used —
    *global* input positions for bare key arrays and in VRID mode;
 2. partition each piece (a sub-range of the input, or the tuples of a
    subset of partitions) under :func:`piece_config`, the HIST/RID clone:
@@ -17,7 +18,8 @@ them get there the same way:
 3. fold each piece's lane-exact ``(partition, lane)`` histogram into an
    :class:`Accounting` — a tuple's lane is its *global* input index mod
    ``num_lanes``, so misaligned pieces account like one big run;
-4. :meth:`Accounting.finalize` replays the offline layout exactly once:
+4. :meth:`Accounting.finalize` — the one-run case of
+   :func:`batch_layouts` — replays the offline layout exactly once:
    per-lane dummy padding from the write-combiner flush (Section 4.2),
    the PAD capacity check and its ``raise``/``hist`` policy with the
    aborted-scan surcharge (Section 5.4), the region layout of the four
@@ -36,13 +38,13 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import kernels
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
-from repro.core.tuples import check_payloads_valid
+from repro.core.tuples import DUMMY_PAYLOAD, check_payloads_valid
 from repro.errors import ConfigurationError, PartitionOverflowError
 from repro.workloads.relations import Relation
 
@@ -50,7 +52,9 @@ __all__ = [
     "Accounting",
     "Layout",
     "PieceColumn",
+    "batch_layouts",
     "extract_columns",
+    "normalize_columns",
     "partition_major",
     "piece_config",
 ]
@@ -59,33 +63,57 @@ _EMPTY = np.empty(0, dtype=np.uint32)
 _NO_HOT = np.empty(0, dtype=np.int64)
 
 
-def extract_columns(
+def normalize_columns(
     config: PartitionerConfig,
     relation: "Relation | np.ndarray",
     payloads: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The ``(keys, payloads)`` columns one partitioning run consumes.
 
     ``relation`` is a :class:`Relation` or a uint32 key array (then
     ``payloads`` supplies the payload column in RID mode).  Bare key
     arrays get positional ids, and VRID mode always does: it is
     column-store input where only keys exist and the virtual record ids
-    — the positions — are appended on the FPGA.
+    — the positions — are appended on the FPGA (Section 4.5).  Such ids
+    are ``None`` here, left to whoever writes the output; they reach the
+    reserved dummy payload only at ``2**32`` tuples, so only
+    caller-supplied payloads are scanned for it.
     """
     if isinstance(relation, Relation):
         keys = relation.keys
         payloads = relation.payloads
     else:
         keys = np.ascontiguousarray(relation, dtype=np.uint32)
-    if config.layout_mode is LayoutMode.VRID or payloads is None:
-        payloads = np.arange(keys.shape[0], dtype=np.uint32)
-    elif not isinstance(relation, Relation):
+    if config.layout_mode is LayoutMode.VRID:
+        payloads = None
+    elif payloads is not None and not isinstance(relation, Relation):
         payloads = np.ascontiguousarray(payloads, dtype=np.uint32)
-    if keys.shape != payloads.shape:
+    if keys.ndim != 1 or (
+        payloads is not None and keys.shape != payloads.shape
+    ):
         raise ConfigurationError("keys and payloads must align")
     if keys.size == 0:
         raise ConfigurationError("cannot partition an empty relation")
-    check_payloads_valid(payloads)
+    if payloads is not None:
+        check_payloads_valid(payloads)
+    elif keys.shape[0] > DUMMY_PAYLOAD:
+        raise ConfigurationError(
+            f"{keys.shape[0]} tuples: generated record ids would reach "
+            f"the reserved dummy value 0x{DUMMY_PAYLOAD:08X}"
+        )
+    return keys, payloads
+
+
+def extract_columns(
+    config: PartitionerConfig,
+    relation: "Relation | np.ndarray",
+    payloads: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_columns` with the generated record ids
+    materialised, for callers that need a payload column in hand."""
+    keys, payloads = normalize_columns(config, relation, payloads)
+    if payloads is None:
+        payloads = np.arange(keys.shape[0], dtype=np.uint32)
     return keys, payloads
 
 
@@ -208,90 +236,130 @@ class Accounting:
     def finalize(
         self, on_overflow: str = "raise", hot: Sequence[int] = ()
     ) -> Layout:
-        """Replay the offline layout, overflow policy and traffic math.
+        """Replay the offline layout, overflow policy and traffic math:
+        the one-row case of :func:`batch_layouts`, whose arguments it
+        takes."""
+        return batch_layouts(
+            self.config, self.lane_counts[None], on_overflow, hot
+        )[0]
 
-        Args:
-            on_overflow: PAD overflow policy.  ``"raise"`` raises
-                :class:`PartitionOverflowError` (the hardware aborts
-                before scattering); ``"hist"`` relabels the run HIST and
-                charges the aborted PAD scan in full, the worst case of
-                Section 5.4 ("this might happen at the very end");
-                ``"cpu"`` only reports it, as :attr:`Layout.overflow`.
-            hot: partition ids carved out of the PAD grid into exact-fit
-                regions appended after it (heavy-hitter isolation); they
-                are exempt from the capacity check.  Ignored when the
-                effective mode is HIST, which has no grid.
-        """
-        cfg = self.config
-        n = self.tuples
-        per_line = cfg.tuples_per_line
-        num_partitions = cfg.num_partitions
-        # (row sums via einsum: numpy's axis=1 reduction over a handful
-        # of lanes is several times slower, and this runs per request)
-        counts = np.einsum("pl->p", self.lane_counts)
-        # each lane's write combiner flushes its own partial line per
-        # partition, dummy-padded: lines are rounded up per lane
-        lines = np.einsum("pl->p", -(-self.lane_counts // per_line))
-        total_lines = int(lines.sum())
-        hot = np.asarray(hot, dtype=np.int64) if len(hot) else _NO_HOT
 
-        effective = cfg
-        surcharge = 0
-        overflow = None
-        if cfg.output_mode is OutputMode.PAD:
-            capacity_lines = cfg.partition_capacity(n) // per_line
-            over = lines > capacity_lines
-            if hot.size:
-                over[hot] = False
-            if over.any():
-                first = (int(over.argmax()), capacity_lines * per_line)
-                if on_overflow == "raise":
-                    raise PartitionOverflowError(
-                        partition=first[0], capacity=first[1], tuples_seen=n
-                    )
-                if on_overflow == "hist":
-                    effective = dataclasses.replace(
-                        cfg, output_mode=OutputMode.HIST
-                    )
-                    surcharge = cfg.traffic_bytes(n, 0)[0]
-                elif on_overflow == "cpu":
-                    overflow = first
-                else:
-                    raise ConfigurationError(
-                        f"unknown overflow policy {on_overflow!r}; "
-                        "expected 'raise', 'hist' or 'cpu'"
-                    )
+def batch_layouts(
+    config: PartitionerConfig,
+    lane_matrix: np.ndarray,
+    on_overflow: str = "raise",
+    hot: Sequence[int] = (),
+) -> List[Layout]:
+    """One :class:`Layout` per row of a ``(runs, P, lanes)`` lane
+    matrix, each run's input being exactly the tuples its row counts —
+    the layout math of the four modes stated once, as ``(runs, P)``
+    array operations, so a batch of runs pays it once.
 
-        if effective.output_mode is OutputMode.PAD:
-            base_lines = (
-                np.arange(num_partitions, dtype=np.int64) * capacity_lines
+    Args:
+        config: the *requested* configuration of every run.
+        lane_matrix: the lane-exact ``(partition, lane)`` histogram of
+            each run (what :func:`~repro.kernels.partition_batch`
+            returns).
+        on_overflow: PAD overflow policy, applied to each run on its
+            own.  ``"raise"`` raises :class:`PartitionOverflowError` for
+            the first overflowing run (the hardware aborts before
+            scattering); ``"hist"`` relabels that run HIST and charges
+            the aborted PAD scan in full, the worst case of Section 5.4
+            ("this might happen at the very end"); ``"cpu"`` only
+            reports it, as :attr:`Layout.overflow`.
+        hot: partition ids carved out of the PAD grid into exact-fit
+            regions appended after it (heavy-hitter isolation); they
+            are exempt from the capacity check.  Ignored for a run whose
+            effective mode is HIST, which has no grid.
+    """
+    per_line = config.tuples_per_line
+    num_partitions = config.num_partitions
+    runs = lane_matrix.shape[0]
+    # (einsum: numpy's axis reduction over a handful of lanes is
+    # several times slower)
+    counts = np.einsum("rpl->rp", lane_matrix)
+    # each lane's write combiner flushes its own partial line per
+    # partition, dummy-padded: lines are rounded up per lane (a line
+    # holds a power of two of tuples, so the ceil is a shift)
+    rounded = lane_matrix + (per_line - 1)
+    rounded >>= per_line.bit_length() - 1
+    lines = np.einsum("rpl->rp", rounded)
+    tuples = counts.sum(axis=1)
+    total_lines = lines.sum(axis=1)
+    hot = np.asarray(hot, dtype=np.int64) if len(hot) else _NO_HOT
+
+    effective = [config] * runs
+    surcharge = [0] * runs
+    overflow: List[Optional[Tuple[int, int]]] = [None] * runs
+    base_lines = np.zeros((runs, num_partitions), dtype=np.int64)
+    np.cumsum(lines[:, :-1], axis=1, out=base_lines[:, 1:])
+    if config.output_mode is OutputMode.PAD:
+        capacity_lines = np.array(
+            [config.partition_capacity(n) for n in tuples.tolist()],
+            dtype=np.int64,
+        ) // per_line
+        over = lines > capacity_lines[:, None]
+        if hot.size:
+            over[:, hot] = False
+        grid = np.ones(runs, dtype=bool)  # runs still on the PAD grid
+        for run in np.flatnonzero(over.any(axis=1)).tolist():
+            n = int(tuples[run])
+            first = (
+                int(over[run].argmax()), int(capacity_lines[run]) * per_line
             )
-            if hot.size:
-                hot_lines = lines[hot]
-                base_lines[hot] = (
-                    num_partitions * capacity_lines
-                    + np.cumsum(hot_lines)
-                    - hot_lines
+            if on_overflow == "raise":
+                raise PartitionOverflowError(
+                    partition=first[0], capacity=first[1], tuples_seen=n
                 )
-        else:
-            hot = _NO_HOT
-            base_lines = np.zeros(num_partitions, dtype=np.int64)
-            np.cumsum(lines[:-1], out=base_lines[1:])
-
-        bytes_read, bytes_written = effective.traffic_bytes(n, total_lines)
-        return Layout(
-            requested_config=cfg,
-            config=effective,
-            counts=counts,
-            lines_per_partition=lines,
-            base_lines=base_lines,
-            bytes_read=bytes_read + surcharge,
-            bytes_written=bytes_written,
-            dummy_slots=total_lines * per_line - n,
-            isolated_partitions=int(hot.size),
-            overflow=overflow,
-            aborted_scan_bytes=surcharge,
+            if on_overflow == "hist":
+                effective[run] = dataclasses.replace(
+                    config, output_mode=OutputMode.HIST
+                )
+                surcharge[run] = config.traffic_bytes(n, 0)[0]
+                grid[run] = False
+            elif on_overflow == "cpu":
+                overflow[run] = first
+            else:
+                raise ConfigurationError(
+                    f"unknown overflow policy {on_overflow!r}; "
+                    "expected 'raise', 'hist' or 'cpu'"
+                )
+        base_lines[grid] = (
+            np.arange(num_partitions, dtype=np.int64)
+            * capacity_lines[grid, None]
         )
+        if hot.size:
+            hot_lines = lines[grid][:, hot]
+            base_lines[np.ix_(grid, hot)] = (
+                num_partitions * capacity_lines[grid, None]
+                + np.cumsum(hot_lines, axis=1)
+                - hot_lines
+            )
+
+    layouts = []
+    for run, (n, run_lines) in enumerate(
+        zip(tuples.tolist(), total_lines.tolist())
+    ):
+        bytes_read, bytes_written = effective[run].traffic_bytes(
+            n, run_lines
+        )
+        on_grid = effective[run].output_mode is OutputMode.PAD
+        layouts.append(
+            Layout(
+                requested_config=config,
+                config=effective[run],
+                counts=counts[run],
+                lines_per_partition=lines[run],
+                base_lines=base_lines[run],
+                bytes_read=bytes_read + surcharge[run],
+                bytes_written=bytes_written,
+                dummy_slots=run_lines * per_line - n,
+                isolated_partitions=int(hot.size) if on_grid else 0,
+                overflow=overflow[run],
+                aborted_scan_bytes=surcharge[run],
+            )
+        )
+    return layouts
 
 
 def partition_major(

@@ -345,20 +345,23 @@ def swwc_scatter(
 
 
 def partition_batch(
-    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    columns: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     num_partitions: int,
     use_hash: bool,
     lanes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primitive 4: primitives 1 and 2 over every request of a batch.
 
-    ``columns`` holds one aligned ``(keys, payloads)`` pair per request
-    (empty requests allowed); the inputs are only read.  Returns
-    ``(out_keys, out_payloads, lane_matrix)``: one shared pair of fresh
-    ``uint32`` output columns in which request ``r`` owns the slice
-    ``[sum(sizes[:r]), sum(sizes[:r + 1]))``, stable-sorted by
-    partition index — the bytes :func:`hash_histogram` +
-    :func:`stable_scatter` produce for that request alone — and the
+    ``columns`` holds one ``(keys, payloads)`` pair per request (empty
+    requests allowed); the inputs are only read.  A ``None`` payload
+    column means in-request record ids — tuple ``i`` of the request
+    carries payload ``i``, the virtual record ids the circuit appends
+    itself (Section 4.5) — written by the kernel, never materialised as
+    an input.  Returns ``(out_keys, out_payloads, lane_matrix)``: one
+    shared pair of fresh ``uint32`` output columns in which request
+    ``r`` owns the slice ``[sum(sizes[:r]), sum(sizes[:r + 1]))``,
+    stable-sorted by partition index — the bytes :func:`hash_histogram`
+    + :func:`stable_scatter` produce for that request alone — and the
     ``(batch, num_partitions, lanes)`` ``int64`` histogram, a tuple's
     lane being its index *within its request* mod ``lanes``.
 
@@ -369,9 +372,13 @@ def partition_batch(
     """
     _check_fanout(num_partitions, lanes)
     for keys, payloads in columns:
-        if keys.ndim != 1 or keys.shape != payloads.shape:
+        if keys.ndim != 1 or (
+            payloads is not None and keys.shape != payloads.shape
+        ):
             raise ConfigurationError("keys and payloads must align")
-    if not _eligible([array for pair in columns for array in pair]):
+    if not _eligible(
+        [array for pair in columns for array in pair if array is not None]
+    ):
         return numpy_impl.partition_batch(
             columns, num_partitions, use_hash, lanes
         )
@@ -379,12 +386,15 @@ def partition_batch(
     sizes = [keys.shape[0] for keys, _ in columns]
     # Few, wide buffers: ``ndarray.ctypes.data`` costs about as much as
     # partitioning 200 tuples, so the call takes four addresses plus
-    # the two per request it cannot avoid.  The table holds raw
+    # the one or two per request it cannot avoid.  The table holds raw
     # pointers; ``columns`` keeps them alive.
     table = np.array(
         sizes
         + [keys.ctypes.data for keys, _ in columns]
-        + [payloads.ctypes.data for _, payloads in columns],
+        + [
+            0 if payloads is None else payloads.ctypes.data
+            for _, payloads in columns
+        ],
         dtype=np.intp,
     )
     n = sum(sizes)

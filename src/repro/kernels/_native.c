@@ -120,27 +120,39 @@ DEFINE_HASH_HIST(i64, int64_t)
 /* stable, i.e. byte-identical to a stable sort by partition index.    */
 /* ------------------------------------------------------------------ */
 
+/* The loop body, over the payload of tuple i: the payload column, or
+ * generated record ids (the circuit's VRIDs, Section 4.5).           */
+#define REPRO_SCATTER_LOOP(PAYLOAD)                                        \
+    const int64_t pf_end = n > SCATTER_PF_DIST ? n - SCATTER_PF_DIST : 0;  \
+    int64_t i;                                                             \
+    for (i = 0; i < pf_end; i++) {                                         \
+        const int64_t a = cursor[parts[i + SCATTER_PF_DIST]];              \
+        REPRO_PREFETCH_W(out_keys + a);                                    \
+        REPRO_PREFETCH_W(out_payloads + a);                                \
+        const int64_t d = cursor[parts[i]]++;                              \
+        out_keys[d] = keys[i];                                             \
+        out_payloads[d] = (PAYLOAD);                                       \
+    }                                                                      \
+    for (; i < n; i++) {                                                   \
+        const int64_t d = cursor[parts[i]]++;                              \
+        out_keys[d] = keys[i];                                             \
+        out_payloads[d] = (PAYLOAD);                                       \
+    }
+
 #define DEFINE_SCATTER(SUFFIX, PART_T)                                     \
     void repro_scatter_##SUFFIX(                                           \
         const uint32_t *keys, const uint32_t *payloads,                    \
         const PART_T *parts, int64_t n, int64_t *cursor,                   \
         uint32_t *out_keys, uint32_t *out_payloads)                        \
     {                                                                      \
-        const int64_t pf_end = n > SCATTER_PF_DIST ? n - SCATTER_PF_DIST : 0; \
-        int64_t i;                                                         \
-        for (i = 0; i < pf_end; i++) {                                     \
-            const int64_t a = cursor[parts[i + SCATTER_PF_DIST]];          \
-            REPRO_PREFETCH_W(out_keys + a);                                \
-            REPRO_PREFETCH_W(out_payloads + a);                            \
-            const int64_t d = cursor[parts[i]]++;                          \
-            out_keys[d] = keys[i];                                         \
-            out_payloads[d] = payloads[i];                                 \
-        }                                                                  \
-        for (; i < n; i++) {                                               \
-            const int64_t d = cursor[parts[i]]++;                          \
-            out_keys[d] = keys[i];                                         \
-            out_payloads[d] = payloads[i];                                 \
-        }                                                                  \
+        REPRO_SCATTER_LOOP(payloads[i])                                    \
+    }                                                                      \
+                                                                           \
+    static void repro_scatter_ids_##SUFFIX(                                \
+        const uint32_t *keys, const PART_T *parts, int64_t n,              \
+        int64_t *cursor, uint32_t *out_keys, uint32_t *out_payloads)       \
+    {                                                                      \
+        REPRO_SCATTER_LOOP((uint32_t)i)                                    \
     }
 
 DEFINE_SCATTER(u8, uint8_t)
@@ -375,7 +387,9 @@ DEFINE_SWWC_MT(i64, int64_t)
 /* Few, wide arguments, because taking an ndarray's address costs the  */
 /* caller about as much as partitioning 200 tuples: table[] holds      */
 /* batch sizes, then batch key-column addresses, then batch payload-   */
-/* column addresses; out[] is the key column (total tuples) followed   */
+/* column addresses — 0 where the payloads are generated record ids:   */
+/* tuple i of a request gets i, the circuit's VRID (Section 4.5);      */
+/* out[] is the key column (total tuples) followed                     */
 /* by the payload column; acc[] is num_partitions cursor slots         */
 /* followed by the batch * num_partitions * lanes lane histogram,      */
 /* zeroed by the caller; parts[] holds max(sizes) entries.  lanes and  */
@@ -407,8 +421,12 @@ DEFINE_SWWC_MT(i64, int64_t)
                 cursor[p] = base;                                          \
                 base += count;                                             \
             }                                                              \
-            repro_scatter_##SUFFIX(keys, payloads, parts, n, cursor,       \
-                                   out, out_payloads);                     \
+            if (payloads)                                                  \
+                repro_scatter_##SUFFIX(keys, payloads, parts, n, cursor,   \
+                                       out, out_payloads);                 \
+            else                                                           \
+                repro_scatter_ids_##SUFFIX(keys, parts, n, cursor, out,    \
+                                           out_payloads);                  \
         }                                                                  \
     }
 
@@ -688,4 +706,4 @@ int64_t repro_sort_groups(uint32_t *keys, int64_t *values, int64_t *counts,
 }
 
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 6; }
+int repro_kernels_abi(void) { return 7; }

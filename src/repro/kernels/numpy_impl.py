@@ -117,14 +117,15 @@ _PACKED_INDEX_LIMIT = 1 << 16
 
 
 def partition_batch(
-    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    columns: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     num_partitions: int,
     use_hash: bool,
     lanes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hash, histogram and stable scatter of every request of a batch;
     returns ``(out_keys, out_payloads, lane_matrix)`` (see
-    :func:`repro.kernels.partition_batch`).
+    :func:`repro.kernels.partition_batch`; a ``None`` payload column is
+    materialised here as the request's record ids).
 
     Where the native kernel loops over the requests, this twin
     vectorises across them: the columns of up to ``2**16 /
@@ -160,7 +161,7 @@ def partition_batch(
 
 
 def _partition_group(
-    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    columns: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     sizes: np.ndarray,
     num_partitions: int,
     use_hash: bool,
@@ -174,7 +175,10 @@ def _partition_group(
     batch = len(columns)
     n = out_keys.shape[0]
     keys = np.concatenate([k for k, _ in columns])
-    pays = np.concatenate([p for _, p in columns])
+    pays = np.concatenate([
+        np.arange(k.shape[0], dtype=np.uint32) if p is None else p
+        for k, p in columns
+    ])
 
     # packed = request * P + partition, in uint16 (radix-sortable); a
     # fan-out beyond 2**16 leaves one request per group and no packing

@@ -23,6 +23,7 @@ spotting queueing vs execution time).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
@@ -31,6 +32,15 @@ from repro.bench.reporting import ExperimentTable
 
 #: log2 bucket upper bounds in microseconds: 1us ... ~67s, then +inf
 _BUCKET_COUNT = 27
+
+
+def _bucket(micros: float) -> int:
+    """The log2 bucket of a latency: the smallest ``i`` with ``micros
+    <= 2**i``, clamped to the ladder.  With ``micros = m * 2**e``,
+    ``0.5 <= m < 1``, that is ``e - 1`` for an exact power of two
+    (``m == 0.5``) and ``e`` otherwise."""
+    mantissa, exponent = math.frexp(min(micros, 2.0**_BUCKET_COUNT))
+    return min(max(exponent - (mantissa == 0.5), 0), _BUCKET_COUNT - 1)
 
 
 class LatencyHistogram:
@@ -48,16 +58,11 @@ class LatencyHistogram:
 
     def record(self, seconds: float) -> None:
         """Add one observation."""
-        micros = max(0.0, seconds) * 1e6
-        index = 0
-        bound = 1.0
-        while micros > bound and index < _BUCKET_COUNT - 1:
-            bound *= 2.0
-            index += 1
-        self.buckets[index] += 1
+        seconds = max(0.0, seconds)
+        self.buckets[_bucket(seconds * 1e6)] += 1
         self.count += 1
-        self.total_seconds += max(0.0, seconds)
-        self.max_seconds = max(self.max_seconds, max(0.0, seconds))
+        self.total_seconds += seconds
+        self.max_seconds = max(self.max_seconds, seconds)
 
     @property
     def mean_seconds(self) -> float:
@@ -180,6 +185,14 @@ class MetricsRegistry:
         """Record one latency observation for a stage."""
         with self._lock:
             self.histograms[stage].record(seconds)
+
+    def observe_many(self, stage: str, seconds: Sequence[float]) -> None:
+        """Record a batch's latency observations for a stage, in order,
+        under one lock acquisition."""
+        with self._lock:
+            histogram = self.histograms[stage]
+            for value in seconds:
+                histogram.record(value)
 
     def set_gauge(self, gauge: str, value: float) -> None:
         """Set a point-in-time gauge (queue depth, in-flight tuples)."""

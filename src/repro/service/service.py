@@ -755,8 +755,10 @@ class PartitionService:
             return
         total_tuples = sum(entry.tuples for entry in live)
         self.metrics.set_gauge("inflight", total_tuples)
+        self.metrics.observe_many(
+            "queue_wait", [now - entry.submitted_at for entry in live]
+        )
         for entry in live:
-            self.metrics.observe("queue_wait", now - entry.submitted_at)
             if entry.span is not None:
                 # retroactive: the wait was measured on service clocks
                 self.tracer.record_span(
@@ -866,9 +868,9 @@ class PartitionService:
             if size > 1:
                 self.metrics.increment("coalesced_requests", size)
             self.metrics.observe("execute", execute_s)
-        for entry, result in zip(live, results):
-            total_s = now - entry.submitted_at
-            self.metrics.observe("total", total_s)
+        totals = [now - entry.submitted_at for entry in live]
+        self.metrics.observe_many("total", totals)
+        for entry, result, total_s in zip(live, results, totals):
             if entry.span is not None:
                 entry.span.set_attributes(status=status.value, **shared)
                 entry.span.end(now)

@@ -487,6 +487,44 @@ def test_partition_batch_native_equals_numpy_equals_solo(
         assert np.array_equal(payloads, payloads_before)
 
 
+@needs_native
+@given(
+    sizes=batch_sizes,
+    generated=st.lists(st.booleans(), min_size=6, max_size=6),
+    num_partitions=st.sampled_from([2, 64, 8192]),
+    lanes=st.sampled_from([1, 8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_batch_generated_ids_equal_explicit_arange(
+    sizes, generated, num_partitions, lanes
+):
+    """A ``None`` payload column is the request's record ids, written
+    by the kernel: the same bytes as passing ``np.arange`` explicitly,
+    on both backends, mixed with explicit columns and empty requests."""
+    explicit = _batch_columns(sizes, seed=len(sizes) + sum(sizes))
+    columns = [
+        (keys, None) if gen else (keys, payloads)
+        for (keys, payloads), gen in zip(explicit, generated)
+    ]
+    materialised = [
+        (keys, np.arange(keys.shape[0], dtype=np.uint32))
+        if payloads is None else (keys, payloads)
+        for keys, payloads in columns
+    ]
+    native, fallback = _both_backends(
+        lambda: kernels.partition_batch(
+            columns, num_partitions, True, lanes
+        )
+    )
+    with kernels.using_backend("native"):
+        want = kernels.partition_batch(
+            materialised, num_partitions, True, lanes
+        )
+    for got_native, got_numpy, expected in zip(native, fallback, want):
+        assert np.array_equal(got_native, expected)
+        assert np.array_equal(got_numpy, expected)
+
+
 class TestPartitionBatchDispatch:
     @needs_native
     def test_non_contiguous_and_uint64_columns_take_the_twin(
@@ -529,6 +567,8 @@ class TestPartitionBatchDispatch:
         keys = np.arange(8, dtype=np.uint32)
         with pytest.raises(ConfigurationError):
             kernels.partition_batch([(keys, keys[:4])], 16, True, 8)
+        with pytest.raises(ConfigurationError):
+            kernels.partition_batch([(keys.reshape(2, 4), None)], 16, True, 8)
         with pytest.raises(ConfigurationError):
             kernels.partition_batch([(keys, keys)], 12, True, 8)
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,7 @@ pinned against the values the re-hashing implementation produced.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.analysis.verify import outputs_identical
+from repro.core import pieces as pieces_module
 from repro.core.modes import (
     HashKind,
     LayoutMode,
@@ -31,13 +34,16 @@ from repro.core.pieces import (
     Accounting,
     Layout,
     PieceColumn,
+    batch_layouts,
     extract_columns,
+    normalize_columns,
     piece_config,
 )
+from repro.core.tuples import DUMMY_PAYLOAD
 from repro.errors import ConfigurationError, PartitionOverflowError
 from repro.optimize.isolation import hot_partitions, partition_isolated
 from repro.platform.machine import XeonFpgaPlatform
-from repro.workloads.relations import make_relation
+from repro.workloads.relations import Relation, make_relation
 
 
 @st.composite
@@ -286,3 +292,193 @@ class TestHistFallback:
                 output, hist.partition(*extract_columns(config, relation)),
                 check_accounting=False,
             )
+
+
+# ---------------------------------------------------------------------------
+# The batch layout pass
+
+
+def _layout_fields(layout):
+    """Every field of a Layout, arrays as lists, for == comparison."""
+    return {
+        field.name: (
+            value.tolist() if isinstance(value, np.ndarray) else value
+        )
+        for field in dataclasses.fields(layout)
+        for value in [getattr(layout, field.name)]
+    }
+
+
+@st.composite
+def lane_batches(draw):
+    """(config, (runs, P, lanes) lane matrix, policy, hot partitions)."""
+    layout_mode = draw(st.sampled_from(list(LayoutMode)))
+    config = PartitionerConfig(
+        num_partitions=draw(st.sampled_from([2, 8, 64])),
+        tuple_bytes=(
+            8
+            if layout_mode is LayoutMode.VRID
+            else draw(st.sampled_from([8, 16, 32, 64]))
+        ),
+        output_mode=draw(st.sampled_from(list(OutputMode))),
+        layout_mode=layout_mode,
+        pad_tuples=draw(st.sampled_from([None, 0, 5, 64])),
+    )
+    runs = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (runs, config.num_partitions, config.num_lanes)
+    lane_matrix = rng.integers(
+        0, draw(st.sampled_from([1, 3, 40])), size=shape
+    ).astype(np.int64)
+    # skew some runs into one partition so PAD capacity overflows there
+    for run in draw(st.lists(st.integers(0, runs - 1), max_size=3)):
+        lane_matrix[run, draw(st.integers(0, shape[1] - 1))] += draw(
+            st.integers(1, 400)
+        )
+    hot = draw(
+        st.lists(
+            st.integers(0, config.num_partitions - 1),
+            max_size=2,
+            unique=True,
+        )
+    )
+    policy = draw(st.sampled_from(["raise", "hist", "cpu"]))
+    return config, lane_matrix, policy, sorted(hot)
+
+
+class TestBatchLayouts:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=lane_batches())
+    def test_rows_equal_one_run_finalize(self, batch):
+        """Row r of the batch pass is ``Accounting(cfg, row).finalize``
+        of run r alone; under ``raise`` the batch reports the first
+        overflowing run exactly as that run alone does."""
+        config, lane_matrix, policy, hot = batch
+        expected, error = [], None
+        for row in lane_matrix:
+            try:
+                expected.append(
+                    Accounting(config, row.copy()).finalize(policy, hot)
+                )
+            except PartitionOverflowError as overflow:
+                error = overflow
+                break
+        if error is not None:
+            with pytest.raises(PartitionOverflowError) as ours:
+                batch_layouts(config, lane_matrix, policy, hot)
+            assert (
+                ours.value.partition,
+                ours.value.capacity,
+                ours.value.tuples_seen,
+            ) == (error.partition, error.capacity, error.tuples_seen)
+            return
+        got = batch_layouts(config, lane_matrix, policy, hot)
+        assert [_layout_fields(layout) for layout in got] == [
+            _layout_fields(layout) for layout in expected
+        ]
+
+    @pytest.mark.parametrize("policy", ["raise", "hist", "cpu"])
+    def test_one_overflowing_request_in_a_batch(self, policy):
+        """Real requests, one of them Zipf: the batch pass reports what
+        ``partition()`` of that request alone does, and leaves the
+        others as their own solo runs."""
+        config = PartitionerConfig(
+            num_partitions=64, output_mode=OutputMode.PAD
+        )
+        requests = [
+            make_relation(3_000, "random", seed=1).keys,
+            make_relation(5_000, "zipf", seed=2, zipf_factor=1.3).keys,
+            make_relation(4_001, "random", seed=3).keys,
+        ]
+        _, _, lane_matrix = kernels.partition_batch(
+            [(keys, None) for keys in requests],
+            config.num_partitions, config.uses_hash, config.num_lanes,
+        )
+        partitioner = FpgaPartitioner(config)
+        if policy == "raise":
+            with pytest.raises(PartitionOverflowError) as solo:
+                partitioner.partition(requests[1])
+            with pytest.raises(PartitionOverflowError) as ours:
+                batch_layouts(config, lane_matrix, policy)
+            assert (
+                ours.value.partition,
+                ours.value.capacity,
+                ours.value.tuples_seen,
+            ) == (
+                solo.value.partition,
+                solo.value.capacity,
+                solo.value.tuples_seen,
+            )
+            return
+        layouts = batch_layouts(config, lane_matrix, policy)
+        assert layouts[0].overflow is layouts[2].overflow is None
+        assert layouts[0].config == layouts[2].config == config
+        if policy == "cpu":
+            assert layouts[1].overflow is not None
+        else:
+            assert layouts[1].config.output_mode is OutputMode.HIST
+            assert layouts[1].aborted_scan_bytes > 0
+        for keys, layout in zip(requests, layouts):
+            if layout.overflow is None:
+                solo = partitioner.partition(keys, on_overflow=policy)
+                assert layout.config == solo.config
+                assert layout.bytes_read == solo.bytes_read
+                assert layout.dummy_slots == solo.dummy_slots
+                assert np.array_equal(layout.base_lines, solo.base_lines)
+
+
+# ---------------------------------------------------------------------------
+# Generated record ids
+
+
+class TestGeneratedIds:
+    def test_bare_arrays_never_scan_generated_ids(self, monkeypatch):
+        def scan(payloads):
+            raise AssertionError("generated record ids were scanned")
+
+        monkeypatch.setattr(pieces_module, "check_payloads_valid", scan)
+        keys = make_relation(5_000, "random", seed=4).keys
+        rid = PartitionerConfig(num_partitions=16)
+        vrid = dataclasses.replace(rid, layout_mode=LayoutMode.VRID)
+        with FpgaPartitioner(rid) as partitioner:
+            output = partitioner.partition(keys)
+            partitioner.partition_many([keys, keys[:100]])
+        assert np.array_equal(
+            np.sort(np.concatenate(list(output.partition_payloads))),
+            np.arange(keys.shape[0], dtype=np.uint32),
+        )
+        relation = make_relation(3_000, "random", seed=5)
+        with FpgaPartitioner(vrid) as partitioner:
+            partitioner.partition(relation)
+            partitioner.partition_many([relation])
+        assert normalize_columns(rid, keys)[1] is None
+        assert np.array_equal(
+            extract_columns(vrid, relation)[1],
+            np.arange(len(relation), dtype=np.uint32),
+        )
+
+    def test_caller_payloads_holding_the_dummy_still_raise(self):
+        keys = make_relation(1_000, "random", seed=6).keys
+        payloads = np.arange(keys.shape[0], dtype=np.uint32)
+        payloads[17] = DUMMY_PAYLOAD
+        config = PartitionerConfig(num_partitions=16)
+        partitioner = FpgaPartitioner(config)
+        with pytest.raises(ConfigurationError):
+            partitioner.partition(keys, payloads)
+        with pytest.raises(ConfigurationError):
+            partitioner.partition_many([keys], [payloads])
+        with pytest.raises(ConfigurationError):
+            partitioner.partition(Relation(keys=keys, payloads=payloads))
+
+    def test_two_to_the_32_generated_ids_rejected_by_length(self):
+        """Id 2**32 - 1 is the dummy marker: the length check alone
+        stops it (a zero-stride view — nothing of that size exists)."""
+        huge = np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype=np.uint32), shape=(2**32,), strides=(0,)
+        )
+        relation = Relation(keys=huge, payloads=huge)
+        vrid = PartitionerConfig(layout_mode=LayoutMode.VRID)
+        with pytest.raises(ConfigurationError, match="dummy"):
+            normalize_columns(vrid, relation)
+        short = Relation(keys=huge[:-1], payloads=huge[:-1])
+        assert normalize_columns(vrid, short)[1] is None

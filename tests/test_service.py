@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import pathlib
 import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import partitioner as partitioner_module
 from repro.core.modes import OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
 from repro.errors import ReproError
@@ -20,6 +24,7 @@ from repro.service import (
     DegradationPolicy,
     FaultInjector,
     LatencyHistogram,
+    MetricsRegistry,
     PartitionRequest,
     PartitionService,
     QueueFullError,
@@ -28,6 +33,7 @@ from repro.service import (
     TokenBucket,
     request_signature,
 )
+from tests.conftest import needs_native
 
 
 class FakeClock:
@@ -1221,3 +1227,112 @@ class TestQuantileEdges:
         qs = [hist.quantile_seconds(q) for q in (0.0, 0.25, 0.5, 0.95, 1.0)]
         assert qs == sorted(qs)
         assert qs[-1] <= hist.max_seconds
+
+
+def _doubling_loop_histogram(values):
+    """The bucket search ``LatencyHistogram.record`` used to run: double
+    a 1 µs bound until it covers the observation."""
+    buckets, total, top = [0] * len(LatencyHistogram().buckets), 0.0, 0.0
+    for seconds in values:
+        micros = max(0.0, seconds) * 1e6
+        index, bound = 0, 1.0
+        while micros > bound and index < len(buckets) - 1:
+            bound *= 2.0
+            index += 1
+        buckets[index] += 1
+        total += max(0.0, seconds)
+        top = max(top, max(0.0, seconds))
+    return buckets, len(values), total, top
+
+
+_latencies = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e3, max_value=0.0),
+    # exact powers of two in microseconds: the bucket edges
+    st.integers(-30, 40).map(lambda e: 2.0**e / 1e6),
+    st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
+    st.floats(min_value=67.0),  # up to inf
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+class TestLatencyBuckets:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_latencies, max_size=40))
+    def test_frexp_bucket_equals_the_doubling_loop(self, values):
+        one_by_one, batched = ServiceMetrics(), ServiceMetrics()
+        for value in values:
+            one_by_one.observe("total", value)
+        batched.observe_many("total", values)
+        expected = _doubling_loop_histogram(values)
+        for metrics in (one_by_one, batched):
+            hist = metrics.histograms["total"]
+            assert (
+                hist.buckets, hist.count, hist.total_seconds,
+                hist.max_seconds,
+            ) == expected
+
+
+class TestOnePassPerBatch:
+    """Per coalesced batch, whatever its size: one native call, one
+    layout pass, one latency update per stage — in the style of
+    ``tests/test_plan.py::TestNativeCrossings``."""
+
+    @needs_native
+    @pytest.mark.parametrize("size", [1, 3, 9])
+    def test_counts_do_not_grow_with_the_batch(
+        self, size, relations, native_calls, monkeypatch
+    ):
+        layout_rows = []
+        real_layouts = partitioner_module.batch_layouts
+
+        def layouts(config, lane_matrix, *args, **kwargs):
+            layout_rows.append(lane_matrix.shape[0])
+            return real_layouts(config, lane_matrix, *args, **kwargs)
+
+        observed = collections.Counter()
+        real_observe_many = MetricsRegistry.observe_many
+
+        def observe_many(self, stage, seconds):
+            observed[stage] += 1
+            return real_observe_many(self, stage, seconds)
+
+        # record ids of bare key arrays are written by the batch kernel:
+        # no request-sized arange anywhere on the way
+        arange_lengths = []
+        real_arange = np.arange
+
+        def arange(*args, **kwargs):
+            result = real_arange(*args, **kwargs)
+            arange_lengths.append(result.shape[0])
+            return result
+
+        monkeypatch.setattr(partitioner_module, "batch_layouts", layouts)
+        monkeypatch.setattr(MetricsRegistry, "observe_many", observe_many)
+        config = PartitionerConfig(num_partitions=64)
+        batch = relations[:size]
+        with PartitionService() as service:
+            gate = _park_dispatcher(service, relations[0])
+            native_calls.clear()
+            layout_rows.clear()
+            observed.clear()
+            monkeypatch.setattr(np, "arange", arange)
+            tickets = [
+                service.submit(PartitionRequest(relation=keys, config=config))
+                for keys in batch
+            ]
+            gate.set()
+            responses = [ticket.result(timeout=30) for ticket in tickets]
+            monkeypatch.setattr(np, "arange", real_arange)
+            calls = dict(native_calls)
+            stages = dict(observed)
+        assert [r.batch_size for r in responses] == [size] * size
+        assert calls == {"partition_batch": 1}
+        assert layout_rows == [size]
+        assert stages == {"queue_wait": 1, "total": 1}
+        sizes = {keys.shape[0] for keys in batch}
+        assert not sizes & set(arange_lengths), arange_lengths
+        reference = FpgaPartitioner(config)
+        for keys, response in zip(batch, responses):
+            assert response.status is RequestStatus.OK
+            assert_outputs_equal(response.output, reference.partition(keys))
