@@ -15,12 +15,16 @@ How the identity is held — the router is one caller of the
 "partitioning in pieces" recipe of :mod:`repro.core.pieces`, its pieces
 being *partition subsets* rather than input sub-ranges:
 
-* **Routing is by partition, with a stable scatter.**  The router runs
-  one global :func:`repro.kernels.hash_histogram` pass (the same fused
+* **Routing is by partition, with a stable scatter.**  The router's
+  global pass runs on its own thread
+  :class:`~repro.exec.engine.ExecutionEngine`: one fused
+  :func:`repro.kernels.hash_histogram` call per engine morsel (the
   kernel the single-node path uses), so it knows every tuple's
   partition and the exact global histogram before anything moves.
-  Tuples are scattered to shards with the stable scatter kernel, so
-  each shard receives its partitions' tuples in input order.
+  Then one grouped stable scatter per morsel routes each tuple through
+  the partition → shard map inside the kernel — no per-tuple shard
+  column — so each shard receives its partitions' tuples in input
+  order, as one contiguous slice.
 * **Shards run the request's** :func:`~repro.core.pieces.piece_config`
   with global positions as payloads, so a shard's output partition
   ``p`` is exactly the global partition ``p`` — which is also why *any*
@@ -57,7 +61,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.cluster.handoff import DEFAULT_HANDOFF_BYTES, SpillHandoff
 from repro.cluster.node import ShardNode
 from repro.cluster.placement import PlacementPolicy
@@ -74,6 +77,7 @@ from repro.core.pieces import (
     piece_config,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.exec.engine import ExecutionEngine, PartitionTask
 from repro.obs.tracing import resolve_tracer
 from repro.service.service import (
     PartitionRequest,
@@ -211,6 +215,9 @@ class ShardRouter:
             bytes_in_memory=handoff_bytes_in_memory,
             tracer=tracer,
         )
+        #: runs the routing passes on every core; its pool starts on
+        #: first use and :meth:`stop` shuts it down
+        self._engine = ExecutionEngine(kind="thread", tracer=self.tracer)
         self._started = False
         #: router-level counters (see :meth:`snapshot`)
         self.stats = {
@@ -272,11 +279,13 @@ class ShardRouter:
         return self
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Stop every shard node (killed shards are already down) and
-        remove a storage root the router created itself — columns served
-        from a spill handoff are readable until then."""
+        """Stop every shard node (killed shards are already down), shut
+        the routing pool down and remove a storage root the router
+        created itself — columns served from a spill handoff are
+        readable until then.  Idempotent."""
         for node in self._nodes:
             node.stop(timeout)
+        self._engine.close()
         self._started = False
         if self._owned_root is not None:
             shutil.rmtree(self._owned_root, ignore_errors=True)
@@ -360,65 +369,71 @@ class ShardRouter:
     ) -> ClusterResponse:
         P = cfg.num_partitions
 
-        # 1. Global accounting pass — the same fused kernel the
-        # single-node path runs, so counts and lane matrix are exact.
+        # 1. Global accounting pass on the engine's morsels — the same
+        # fused kernel the single-node path runs, so counts and lane
+        # matrix are exact.
         with self.tracer.span("cluster.route", tuples=n, partitions=P):
-            parts, _, lane_counts = kernels.hash_histogram(
-                keys, P, cfg.uses_hash, lanes=cfg.num_lanes
-            )
-
-            # 2. Layout and PAD overflow policy — settled globally
-            # BEFORE routing, like the hardware checks before scattering.
-            layout = Accounting(cfg, lane_counts).finalize(on_overflow)
-            if layout.overflow is not None:
-                # The paper's software fallback aborts the accelerator
-                # path entirely; the cluster mirrors that by running the
-                # same local CPU partitioner a single node would.
-                from repro.cpu.partitioner import CpuPartitioner
-
-                cpu_out = CpuPartitioner.matching(cfg).partition(keys, pays)
-                cpu_out.fell_back_to_cpu = True
-                return ClusterResponse(
-                    status=RequestStatus.OK,
-                    output=cpu_out,
-                    backends=("cpu-local",),
-                    degraded=True,
-                    degrade_reasons=("pad-overflow-cpu",),
+            with self._engine.begin_partition(
+                keys, pays, P, cfg.uses_hash, lanes=cfg.num_lanes
+            ) as task:
+                # 2. Layout and PAD overflow policy — settled globally
+                # BEFORE routing, like the hardware checks before
+                # scattering.
+                layout = Accounting(cfg, task.lane_counts).finalize(
+                    on_overflow
                 )
-            counts = layout.counts
+                if layout.overflow is not None:
+                    # The paper's software fallback aborts the
+                    # accelerator path entirely; the cluster mirrors
+                    # that by running the same local CPU partitioner a
+                    # single node would.
+                    from repro.cpu.partitioner import CpuPartitioner
 
-            # 3. Placement: primaries from the ring, hot partitions
-            # spread over their replica sets; partitions whose chosen
-            # shard is unhealthy move to their next healthy replica
-            # before anything is scattered.
-            if self.placement is not None:
-                self.placement.observe_keys(keys)
-                if self.optimizer is not None:
-                    # the optimizer's sketch-hot set feeds the adaptive
-                    # replication degree (see observe_profile)
-                    from repro.optimize.profile import WorkloadProfile
-
-                    self.placement.observe_profile(
-                        WorkloadProfile.from_keys(
-                            keys, tuple_bytes=cfg.tuple_bytes
-                        ),
-                        num_partitions=cfg.num_partitions,
+                    cpu_out = CpuPartitioner.matching(cfg).partition(
+                        keys, pays
                     )
-            banned = {
-                i
-                for i, node in enumerate(self._nodes)
-                if not node.healthy
-            }
-            owner, plan = self._place(counts, cfg, banned)
-            if owner is None:
-                return ClusterResponse(
-                    status=RequestStatus.FAILED,
-                    error="no healthy shard in the cluster",
-                )
+                    cpu_out.fell_back_to_cpu = True
+                    return ClusterResponse(
+                        status=RequestStatus.OK,
+                        output=cpu_out,
+                        backends=("cpu-local",),
+                        degraded=True,
+                        degrade_reasons=("pad-overflow-cpu",),
+                    )
 
-            # 4. Stable scatter to shards: each shard's slice holds its
-            # partitions' tuples in input order.
-            jobs = self._scatter_jobs(keys, pays, parts, counts, owner)
+                # 3. Placement: primaries from the ring, hot partitions
+                # spread over their replica sets; partitions whose
+                # chosen shard is unhealthy move to their next healthy
+                # replica before anything is scattered.
+                if self.placement is not None:
+                    self.placement.observe_keys(keys)
+                    if self.optimizer is not None:
+                        # the optimizer's sketch-hot set feeds the
+                        # adaptive replication degree (observe_profile)
+                        from repro.optimize.profile import WorkloadProfile
+
+                        self.placement.observe_profile(
+                            WorkloadProfile.from_keys(
+                                keys, tuple_bytes=cfg.tuple_bytes
+                            ),
+                            num_partitions=cfg.num_partitions,
+                        )
+                banned = {
+                    i
+                    for i, node in enumerate(self._nodes)
+                    if not node.healthy
+                }
+                owner, plan = self._place(layout.counts, cfg, banned)
+                if owner is None:
+                    return ClusterResponse(
+                        status=RequestStatus.FAILED,
+                        error="no healthy shard in the cluster",
+                    )
+
+                # 4. One grouped stable scatter per morsel: each
+                # shard's slice holds its partitions' tuples in input
+                # order.
+                jobs = self._route(task, owner)
 
         # 5. Submit / failover / handoff rounds.
         try:
@@ -497,42 +512,23 @@ class ShardRouter:
             f"no healthy shard left for partition {partition}"
         )
 
-    def _scatter_jobs(
-        self,
-        keys: np.ndarray,
-        pays: np.ndarray,
-        parts: np.ndarray,
-        counts: np.ndarray,
-        owner: np.ndarray,
-    ) -> List[_Job]:
-        """One stable scatter, shard index as the partition key."""
-        num_shards = len(self._nodes)
-        shard_of_tuple = owner[parts]
-        shard_counts = np.bincount(
-            owner, weights=counts.astype(np.float64), minlength=num_shards
-        ).astype(np.int64)
-        dest_base = np.zeros(num_shards, dtype=np.int64)
-        np.cumsum(shard_counts[:-1], out=dest_base[1:])
-        n = int(keys.shape[0])
-        routed_keys = np.empty(n, dtype=np.uint32)
-        routed_pays = np.empty(n, dtype=np.uint32)
-        kernels.stable_scatter(
-            keys, pays, shard_of_tuple, dest_base, num_shards,
-            routed_keys, routed_pays,
-        )
-        bounds = np.zeros(num_shards + 1, dtype=np.int64)
-        np.cumsum(shard_counts, out=bounds[1:])
+    def _route(self, task: PartitionTask, owner: np.ndarray) -> List[_Job]:
+        """Scatter ``task`` by shard (``owner`` maps partition → shard)
+        and cut one job per shard that receives tuples; the jobs' columns
+        are views of its contiguous group slice."""
+        routed_keys, routed_pays, bounds = task.scatter(groups=owner)
+        nonempty = task.counts > 0
         jobs = []
-        for s in range(num_shards):
-            if shard_counts[s] == 0:
+        for s in range(bounds.shape[0] - 1):
+            lo, hi = bounds[s], bounds[s + 1]
+            if lo == hi:
                 continue
-            partitions = np.nonzero((owner == s) & (counts > 0))[0]
             jobs.append(
                 _Job(
                     shard=s,
-                    partitions=partitions,
-                    keys=routed_keys[bounds[s]:bounds[s + 1]],
-                    payloads=routed_pays[bounds[s]:bounds[s + 1]],
+                    partitions=np.nonzero((owner == s) & nonempty)[0],
+                    keys=routed_keys[lo:hi],
+                    payloads=routed_pays[lo:hi],
                 )
             )
         return jobs
@@ -543,12 +539,10 @@ class ShardRouter:
         mapping = np.zeros(P, dtype=np.int64)
         for p in job.partitions:
             mapping[int(p)] = self._next_healthy(int(p), P, banned)
-        slice_parts, slice_counts, _ = kernels.hash_histogram(
-            job.keys, P, cfg.uses_hash
-        )
-        return self._scatter_jobs(
-            job.keys, job.payloads, slice_parts, slice_counts, mapping
-        )
+        with self._engine.begin_partition(
+            job.keys, job.payloads, P, cfg.uses_hash
+        ) as task:
+            return self._route(task, mapping)
 
     # -- the submit / failover / handoff loop ---------------------------
 

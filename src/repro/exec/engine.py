@@ -103,7 +103,7 @@ def _shm_histogram_task(args):
 
 def _shm_scatter_task(args):
     """Process-pool phase 2: scatter one morsel into the output blocks."""
-    (names, parts_dt, n, lo, hi, num_partitions, dest_base_row) = args
+    (names, parts_dt, n, lo, hi, dest_base_row, groups) = args
     blocks = {key: _attach_block(name) for key, name in names.items()}
     try:
         keys = np.ndarray(n, dtype=np.uint32, buffer=blocks["keys"].buf)
@@ -124,9 +124,10 @@ def _shm_scatter_task(args):
             payloads[lo:hi],
             parts[lo:hi],
             dest_base_row,
-            num_partitions,
+            dest_base_row.shape[0],
             out_keys,
             out_payloads,
+            groups=groups,
         )
         return None
     finally:
@@ -149,25 +150,24 @@ class PartitionTask:
         engine: "ExecutionEngine",
         backend: str,
         chunks: List[Tuple[int, int]],
-        counts: np.ndarray,
-        lane_counts: Optional[np.ndarray],
-        chunk_hists: np.ndarray,
-        dest_base: np.ndarray,
+        results: List[Tuple[np.ndarray, Optional[np.ndarray]]],
         state: dict,
     ):
+        # results: each morsel's (histogram, lane histogram or None)
         self._engine = engine
         self._backend = backend
         self._chunks = chunks
         self._state = state
         self._closed = False
         self._scattered = False
-        #: global per-partition tuple counts (int64)
-        self.counts = counts
-        #: per-(partition, lane) counts, or None when lanes were not requested
-        self.lane_counts = lane_counts
         #: per-(morsel, partition) histogram matrix
-        self.chunk_hists = chunk_hists
-        self._dest_base = dest_base
+        self.chunk_hists = np.asarray([h for h, _ in results], dtype=np.int64)
+        #: global per-partition tuple counts (int64)
+        self.counts, _, self._dest_base = merge_histograms(self.chunk_hists)
+        #: per-(partition, lane) counts, or None when lanes were not requested
+        self.lane_counts = None
+        if results[0][1] is not None:
+            self.lane_counts = np.sum([lh for _, lh in results], axis=0)
         #: accounting for benchmarks/tests
         self.stats = MorselStats(
             num_morsels=len(chunks),
@@ -176,21 +176,45 @@ class PartitionTask:
             workers=engine.workers if backend != "serial" else 1,
         )
 
-    def scatter(self) -> Tuple[np.ndarray, np.ndarray]:
+    def scatter(self, groups: Optional[np.ndarray] = None) -> tuple:
         """Run the scatter phase; returns ``(out_keys, out_payloads)``.
 
-        The returned arrays are plain (non-shared) ``uint32`` arrays
-        laid out partition-major, morsel-order within each partition —
-        byte-identical to a stable sort by partition index.
+        The returned ``uint32`` arrays are laid out partition-major,
+        morsel-order within each partition — byte-identical to a stable
+        sort by partition index.
+
+        ``groups`` (one destination group per partition, e.g. the shard
+        serving it) lays the columns out group-major instead — the
+        bytes of a stable sort by ``groups[parts]`` — and returns
+        ``(out_keys, out_payloads, bounds)``, group ``g`` being
+        ``[bounds[g], bounds[g + 1])`` for ``g < max(groups) + 1``.
+        The per-morsel histograms fold into (morsel, group) ones, so
+        the scatter is still one grouped kernel call per morsel.
         """
         if self._closed:
             raise ConfigurationError("partition task already closed")
         if self._scattered:
             raise ConfigurationError("partition task already scattered")
         self._scattered = True
+        dest_base = self._dest_base
+        if groups is not None:
+            groups = np.ascontiguousarray(groups, dtype=np.int64)
+            if groups.shape != self.counts.shape or groups.min() < 0:
+                raise ConfigurationError(
+                    "groups must map every partition to a group >= 0"
+                )
+            # (morsel, partition) @ one-hot (partition, group)
+            one_hot = groups[:, None] == np.arange(groups.max() + 1)
+            group_counts, _, dest_base = merge_histograms(
+                self.chunk_hists @ one_hot
+            )
         if self._backend == "process":
-            return self._engine._scatter_process(self)
-        return self._engine._scatter_local(self)
+            out = self._engine._scatter_process(self, dest_base, groups)
+        else:
+            out = self._engine._scatter_local(self, dest_base, groups)
+        if groups is None:
+            return out
+        return out + (np.concatenate(([0], np.cumsum(group_counts))),)
 
     def close(self) -> None:
         """Release any shared-memory blocks; idempotent."""
@@ -356,35 +380,14 @@ class ExecutionEngine:
             )
             return hist, lane_hist
 
-        results = list(
-            self._run(backend, phase_a, chunks, label="morsel.histogram")
-        )
-        counts, _, dest_base = merge_histograms([h for h, _ in results])
-        lane_counts = None
-        if lanes is not None:
-            lane_counts = np.sum([lh for _, lh in results], axis=0)
-        state = {
-            "keys": keys,
-            "payloads": payloads,
-            "parts": parts,
-            "num_partitions": num_partitions,
-        }
-        return PartitionTask(
-            self,
-            backend,
-            chunks,
-            counts,
-            lane_counts,
-            np.asarray([h for h, _ in results], dtype=np.int64),
-            dest_base,
-            state,
-        )
+        results = self._run(backend, phase_a, chunks, label="morsel.histogram")
+        state = {"keys": keys, "payloads": payloads, "parts": parts}
+        return PartitionTask(self, backend, chunks, results, state)
 
-    def _scatter_local(self, task: PartitionTask):
+    def _scatter_local(self, task: PartitionTask, dest_base, groups):
         state = task._state
         keys, payloads = state["keys"], state["payloads"]
         parts = state["parts"]
-        num_partitions = state["num_partitions"]
         n = keys.shape[0]
         out_keys = np.empty(n, dtype=np.uint32)
         out_payloads = np.empty(n, dtype=np.uint32)
@@ -395,19 +398,18 @@ class ExecutionEngine:
                 keys[lo:hi],
                 payloads[lo:hi],
                 parts[lo:hi],
-                task._dest_base[c],
-                num_partitions,
+                dest_base[c],
+                dest_base.shape[1],
                 out_keys,
                 out_payloads,
+                groups=groups,
             )
 
-        list(
-            self._run(
-                task._backend,
-                phase_b,
-                list(enumerate(task._chunks)),
-                label="morsel.scatter",
-            )
+        self._run(
+            task._backend,
+            phase_b,
+            list(enumerate(task._chunks)),
+            label="morsel.scatter",
         )
         return out_keys, out_payloads
 
@@ -469,35 +471,20 @@ class ExecutionEngine:
         except BaseException:
             _release_blocks(blocks, views)
             raise
-        counts, _, dest_base = merge_histograms([h for h, _ in results])
-        lane_counts = None
-        if lanes is not None:
-            lane_counts = np.sum([lh for _, lh in results], axis=0)
         state = {
             "blocks": blocks,
             "views": views,
             "names": names,
             "parts_dt": pdt.str,
             "n": n,
-            "num_partitions": num_partitions,
         }
-        return PartitionTask(
-            self,
-            "process",
-            chunks,
-            counts,
-            lane_counts,
-            np.asarray([h for h, _ in results], dtype=np.int64),
-            dest_base,
-            state,
-        )
+        return PartitionTask(self, "process", chunks, results, state)
 
-    def _scatter_process(self, task: PartitionTask):
+    def _scatter_process(self, task: PartitionTask, dest_base, groups):
         state = task._state
         names, pdt, n = state["names"], state["parts_dt"], state["n"]
-        num_partitions = state["num_partitions"]
         tasks = [
-            (names, pdt, n, lo, hi, num_partitions, task._dest_base[c])
+            (names, pdt, n, lo, hi, dest_base[c], groups)
             for c, (lo, hi) in enumerate(task._chunks)
         ]
         with self.tracer.span(

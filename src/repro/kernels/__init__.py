@@ -272,29 +272,47 @@ def stable_scatter(
     num_partitions: int,
     out_keys: np.ndarray,
     out_payloads: np.ndarray,
+    groups: Optional[np.ndarray] = None,
 ) -> None:
     """Primitive 2: stable scatter of one morsel into shared outputs.
 
     Input order is kept within each partition, so the bytes equal a
-    stable sort by partition index; ``num_partitions`` is any positive
-    count (the router scatters by shard).  ``dest_base`` (one row of
-    the two-level prefix sum, length ≥ ``num_partitions``) is *not*
+    stable sort by partition index.  ``dest_base`` (one row of the
+    two-level prefix sum, length ≥ ``num_partitions``) is *not*
     modified — the kernel advances a private cursor copy — so a caller
     can re-use the row.
+
+    ``groups`` (``int64``, one entry per partition index) routes
+    partition ``p`` to destination group ``groups[p]`` instead: tuple
+    ``i`` goes to ``cursor[groups[parts[i]]]``, the bytes of a stable
+    sort by ``groups[parts]``, and ``dest_base`` / ``num_partitions``
+    count groups.  This is how the router scatters by shard without a
+    per-tuple shard column.
     """
     cursor = np.ascontiguousarray(dest_base, dtype=np.int64).copy()
+    if groups is not None:
+        groups = np.ascontiguousarray(groups, dtype=np.int64)
+        if groups.size and (groups.min() < 0 or groups.max() >= cursor.size):
+            raise ConfigurationError(
+                f"groups must lie in [0, {cursor.size}), the dest_base slots"
+            )
     if not _eligible((keys, payloads, out_keys, out_payloads), parts):
-        numpy_impl.scatter(keys, payloads, parts, cursor, out_keys, out_payloads)
+        numpy_impl.scatter(
+            keys, payloads, parts if groups is None else groups[parts],
+            cursor, out_keys, out_payloads,
+        )
         return
-    _lib["scatter"][parts.dtype](
-        keys.ctypes.data,
-        payloads.ctypes.data,
-        parts.ctypes.data,
-        keys.shape[0],
-        cursor.ctypes.data,
-        out_keys.ctypes.data,
-        out_payloads.ctypes.data,
+    inputs = (keys.ctypes.data, payloads.ctypes.data, parts.ctypes.data)
+    outputs = (
+        keys.shape[0], cursor.ctypes.data,
+        out_keys.ctypes.data, out_payloads.ctypes.data,
     )
+    if groups is None:
+        _lib["scatter"][parts.dtype](*inputs, *outputs)
+    else:
+        _lib["scatter_grouped"][parts.dtype](
+            *inputs, groups.ctypes.data, *outputs
+        )
 
 
 def swwc_scatter(

@@ -8,7 +8,8 @@
  *      per-(partition, lane) histogram the FPGA cache-line accounting
  *      needs;
  *   2. stable scatter — sequential cursor scatter, byte-identical to a
- *      stable sort by partition index;
+ *      stable sort by partition index (or, grouped, by a partition →
+ *      group map: the router's scatter by shard);
  *   3. SWWC scatter   — the same scatter driven through cache-line
  *      sized software write-combine buffers (Code 2): tuples
  *      accumulate per partition and a full buffer is flushed with one
@@ -118,23 +119,31 @@ DEFINE_HASH_HIST(i64, int64_t)
 /* cursor[] starts as the morsel's per-partition destination bases and */
 /* is advanced in place; the sequential visit order makes the scatter  */
 /* stable, i.e. byte-identical to a stable sort by partition index.    */
+/* The grouped variant routes partition p to cursor[groups[p]] (e.g.   */
+/* the shard serving p): the bytes of a stable sort by groups[parts],  */
+/* with no per-tuple group column.                                     */
 /* ------------------------------------------------------------------ */
 
-/* The loop body, over the payload of tuple i: the payload column, or
- * generated record ids (the circuit's VRIDs, Section 4.5).           */
-#define REPRO_SCATTER_LOOP(PAYLOAD)                                        \
+/* The cursor slot of tuple j: its partition, or its partition's group. */
+#define PART_SLOT(j) parts[j]
+#define GROUP_SLOT(j) groups[parts[j]]
+
+/* The loop body, over the cursor slot of tuple i and its payload: the
+ * payload column, or generated record ids (the circuit's VRIDs,
+ * Section 4.5).                                                       */
+#define REPRO_SCATTER_LOOP(SLOT, PAYLOAD)                                  \
     const int64_t pf_end = n > SCATTER_PF_DIST ? n - SCATTER_PF_DIST : 0;  \
     int64_t i;                                                             \
     for (i = 0; i < pf_end; i++) {                                         \
-        const int64_t a = cursor[parts[i + SCATTER_PF_DIST]];              \
+        const int64_t a = cursor[SLOT(i + SCATTER_PF_DIST)];               \
         REPRO_PREFETCH_W(out_keys + a);                                    \
         REPRO_PREFETCH_W(out_payloads + a);                                \
-        const int64_t d = cursor[parts[i]]++;                              \
+        const int64_t d = cursor[SLOT(i)]++;                               \
         out_keys[d] = keys[i];                                             \
         out_payloads[d] = (PAYLOAD);                                       \
     }                                                                      \
     for (; i < n; i++) {                                                   \
-        const int64_t d = cursor[parts[i]]++;                              \
+        const int64_t d = cursor[SLOT(i)]++;                               \
         out_keys[d] = keys[i];                                             \
         out_payloads[d] = (PAYLOAD);                                       \
     }
@@ -145,14 +154,22 @@ DEFINE_HASH_HIST(i64, int64_t)
         const PART_T *parts, int64_t n, int64_t *cursor,                   \
         uint32_t *out_keys, uint32_t *out_payloads)                        \
     {                                                                      \
-        REPRO_SCATTER_LOOP(payloads[i])                                    \
+        REPRO_SCATTER_LOOP(PART_SLOT, payloads[i])                         \
+    }                                                                      \
+                                                                           \
+    void repro_scatter_grouped_##SUFFIX(                                   \
+        const uint32_t *keys, const uint32_t *payloads,                    \
+        const PART_T *parts, const int64_t *groups, int64_t n,             \
+        int64_t *cursor, uint32_t *out_keys, uint32_t *out_payloads)       \
+    {                                                                      \
+        REPRO_SCATTER_LOOP(GROUP_SLOT, payloads[i])                        \
     }                                                                      \
                                                                            \
     static void repro_scatter_ids_##SUFFIX(                                \
         const uint32_t *keys, const PART_T *parts, int64_t n,              \
         int64_t *cursor, uint32_t *out_keys, uint32_t *out_payloads)       \
     {                                                                      \
-        REPRO_SCATTER_LOOP((uint32_t)i)                                    \
+        REPRO_SCATTER_LOOP(PART_SLOT, (uint32_t)i)                         \
     }
 
 DEFINE_SCATTER(u8, uint8_t)
@@ -706,4 +723,4 @@ int64_t repro_sort_groups(uint32_t *keys, int64_t *values, int64_t *counts,
 }
 
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 7; }
+int repro_kernels_abi(void) { return 8; }

@@ -20,7 +20,7 @@ from repro.kernels.build import KernelBuildError, build_native
 
 #: bumped whenever a symbol is added, removed or re-typed, so a stale
 #: cached library is never silently reused
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 #: C type per signature letter: ``p`` address, ``q`` int64, ``i`` int.
 #: Every array argument is a raw address (``ndarray.ctypes.data``):
@@ -39,6 +39,7 @@ SIGNATURES = {
     "kernels_abi": ("", "i", False),
     "hash_hist": ("pqqiqqppp", None, True),
     "scatter": ("pppqppp", None, True),
+    "scatter_grouped": ("ppppqppp", None, True),
     "swwc_scatter_mt": ("pppqqqqppp", "i", True),
     "partition_batch": ("pqqiqppp", None, True),
     "bucket_build": ("pqqpp", None, False),

@@ -1,6 +1,6 @@
 """Tests for the sharded partition cluster (repro.cluster).
 
-Four layers:
+Five layers:
 
 1. ring properties — bounded key movement on join/leave, disjoint
    replica sets, seed determinism;
@@ -10,16 +10,22 @@ Four layers:
    HIST/PAD x RID/VRID, including an injected shard failure and a
    forced spill handoff inside the property;
 4. operational behaviour — failover on a killed shard, rejection ->
-   handoff, degradation passthrough, Prometheus shard labels.
+   handoff, degradation passthrough, Prometheus shard labels;
+5. routing on the execution engine — one histogram and one grouped
+   scatter call per morsel, no per-tuple shard column, no thread left
+   behind.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.analysis.verify import outputs_identical
 from repro.cluster import (
     ConsistentHashRing,
@@ -36,7 +42,9 @@ from repro.errors import (
     PartitionOverflowError,
     ReproError,
 )
+from repro.exec.engine import ExecutionEngine
 from repro.workloads.relations import Relation, make_relation
+from tests.conftest import needs_native
 
 
 def _relation(n: int, seed: int = 0, distribution: str = "zipf") -> Relation:
@@ -572,3 +580,117 @@ class TestShardConfig:
         assert clone.layout_mode is LayoutMode.RID
         assert clone.num_partitions == cfg.num_partitions
         assert clone.uses_hash == cfg.uses_hash
+
+
+# ---------------------------------------------------------------------------
+# 5. Routing on the execution engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def routing_tasks(monkeypatch):
+    """Every PartitionTask begun during the test, in order."""
+    tasks = []
+    begin = ExecutionEngine.begin_partition
+
+    def spy(self, *args, **kwargs):
+        task = begin(self, *args, **kwargs)
+        tasks.append(task)
+        return task
+
+    monkeypatch.setattr(ExecutionEngine, "begin_partition", spy)
+    return tasks
+
+
+@needs_native
+class TestRoutingCrossings:
+    def test_one_histogram_and_one_scatter_call_per_morsel(
+        self, native_calls, routing_tasks
+    ):
+        cfg = PartitionerConfig(num_partitions=256)
+        rel = _relation(20_000, seed=3, distribution="random")
+        # no placement policy: it hashes its sketch's hot keys too
+        with ShardRouter(2, seed=0, placement=False) as router:
+            assert router.partition(rel, config=cfg).ok
+        (task,) = routing_tasks
+        morsels = task.stats.num_morsels
+        # the shards partition their slices with partition_batch
+        assert native_calls["hash_hist"] == morsels
+        assert native_calls["scatter_grouped"] == morsels
+        assert native_calls["scatter"] == 0
+
+    def test_routing_allocates_no_shard_column(self):
+        """Peak traced memory while routing holds the routed columns (8
+        B a tuple) and the uint16 partition indices (2 B), with no room
+        for an int64 shard id per tuple on top (the NumPy twin of the
+        scatter does build one: it sorts by it)."""
+        import tracemalloc
+
+        n = 1 << 18
+        cfg = PartitionerConfig(num_partitions=1024)
+        rel = _relation(n, seed=4, distribution="random")
+        with ShardRouter(2, seed=0) as router:
+            drive = router._drive_jobs
+            peaks = []
+
+            def at_submit(*args):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return drive(*args)
+
+            router._drive_jobs = at_submit
+            tracemalloc.start()
+            try:
+                with kernels.using_backend("native"):
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    assert router.partition(rel, config=cfg).ok
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - base < n * (8 + 2) + n * 8 // 2
+
+    def test_reroute_after_kill_is_byte_identical(
+        self, native_calls, routing_tasks
+    ):
+        """A shard killed after placement: its slice is re-routed
+        through a second engine task, and the output still equals one
+        single-node partition() call."""
+        cfg = PartitionerConfig(num_partitions=32)
+        rel = _relation(20_000, seed=6)
+        single = FpgaPartitioner(cfg).partition(rel, on_overflow="hist")
+        native_calls.clear()
+        with ShardRouter(2, seed=1, placement=False) as router:
+            victim = router.nodes[0].shard_id
+            place = router._place
+
+            def place_then_kill(*args):
+                placed = place(*args)
+                router.kill_shard(victim)
+                return placed
+
+            router._place = place_then_kill
+            resp = router.partition(rel, config=cfg)
+            assert resp.ok and resp.failovers == 1
+            _assert_identical(resp.output, single, 32)
+            assert victim not in set(resp.shard_of_partition)
+        assert len(routing_tasks) == 2
+        morsels = sum(task.stats.num_morsels for task in routing_tasks)
+        assert native_calls["hash_hist"] == morsels
+        assert native_calls["scatter_grouped"] == morsels
+
+
+def test_router_leaves_no_thread_behind():
+    import threading
+
+    before = set(threading.enumerate())
+    with ShardRouter(2, seed=0) as router:
+        router.partition(
+            _relation(50_000, seed=8),
+            config=PartitionerConfig(num_partitions=64),
+        )
+        started = set(threading.enumerate()) - before
+        if (os.cpu_count() or 1) > 1:
+            assert any(t.name.startswith("repro-exec") for t in started)
+    assert not [t for t in started if t.is_alive()]
+    router.stop()  # idempotent, the routing pool included
+    router.stop()
+    assert set(threading.enumerate()) <= before

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.hashing import partition_function, partition_of
@@ -139,6 +141,63 @@ class TestByteIdentity:
                 engine, keys, payloads, 64, config.uses_hash, lanes=lanes
             )
         assert np.array_equal(expected, lane_counts)
+
+
+@pytest.fixture(scope="module")
+def grouping_engines():
+    """One 3-worker engine per backend, with tiny morsels so small
+    inputs still split; the process one forks even for tiny inputs."""
+    engines = {
+        kind: ExecutionEngine(
+            workers=3, kind=kind, morsel_tuples=37, small_input_tuples=0
+        )
+        for kind in ("serial", "thread", "process")
+    }
+    yield engines
+    for engine in engines.values():
+        engine.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    fanout_bits=st.integers(1, 9),
+    groups_seed=st.integers(0, 2**16),
+    num_groups=st.integers(1, 5),
+)
+def test_grouped_scatter_is_a_stable_sort_by_group(
+    grouping_engines, n, fanout_bits, groups_seed, num_groups
+):
+    """``task.scatter(groups=m)`` on every backend: the columns of a
+    stable sort by ``m[parts]`` and bounds at the group totals — also
+    for fewer tuples than workers and groups no partition maps to."""
+    rng = np.random.default_rng(groups_seed)
+    num_partitions = 1 << fanout_bits
+    keys = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+    payloads = np.arange(n, dtype=np.uint32)
+    groups = rng.integers(0, num_groups, size=num_partitions)
+    mapped = groups[
+        np.asarray(partition_of(keys, num_partitions, True)).astype(np.int64)
+    ]
+    order = np.argsort(mapped, kind="stable")
+    totals = np.bincount(mapped, minlength=int(groups.max()) + 1)
+    for kind, engine in grouping_engines.items():
+        with engine.begin_partition(
+            keys, payloads, num_partitions, True
+        ) as task:
+            got_k, got_p, bounds = task.scatter(groups=groups)
+        assert np.array_equal(got_k, keys[order]), kind
+        assert np.array_equal(got_p, payloads[order]), kind
+        assert bounds[0] == 0 and np.array_equal(np.diff(bounds), totals), kind
+
+
+def test_grouped_scatter_rejects_a_bad_map():
+    keys = np.arange(50, dtype=np.uint32)
+    with ExecutionEngine(workers=2, kind="thread") as engine:
+        for groups in (np.zeros(8, dtype=np.int64), np.full(16, -1)):
+            with engine.begin_partition(keys, keys, 16, True) as task:
+                with pytest.raises(ConfigurationError):
+                    task.scatter(groups=groups)
 
 
 class TestMorselUnits:

@@ -156,6 +156,74 @@ def test_scatters_native_equals_numpy(
     assert np.array_equal(np.sort(reference[0]), np.sort(keys))
 
 
+@st.composite
+def _grouped_scatter_cases(draw):
+    """A partition-index column of any library dtype (P from 2 to 2^13,
+    ``uint8`` only where it fits) and a map onto 1–5 groups, some of
+    which may receive no partition."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    max_bits = 8 if dtype is np.uint8 else 13
+    num_partitions = 1 << draw(st.integers(1, max_bits))
+    num_groups = draw(st.integers(1, 5))
+    groups = np.array(
+        draw(st.lists(
+            st.integers(0, num_groups - 1),
+            min_size=num_partitions, max_size=num_partitions,
+        )),
+        dtype=np.int64,
+    )
+    keys = draw(key_arrays)
+    parts = (keys & np.uint32(num_partitions - 1)).astype(dtype)
+    return keys, parts, groups, num_groups
+
+
+@needs_native
+@given(case=_grouped_scatter_cases())
+@settings(max_examples=60, deadline=None)
+def test_grouped_scatter_native_equals_numpy_equals_mapped_parts(case):
+    """``stable_scatter(..., groups=m)`` writes the bytes of a plain
+    stable scatter over the per-tuple column ``m[parts]`` — on both
+    backends, for every index dtype, unmapped groups and empty
+    morsels included."""
+    keys, parts, groups, num_groups = case
+    n = keys.shape[0]
+    payloads = np.arange(n, dtype=np.uint32)
+    mapped = groups[parts]
+    dest_base = np.zeros(num_groups, dtype=np.int64)
+    np.cumsum(
+        np.bincount(mapped, minlength=num_groups)[:-1], out=dest_base[1:]
+    )
+
+    def run(index, **kwargs):
+        out = (np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32))
+        kernels.stable_scatter(
+            keys, payloads, index, dest_base, num_groups, *out, **kwargs
+        )
+        return out
+
+    native, fallback = _both_backends(lambda: run(parts, groups=groups))
+    with kernels.using_backend("native"):
+        reference = run(mapped)
+    order = np.argsort(mapped, kind="stable")
+    for got in (native, fallback, reference):
+        assert np.array_equal(got[0], keys[order])
+        assert np.array_equal(got[1], payloads[order])
+
+
+@pytest.mark.parametrize("groups", [[0, 2, 1, 0], [0, -1, 1, 0]])
+def test_grouped_scatter_rejects_groups_outside_dest_base(groups):
+    """A group without a ``dest_base`` slot would send the C cursor
+    outside its array: refused before either backend runs."""
+    keys = np.arange(8, dtype=np.uint32)
+    parts = (keys % 4).astype(np.uint8)
+    out = (np.empty(8, dtype=np.uint32), np.empty(8, dtype=np.uint32))
+    with pytest.raises(ConfigurationError):
+        kernels.stable_scatter(
+            keys, keys, parts, np.array([0, 4]), 2, *out,
+            groups=np.array(groups),
+        )
+
+
 @needs_native
 @given(
     build_keys=st.lists(
