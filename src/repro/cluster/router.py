@@ -75,6 +75,7 @@ from repro.core.pieces import (
     PieceColumn,
     extract_columns,
     piece_config,
+    piece_lanes,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.engine import ExecutionEngine, PartitionTask
@@ -317,6 +318,7 @@ class ShardRouter:
         config: Optional[PartitionerConfig] = None,
         on_overflow: OverflowPolicy = "raise",
         timeout: Optional[float] = None,
+        offset: Optional[int] = None,
     ) -> ClusterResponse:
         """Partition through the cluster; single-node semantics.
 
@@ -324,12 +326,17 @@ class ShardRouter:
         overflow policies; the returned ``output`` is byte-identical to
         the single-node result.  Shard failures and rejections are
         absorbed by failover and handoff; only a cluster with no
-        healthy shard left returns ``status=FAILED``.
+        healthy shard left returns ``status=FAILED``.  ``offset`` makes
+        the request a piece request, as
+        :attr:`PartitionRequest.offset <repro.service.service.PartitionRequest.offset>`
+        does: generated ids from ``offset`` and the output's
+        ``lane_counts`` — the routing pass's lane matrix, relabelled by
+        :func:`~repro.core.pieces.piece_lanes`.
         """
         if not self._started:
             raise ReproError("router is not running (use start() or `with`)")
         cfg = config or PartitionerConfig()
-        keys, pays = extract_columns(cfg, relation, payloads)
+        keys, pays = extract_columns(cfg, relation, payloads, offset)
         n = int(keys.shape[0])
         self.stats["requests"] += 1
         with self.tracer.span(
@@ -340,7 +347,7 @@ class ShardRouter:
             shards=len(self._nodes),
         ) as root:
             response = self._partition_traced(
-                cfg, keys, pays, n, on_overflow, timeout
+                cfg, keys, pays, n, on_overflow, timeout, offset
             )
             root.set_attributes(
                 status=response.status.value,
@@ -366,6 +373,7 @@ class ShardRouter:
         n: int,
         on_overflow: OverflowPolicy,
         timeout: Optional[float],
+        offset: Optional[int],
     ) -> ClusterResponse:
         P = cfg.num_partitions
 
@@ -376,6 +384,10 @@ class ShardRouter:
             with self._engine.begin_partition(
                 keys, pays, P, cfg.uses_hash, lanes=cfg.num_lanes
             ) as task:
+                lane_counts = (
+                    None if offset is None
+                    else piece_lanes(task.lane_counts, offset)
+                )
                 # 2. Layout and PAD overflow policy — settled globally
                 # BEFORE routing, like the hardware checks before
                 # scattering.
@@ -393,6 +405,7 @@ class ShardRouter:
                         keys, pays
                     )
                     cpu_out.fell_back_to_cpu = True
+                    cpu_out.lane_counts = lane_counts
                     return ClusterResponse(
                         status=RequestStatus.OK,
                         output=cpu_out,
@@ -461,6 +474,7 @@ class ShardRouter:
                 _serving_column(pay_sources),
                 produced_by="cluster",
             )
+            output.lane_counts = lane_counts
         return ClusterResponse(
             status=RequestStatus.OK,
             output=output,

@@ -120,6 +120,12 @@ class PartitionedOutput:
     #: regions carved out of the PAD grid for sketch-detected heavy
     #: hitters (see :func:`repro.optimize.isolation.partition_isolated`)
     isolated_partitions: int = 0
+    #: a piece request's own ``(partition, lane)`` histogram, lanes
+    #: counted from its global offset — what the caller folds into its
+    #: :class:`~repro.core.pieces.Accounting` instead of hashing the
+    #: piece again (see :func:`~repro.core.pieces.run_piece`); ``None``
+    #: on every other output
+    lane_counts: Optional[np.ndarray] = None
 
     @classmethod
     def from_layout(
@@ -376,6 +382,7 @@ class FpgaPartitioner:
         relations: Sequence[Relation | np.ndarray],
         payloads: Optional[Sequence[Optional[np.ndarray]]] = None,
         on_overflow: OverflowPolicy = "raise",
+        offsets: Optional[Sequence[Optional[int]]] = None,
     ) -> List[PartitionedOutput]:
         """Partition a batch of relations in one kernel call.
 
@@ -408,6 +415,13 @@ class FpgaPartitioner:
             on_overflow: PAD-overflow policy applied *per request* —
                 an overflowing request falls back individually, the
                 rest of the batch is unaffected.
+            offsets: optional per-entry global offsets; an entry with
+                one is a *piece request* (see
+                :func:`~repro.core.pieces.run_piece`): its generated
+                record ids are ``offset + i``, and its output carries
+                ``lane_counts``, its row of the kernel's lane matrix
+                with lanes counted from ``offset``.  ``None`` entries
+                are whole runs, and their outputs carry no lane row.
 
         Returns:
             One :class:`PartitionedOutput` per input relation, in order.
@@ -415,14 +429,16 @@ class FpgaPartitioner:
         cfg = self.config
         if payloads is None:
             payloads = [None] * len(relations)
-        if len(payloads) != len(relations):
+        if offsets is None:
+            offsets = [None] * len(relations)
+        if not len(payloads) == len(offsets) == len(relations):
             raise ConfigurationError(
-                "payloads must align with relations when given"
+                "payloads and offsets must align with relations when given"
             )
         # generated record ids stay ``None``: the batch kernel writes them
         columns = [
-            normalize_columns(cfg, rel, pay)
-            for rel, pay in zip(relations, payloads)
+            normalize_columns(cfg, rel, pay, offset)
+            for rel, pay, offset in zip(relations, payloads, offsets)
         ]
         # A max_bytes_in_flight cap closes a group before its columns
         # would exceed the budget, so peak memory tracks the cap (plus
@@ -439,7 +455,9 @@ class FpgaPartitioner:
                         stop = i
                         break
             outputs.extend(
-                self._partition_group(columns[start:stop], on_overflow)
+                self._partition_group(
+                    columns[start:stop], offsets[start:stop], on_overflow
+                )
             )
             start = stop
         return outputs
@@ -447,6 +465,7 @@ class FpgaPartitioner:
     def _partition_group(
         self,
         columns: List[Tuple[np.ndarray, Optional[np.ndarray]]],
+        offsets: Sequence[Optional[int]],
         on_overflow: OverflowPolicy,
     ) -> List[PartitionedOutput]:
         """One kernel pass over a non-empty group of requests (see
@@ -463,7 +482,8 @@ class FpgaPartitioner:
         ):
             sorted_keys, sorted_payloads, lane_matrix = (
                 kernels.partition_batch(
-                    columns, cfg.num_partitions, cfg.uses_hash, cfg.num_lanes
+                    columns, cfg.num_partitions, cfg.uses_hash,
+                    cfg.num_lanes, [offset or 0 for offset in offsets],
                 )
             )
             # An overflowing request falls back individually: under
@@ -477,24 +497,29 @@ class FpgaPartitioner:
             np.cumsum(counts, axis=1, out=boundaries[:, 1:])
             outputs: List[PartitionedOutput] = []
             low = 0
-            for (keys, payloads), layout, bounds in zip(
-                columns, layouts, boundaries
+            for r, ((keys, payloads), offset, layout, bounds) in enumerate(
+                zip(columns, offsets, layouts, boundaries)
             ):
                 high = low + keys.shape[0]
                 if layout.overflow is not None:
                     if payloads is None:
-                        payloads = np.arange(keys.shape[0], dtype=np.uint32)
-                    outputs.append(self._cpu_fallback(keys, payloads))
-                else:
-                    outputs.append(
-                        self._output(
-                            layout,
-                            sorted_keys[low:high],
-                            sorted_payloads[low:high],
-                            None,
-                            bounds,
+                        first = offset or 0
+                        payloads = np.arange(
+                            first, first + keys.shape[0], dtype=np.uint32
                         )
+                    output = self._cpu_fallback(keys, payloads)
+                else:
+                    output = self._output(
+                        layout,
+                        sorted_keys[low:high],
+                        sorted_payloads[low:high],
+                        None,
+                        bounds,
                     )
+                if offset is not None:
+                    # a copy: a view would keep the batch's matrix alive
+                    output.lane_counts = lane_matrix[r].copy()
+                outputs.append(output)
                 low = high
             return outputs
 

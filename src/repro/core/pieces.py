@@ -17,7 +17,10 @@ them get there the same way:
    pieces in input order gives the offline partition contents;
 3. fold each piece's lane-exact ``(partition, lane)`` histogram into an
    :class:`Accounting` — a tuple's lane is its *global* input index mod
-   ``num_lanes``, so misaligned pieces account like one big run;
+   ``num_lanes``, so misaligned pieces account like one big run.  A
+   piece submitted with its global ``offset`` (a *piece request*, see
+   :func:`run_piece`) gets that histogram back from whoever partitions
+   it, so the folding side never hashes the piece again;
 4. :meth:`Accounting.finalize` — the one-run case of
    :func:`batch_layouts` — replays the offline layout exactly once:
    per-lane dummy padding from the write-combiner flush (Section 4.2),
@@ -57,6 +60,8 @@ __all__ = [
     "normalize_columns",
     "partition_major",
     "piece_config",
+    "piece_lanes",
+    "run_piece",
 ]
 
 _EMPTY = np.empty(0, dtype=np.uint32)
@@ -67,6 +72,7 @@ def normalize_columns(
     config: PartitionerConfig,
     relation: "Relation | np.ndarray",
     payloads: Optional[np.ndarray] = None,
+    offset: Optional[int] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The ``(keys, payloads)`` columns one partitioning run consumes.
 
@@ -78,7 +84,24 @@ def normalize_columns(
     are ``None`` here, left to whoever writes the output; they reach the
     reserved dummy payload only at ``2**32`` tuples, so only
     caller-supplied payloads are scanned for it.
+
+    ``offset`` makes the input a *piece* of a longer run whose first
+    tuple sits at that global position: generated ids are then the
+    global positions ``offset + i``, bounded by the same length check
+    (``offset + n`` must not pass the dummy value).  Such ids are real
+    payloads of a RID layout — the piece's :func:`piece_config` — so a
+    VRID piece is refused.
     """
+    first = 0
+    if offset is not None:
+        first = int(offset)
+        if first < 0:
+            raise ConfigurationError(f"offset must be >= 0, got {offset}")
+        if config.layout_mode is LayoutMode.VRID:
+            raise ConfigurationError(
+                "a piece carries global record ids: partition it under "
+                "a RID layout (piece_config), not VRID"
+            )
     if isinstance(relation, Relation):
         keys = relation.keys
         payloads = relation.payloads
@@ -96,10 +119,11 @@ def normalize_columns(
         raise ConfigurationError("cannot partition an empty relation")
     if payloads is not None:
         check_payloads_valid(payloads)
-    elif keys.shape[0] > DUMMY_PAYLOAD:
+    elif first + keys.shape[0] > DUMMY_PAYLOAD:
         raise ConfigurationError(
-            f"{keys.shape[0]} tuples: generated record ids would reach "
-            f"the reserved dummy value 0x{DUMMY_PAYLOAD:08X}"
+            f"{keys.shape[0]} tuples from position {first}: generated "
+            f"record ids would reach the reserved dummy value "
+            f"0x{DUMMY_PAYLOAD:08X}"
         )
     return keys, payloads
 
@@ -108,13 +132,57 @@ def extract_columns(
     config: PartitionerConfig,
     relation: "Relation | np.ndarray",
     payloads: Optional[np.ndarray] = None,
+    offset: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`normalize_columns` with the generated record ids
     materialised, for callers that need a payload column in hand."""
-    keys, payloads = normalize_columns(config, relation, payloads)
+    keys, payloads = normalize_columns(config, relation, payloads, offset)
     if payloads is None:
-        payloads = np.arange(keys.shape[0], dtype=np.uint32)
+        first = offset or 0
+        payloads = np.arange(first, first + keys.shape[0], dtype=np.uint32)
     return keys, payloads
+
+
+def run_piece(
+    config: PartitionerConfig,
+    relation: "Relation | np.ndarray",
+    payloads: Optional[np.ndarray],
+    offset: Optional[int],
+    run: Callable[..., "PartitionedOutput"],
+) -> "PartitionedOutput":
+    """One request through ``run(relation, payloads)`` — any executor
+    with the :meth:`~repro.core.partitioner.FpgaPartitioner.partition`
+    contract — honouring the piece contract when ``offset`` is set.
+
+    A piece's generated record ids are its global positions ``offset +
+    i`` (materialised here, checked by :func:`normalize_columns`), and
+    its output carries :attr:`~repro.core.partitioner.PartitionedOutput.lane_counts`,
+    the ``(partition, lane)`` histogram with lanes counted from
+    ``offset`` — one :func:`~repro.kernels.hash_histogram` pass.  This
+    is how the executors without the batch kernel (split, CPU,
+    isolated, spill) answer a piece request; ``partition_many`` gets
+    both from its one kernel call.  Without ``offset`` this is
+    ``run(relation, payloads)``.
+    """
+    if offset is None:
+        return run(relation, payloads)
+    keys, payloads = extract_columns(config, relation, payloads, offset)
+    output = run(keys, payloads)
+    _, _, output.lane_counts = kernels.hash_histogram(
+        keys,
+        config.num_partitions,
+        config.uses_hash,
+        lanes=config.num_lanes,
+        global_offset=offset,
+    )
+    return output
+
+
+def piece_lanes(lane_counts: np.ndarray, offset: int) -> np.ndarray:
+    """A piece's ``(partition, lane)`` histogram with lanes counted from
+    ``offset``, given the one counted from ``0``: lane ``(offset + i) %
+    lanes`` relabels every lane by the same cyclic shift."""
+    return np.roll(lane_counts, offset % lane_counts.shape[1], axis=1)
 
 
 def piece_config(config: PartitionerConfig) -> PartitionerConfig:
@@ -227,11 +295,22 @@ class Accounting:
             self.config.num_partitions,
             self.config.uses_hash,
             lanes=self.config.num_lanes,
-            global_offset=self.tuples,
+            global_offset=self.reserve(int(keys.shape[0])),
         )
-        self.lane_counts += lane_hist
-        self.tuples += int(keys.shape[0])
+        self.fold(lane_hist)
         return parts, counts
+
+    def reserve(self, tuples: int) -> int:
+        """Claim the next ``tuples`` global positions without hashing;
+        returns the first.  The piece's histogram, counted from that
+        position, is :meth:`fold`-ed in once someone computed it."""
+        offset = self.tuples
+        self.tuples += tuples
+        return offset
+
+    def fold(self, lane_counts: np.ndarray) -> None:
+        """Add a reserved piece's ``(partition, lane)`` histogram."""
+        self.lane_counts += lane_counts
 
     def finalize(
         self, on_overflow: str = "raise", hot: Sequence[int] = ()
@@ -363,7 +442,7 @@ def batch_layouts(
 
 
 def partition_major(
-    pieces: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    pieces: Iterable[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
     counts: np.ndarray,
     out_keys: np.ndarray,
     out_payloads: np.ndarray,
@@ -372,23 +451,39 @@ def partition_major(
 
     ``pieces`` yields ``(keys, payloads, parts)`` and ``counts`` is
     their ``int64[pieces, P]`` histogram.  Partition ``p`` starts at the
-    exclusive prefix of the column totals; each piece is one
-    :func:`~repro.kernels.stable_scatter` at a running cursor that its
-    counts row then advances, so a partition's tuples land in piece
-    order — the offline partition contents.  Returns the ``int64[P +
-    1]`` partition boundaries.
+    exclusive prefix of the column totals, and within it each piece's
+    tuples start after those of the pieces before it, so a partition's
+    tuples land in piece order — the offline partition contents.  A
+    piece with partition indices is one
+    :func:`~repro.kernels.stable_scatter`; one whose ``parts`` is
+    ``None`` is already partition-ordered — its counts row gives its
+    runs (a partitioned chunk) — and every such piece is copied run by
+    run in one :func:`~repro.kernels.copy_runs` call.  Returns the
+    ``int64[P + 1]`` partition boundaries.
     """
     counts = np.asarray(counts, dtype=np.int64)
     num_partitions = counts.shape[1]
     bounds = np.zeros(num_partitions + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=0), out=bounds[1:])
-    cursor = bounds[:-1].copy()
-    for (keys, payloads, parts), row in zip(pieces, counts):
-        kernels.stable_scatter(
-            keys, payloads, parts, cursor, num_partitions,
-            out_keys, out_payloads,
+    # where each piece's run of each partition starts
+    dest = np.cumsum(counts, axis=0)
+    dest -= counts
+    dest += bounds[:-1]
+    ordered: List[int] = []
+    columns = []
+    for index, (keys, payloads, parts) in enumerate(pieces):
+        if parts is None:
+            ordered.append(index)
+            columns.append((keys, payloads))
+        else:
+            kernels.stable_scatter(
+                keys, payloads, parts, dest[index], num_partitions,
+                out_keys, out_payloads,
+            )
+    if ordered:
+        kernels.copy_runs(
+            columns, counts[ordered], dest[ordered], out_keys, out_payloads
         )
-        cursor += row
     return bounds
 
 

@@ -1,23 +1,27 @@
 """Chunked-stream accounting and client-side stitching.
 
 The gateway is the "partitioning in pieces" recipe of
-:mod:`repro.core.pieces` carried over a socket: every chunk is
-partitioned under the stream's :func:`~repro.core.pieces.piece_config`
-with explicit *global-position* payloads, and because the partitioner
-is stable, concatenating each partition's tuples across chunks in
-arrival order reproduces exactly what one offline
+:mod:`repro.core.pieces` carried over a socket: every chunk is a piece
+request — partitioned under the stream's
+:func:`~repro.core.pieces.piece_config` at its *global* offset, so its
+generated record ids are global positions — and because the
+partitioner is stable, concatenating each partition's tuples across
+chunks in arrival order reproduces exactly what one offline
 :meth:`FpgaPartitioner.partition` call over the whole stream would have
 emitted.
 
 Only the *accounting* (cache-line layout, traffic bytes, PAD overflow)
 depends on the global tuple count, which is unknowable until the stream
 ends.  :class:`StreamAccounting` is the wire adapter over the shared
-:class:`~repro.core.pieces.Accounting`: it folds every chunk in and
-serialises the final :class:`~repro.core.pieces.Layout` as the MANIFEST
-frame.  :func:`stitch_output` is the client-side inverse: chunk frames +
+:class:`~repro.core.pieces.Accounting`: the server reserves each
+chunk's offset as it arrives, folds in the lane histogram the chunk's
+partitioning returned, and serialises the final
+:class:`~repro.core.pieces.Layout` as the MANIFEST frame.
+:func:`stitch_output` is the client-side inverse: chunk frames +
 manifest → a :class:`PartitionedOutput` indistinguishable from the
-offline call, written by :func:`~repro.core.pieces.partition_major`
-into one pair of columns — the in-process partitioner's shape.
+offline call, each frame's partition runs copied by
+:func:`~repro.core.pieces.partition_major` into one pair of columns —
+the in-process partitioner's shape.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import PartitionedOutput, PartitionSlices
 from repro.core.pieces import Accounting, Layout, partition_major
@@ -42,10 +45,11 @@ __all__ = [
 def global_payloads(
     payloads: Optional[np.ndarray], offset: int, num_tuples: int
 ) -> np.ndarray:
-    """The payload column a chunk submits: the client's values when the
-    stream carries payloads, else the tuples' global input positions —
-    exactly what the offline partitioner generates for a bare key array
-    (and always, in VRID mode)."""
+    """The payload column a chunk's tuples carry: the client's values
+    when the stream carries payloads, else the tuples' global input
+    positions — exactly what the offline partitioner generates for a
+    bare key array (and always, in VRID mode), and what a piece request
+    at ``offset`` writes itself."""
     if payloads is not None:
         return payloads
     return np.arange(offset, offset + num_tuples, dtype=np.uint32)
@@ -82,11 +86,24 @@ class StreamAccounting:
 
     @property
     def tuples(self) -> int:
-        """Tuples observed so far."""
+        """Tuples reserved so far."""
         return self._accounting.tuples
 
+    def reserve(self, tuples: int) -> int:
+        """Admit one chunk of ``tuples`` without hashing it; returns its
+        global tuple offset.  Its lane histogram, counted from there,
+        is :meth:`fold`-ed in when its partitioning comes back."""
+        self.chunks += 1
+        return self._accounting.reserve(tuples)
+
+    def fold(self, lane_counts: np.ndarray) -> None:
+        """Add a reserved chunk's ``(partition, lane)`` histogram — a
+        piece output's ``lane_counts``."""
+        self._accounting.fold(lane_counts)
+
     def observe(self, keys: np.ndarray) -> int:
-        """Fold one chunk in; returns the chunk's global tuple offset."""
+        """:meth:`reserve` and :meth:`fold` with the histogram computed
+        here (one hash pass); returns the chunk's global tuple offset."""
         self.chunks += 1
         return self._accounting.observe(keys)
 
@@ -117,11 +134,12 @@ def stitch_output(
 
     ``chunks`` are the decoded CHUNK frames **in sequence order**:
     ``(counts, keys, payloads)`` with both columns concatenated in
-    partition order, so a frame's partition indices are
-    ``repeat(arange(P), counts)``.  :func:`partition_major` scatters the
-    frames into one pair of columns; stability of the partitioner
-    guarantees that per-partition concatenation across chunks in stream
-    order equals the offline single-call output byte for byte.
+    partition order, so a frame is one run per partition, ``counts``
+    long.  :func:`partition_major` copies every run into one pair of
+    columns (one memcpy per run and column); stability of the
+    partitioner guarantees that per-partition concatenation across
+    chunks in stream order equals the offline single-call output byte
+    for byte.
     """
     layout = Layout.from_dict(manifest)
     num_partitions = layout.config.num_partitions
@@ -135,12 +153,8 @@ def stitch_output(
     tuples = int(layout.counts.sum())
     out_keys = np.empty(tuples, dtype=np.uint32)
     out_payloads = np.empty(tuples, dtype=np.uint32)
-    ids = np.arange(num_partitions, dtype=kernels.parts_dtype(num_partitions))
     bounds = partition_major(
-        (
-            (keys, pays, np.repeat(ids, row))
-            for row, (_, keys, pays) in zip(counts, chunks)
-        ),
+        ((keys, pays, None) for _, keys, pays in chunks),
         counts,
         out_keys,
         out_payloads,

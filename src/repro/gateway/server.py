@@ -4,11 +4,12 @@
 stack: one TCP connection per partition stream, unbounded input chunked
 by the client, each chunk submitted through a
 :class:`~repro.service.service.PartitionService` (or a
-:class:`~repro.cluster.router.ShardRouter` in cluster mode) under the
-HIST/RID chunk-plane config, results streamed back incrementally, and a
-final MANIFEST frame carrying the global accounting so the client's
-stitched output is byte-identical to one offline ``partition()`` call
-(see :mod:`repro.gateway.chunking`).
+:class:`~repro.cluster.router.ShardRouter` in cluster mode) as a piece
+request under the HIST/RID chunk-plane config, results streamed back
+incrementally, and a final MANIFEST frame carrying the global
+accounting — folded from the chunks' own lane histograms — so the
+client's stitched output is byte-identical to one offline
+``partition()`` call (see :mod:`repro.gateway.chunking`).
 
 Flow control is credit-based and maps straight onto the admission
 queue's backpressure:
@@ -43,7 +44,7 @@ import numpy as np
 from repro.core.pieces import piece_config
 from repro.errors import ConfigurationError, PartitionOverflowError, ReproError
 from repro.gateway import protocol
-from repro.gateway.chunking import StreamAccounting, global_payloads
+from repro.gateway.chunking import StreamAccounting
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.protocol import ErrorCode, FrameType, GatewayProtocolError
 from repro.analysis.sketch import StreamSketch
@@ -121,7 +122,7 @@ class _ServiceBackend:
         self.service = service
 
     async def partition_chunk(
-        self, keys, payloads, config, priority, deadline_s, on_stall
+        self, keys, payloads, offset, config, priority, deadline_s, on_stall
     ) -> _ChunkResult:
         attempts = 0
         while True:
@@ -134,6 +135,7 @@ class _ServiceBackend:
                         priority=priority,
                         deadline_s=deadline_s,
                         on_overflow="raise",
+                        offset=offset,
                     )
                 )
             except ServiceDrainingError as exc:
@@ -184,16 +186,22 @@ class _RouterBackend:
         self.router = router
 
     async def partition_chunk(
-        self, keys, payloads, config, priority, deadline_s, on_stall
+        self, keys, payloads, offset, config, priority, deadline_s, on_stall
     ) -> _ChunkResult:
-        response = await asyncio.to_thread(
-            self.router.partition,
-            keys,
-            payloads,
-            config,
-            "raise",
-            deadline_s,
-        )
+        try:
+            response = await asyncio.to_thread(
+                self.router.partition,
+                keys,
+                payloads,
+                config,
+                "raise",
+                deadline_s,
+                offset,
+            )
+        except ReproError as exc:
+            raise protocol.GatewayStreamError(
+                ErrorCode.FAILED.value, f"{type(exc).__name__}: {exc}"
+            ) from exc
         if response.status is RequestStatus.TIMED_OUT:
             raise protocol.GatewayStreamError(
                 ErrorCode.DEADLINE.value,
@@ -508,16 +516,16 @@ class _Connection:
             # memory never holds more than `credits` chunks per stream
             await self._window.acquire()
             n = int(keys.shape[0])
-            offset = self.accounting.observe(keys)
+            # a piece request: the backend generates the global ids and
+            # hands back the lane histogram _flush folds in — this loop
+            # never hashes a chunk
+            offset = self.accounting.reserve(n)
             if self.server.optimizer is not None:
                 # sketching costs an order of magnitude more than the
                 # chunk's own partition work — only pay it when someone
                 # (the adaptive optimizer) consumes the profile
                 self.sketch.add(np.asarray(keys))
                 self._consult_optimizer()
-            pays = global_payloads(
-                payloads if self.use_client_payloads else None, offset, n
-            )
             started_s = self.server._clock()
             job = _ChunkJob(
                 seq,
@@ -526,7 +534,8 @@ class _Connection:
                 asyncio.create_task(
                     self.server._backend.partition_chunk(
                         keys,
-                        pays,
+                        payloads if self.use_client_payloads else None,
+                        offset,
                         self.backend_config,
                         self.priority,
                         self.deadline_s,
@@ -554,6 +563,7 @@ class _Connection:
                 self._inflight -= 1
                 self.metrics.adjust_gauge("inflight_chunks", -1)
             output = result.output
+            self.accounting.fold(output.lane_counts)
             self.backends_seen.add(result.backend or "unknown")
             if result.degraded:
                 self.degraded = True

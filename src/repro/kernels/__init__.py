@@ -1,10 +1,11 @@
 """Compiled hot-path kernels with a NumPy fallback.
 
-The eight inner primitives of the partitioning data plane — fused hash +
+The nine inner primitives of the partitioning data plane — fused hash +
 radix histogram, stable scatter, SWWC buffered flush, fused batch
 partition, bucket-chaining build and probe, fused join + aggregate over
-a partition range, and the group sort — each exactly one Python
-function between its caller and one of two interchangeable backends:
+a partition range, the group sort and the run copy — each exactly one
+Python function between its caller and one of two interchangeable
+backends:
 
 * **native** — a small C library (``_native.c``) compiled on demand
   with the system compiler, loaded by :mod:`repro.kernels.native` and
@@ -61,6 +62,7 @@ __all__ = [
     "bucket_build",
     "bucket_probe",
     "build_native",
+    "copy_runs",
     "hash_histogram",
     "join_aggregate",
     "library_path",
@@ -218,7 +220,7 @@ def _check_fanout(num_partitions: int, lanes: Optional[int]) -> None:
 
 
 # ----------------------------------------------------------------------
-# The eight primitives
+# The nine primitives
 # ----------------------------------------------------------------------
 
 def hash_histogram(
@@ -297,9 +299,12 @@ def stable_scatter(
                 f"groups must lie in [0, {cursor.size}), the dest_base slots"
             )
     if not _eligible((keys, payloads, out_keys, out_payloads), parts):
+        if groups is not None:
+            # the twin sorts the per-tuple group column: in the
+            # narrowest dtype that holds a group, that is a radix sort
+            parts = groups.astype(parts_dtype(cursor.size))[parts]
         numpy_impl.scatter(
-            keys, payloads, parts if groups is None else groups[parts],
-            cursor, out_keys, out_payloads,
+            keys, payloads, parts, cursor, out_keys, out_payloads
         )
         return
     inputs = (keys.ctypes.data, payloads.ctypes.data, parts.ctypes.data)
@@ -367,21 +372,26 @@ def partition_batch(
     num_partitions: int,
     use_hash: bool,
     lanes: int,
+    offsets: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primitive 4: primitives 1 and 2 over every request of a batch.
 
     ``columns`` holds one ``(keys, payloads)`` pair per request (empty
-    requests allowed); the inputs are only read.  A ``None`` payload
-    column means in-request record ids — tuple ``i`` of the request
-    carries payload ``i``, the virtual record ids the circuit appends
-    itself (Section 4.5) — written by the kernel, never materialised as
-    an input.  Returns ``(out_keys, out_payloads, lane_matrix)``: one
-    shared pair of fresh ``uint32`` output columns in which request
-    ``r`` owns the slice ``[sum(sizes[:r]), sum(sizes[:r + 1]))``,
-    stable-sorted by partition index — the bytes :func:`hash_histogram`
-    + :func:`stable_scatter` produce for that request alone — and the
-    ``(batch, num_partitions, lanes)`` ``int64`` histogram, a tuple's
-    lane being its index *within its request* mod ``lanes``.
+    requests allowed); the inputs are only read.  ``offsets`` (default
+    all ``0``) gives the global input position of each request's first
+    tuple: a request that is a piece of a longer run.  A ``None``
+    payload column means generated record ids — tuple ``i`` of the
+    request carries payload ``offsets[r] + i``, the virtual record ids
+    the circuit appends itself (Section 4.5) — written by the kernel,
+    never materialised as an input; the caller keeps them below the
+    reserved dummy payload.  Returns ``(out_keys, out_payloads,
+    lane_matrix)``: one shared pair of fresh ``uint32`` output columns
+    in which request ``r`` owns the slice ``[sum(sizes[:r]),
+    sum(sizes[:r + 1]))``, stable-sorted by partition index — the bytes
+    :func:`hash_histogram` + :func:`stable_scatter` produce for that
+    request alone — and the ``(batch, num_partitions, lanes)``
+    ``int64`` histogram, a tuple's lane being ``(offsets[r] + i) %
+    lanes`` (:func:`hash_histogram` with ``global_offset=offsets[r]``).
 
     Natively this is one foreign call (one GIL release) per batch with
     no input concatenation; a batch holding any non-``uint32`` or
@@ -394,13 +404,19 @@ def partition_batch(
             payloads is not None and keys.shape != payloads.shape
         ):
             raise ConfigurationError("keys and payloads must align")
+    batch = len(columns)
+    if offsets is None:
+        offsets = [0] * batch
+    if len(offsets) != batch or min(offsets, default=0) < 0:
+        raise ConfigurationError(
+            "offsets must be one non-negative position per request"
+        )
     if not _eligible(
         [array for pair in columns for array in pair if array is not None]
     ):
         return numpy_impl.partition_batch(
-            columns, num_partitions, use_hash, lanes
+            columns, num_partitions, use_hash, lanes, offsets
         )
-    batch = len(columns)
     sizes = [keys.shape[0] for keys, _ in columns]
     # Few, wide buffers: ``ndarray.ctypes.data`` costs about as much as
     # partitioning 200 tuples, so the call takes four addresses plus
@@ -412,7 +428,8 @@ def partition_batch(
         + [
             0 if payloads is None else payloads.ctypes.data
             for _, payloads in columns
-        ],
+        ]
+        + list(offsets),
         dtype=np.intp,
     )
     n = sum(sizes)
@@ -566,3 +583,60 @@ def sort_groups(
     if groups < 0:
         raise MemoryError("sort_groups: no memory for the sort scratch")
     return groups
+
+
+def copy_runs(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    counts: np.ndarray,
+    dest: np.ndarray,
+    out_keys: np.ndarray,
+    out_payloads: np.ndarray,
+) -> None:
+    """Primitive 9: write partition-ordered pieces run by run.
+
+    ``columns`` holds one ``(keys, payloads)`` pair per piece, each
+    already in partition order with run lengths ``counts[b]`` (a row
+    of the ``int64`` ``(pieces, P)`` matrix ``counts``): partition
+    ``p`` of piece ``b`` — ``counts[b, p]`` consecutive tuples — is
+    copied to ``out_*[dest[b, p]:]``.  Natively that is one memcpy per
+    run and column, in one foreign call for all pieces; the twin
+    scatters each piece by its expanded run index.  Pieces that do not
+    hold their rows' tuples, or runs that would land outside the
+    outputs, are refused before either backend runs.
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    dest = np.ascontiguousarray(dest, dtype=np.int64)
+    if (
+        counts.ndim != 2
+        or dest.shape != counts.shape
+        or len(columns) != counts.shape[0]
+        or any(
+            keys.shape != payloads.shape or keys.shape[0] != size
+            for (keys, payloads), size in zip(
+                columns, counts.sum(axis=1).tolist()
+            )
+        )
+    ):
+        raise ConfigurationError(
+            "each piece's columns must hold its counts row's tuples"
+        )
+    room = min(out_keys.shape[0], out_payloads.shape[0])
+    if counts.size and (
+        (dest < 0).any() or (dest + counts > room).any()
+    ):
+        raise ConfigurationError("every run must land inside the outputs")
+    if not _eligible(
+        [out_keys, out_payloads, *(array for pair in columns for array in pair)]
+    ):
+        numpy_impl.copy_runs(columns, counts, dest, out_keys, out_payloads)
+        return
+    table = np.array(
+        [keys.ctypes.data for keys, _ in columns]
+        + [payloads.ctypes.data for _, payloads in columns],
+        dtype=np.intp,
+    )
+    _lib["copy_runs"](
+        table.ctypes.data, len(columns), counts.shape[1],
+        counts.ctypes.data, dest.ctypes.data,
+        out_keys.ctypes.data, out_payloads.ctypes.data,
+    )

@@ -1,6 +1,6 @@
 /* Native hot-path kernels for the partitioning data plane.
  *
- * Eight primitives, mirroring the paper's inner loops (Section 4), each
+ * Nine primitives, mirroring the paper's inner loops (Section 4), each
  * called straight from its one dispatch function in repro.kernels:
  *
  *   1. hash + radix histogram — murmur3 finalizer (Code 3) or radix
@@ -23,7 +23,9 @@
  *      an exact int64 aggregate per matched build tuple: the consumer
  *      side of the hybrid join (Section 5) in one call per range;
  *   8. group sort — stable LSD radix sort of group rows by key that
- *      folds equal keys (the final merge of every grouped result).
+ *      folds equal keys (the final merge of every grouped result);
+ *   9. run copy — partition-ordered pieces into partition-major
+ *      columns, one memcpy per partition run (the gateway stitch).
  *
  * Deliberately plain C99 with no Python.h: the module is loaded
  * through ctypes, which drops the GIL for the duration of every call —
@@ -167,9 +169,10 @@ DEFINE_HASH_HIST(i64, int64_t)
                                                                            \
     static void repro_scatter_ids_##SUFFIX(                                \
         const uint32_t *keys, const PART_T *parts, int64_t n,              \
-        int64_t *cursor, uint32_t *out_keys, uint32_t *out_payloads)       \
+        int64_t first_id, int64_t *cursor, uint32_t *out_keys,             \
+        uint32_t *out_payloads)                                            \
     {                                                                      \
-        REPRO_SCATTER_LOOP(PART_SLOT, (uint32_t)i)                         \
+        REPRO_SCATTER_LOOP(PART_SLOT, (uint32_t)(first_id + i))            \
     }
 
 DEFINE_SCATTER(u8, uint8_t)
@@ -394,23 +397,25 @@ DEFINE_SWWC_MT(i64, int64_t)
 /*                                                                     */
 /* For each request r of the batch, in order: primitive 1 on its keys  */
 /* into the parts[] scratch (cursor[] doubling as the histogram, a     */
-/* tuple's lane being its index within its own request mod lanes),     */
-/* an exclusive prefix sum that turns the counts into cursors starting */
-/* at the request's first output slot, and primitive 2.  Request r's   */
-/* tuples land in out[sum(sizes[:r]) : sum(sizes[:r+1])], stable-      */
-/* sorted by partition: the bytes of hash_hist + scatter on that       */
-/* request alone.  The inputs are only read.                           */
+/* tuple's lane being (offset + its index within the request) mod      */
+/* lanes), an exclusive prefix sum that turns the counts into cursors  */
+/* starting at the request's first output slot, and primitive 2.       */
+/* Request r's tuples land in out[sum(sizes[:r]) : sum(sizes[:r+1])],  */
+/* stable-sorted by partition: the bytes of hash_hist + scatter on     */
+/* that request alone.  The inputs are only read.                      */
 /*                                                                     */
 /* Few, wide arguments, because taking an ndarray's address costs the  */
 /* caller about as much as partitioning 200 tuples: table[] holds      */
 /* batch sizes, then batch key-column addresses, then batch payload-   */
-/* column addresses — 0 where the payloads are generated record ids:   */
-/* tuple i of a request gets i, the circuit's VRID (Section 4.5);      */
-/* out[] is the key column (total tuples) followed                     */
-/* by the payload column; acc[] is num_partitions cursor slots         */
-/* followed by the batch * num_partitions * lanes lane histogram,      */
-/* zeroed by the caller; parts[] holds max(sizes) entries.  lanes and  */
-/* num_partitions are powers of two.                                   */
+/* column addresses — 0 where the payloads are generated record ids —  */
+/* then batch offsets: the global position of each request's first     */
+/* tuple (0 for a whole run), so tuple i of a request with generated   */
+/* ids gets offset + i, the circuit's VRID (Section 4.5), and its lane */
+/* is counted from there; out[] is the key column (total tuples)       */
+/* followed by the payload column; acc[] is num_partitions cursor     */
+/* slots followed by the batch * num_partitions * lanes lane           */
+/* histogram, zeroed by the caller; parts[] holds max(sizes) entries.  */
+/* lanes and num_partitions are powers of two.                         */
 /* ------------------------------------------------------------------ */
 
 #define DEFINE_PARTITION_BATCH(SUFFIX, PART_T)                             \
@@ -429,9 +434,11 @@ DEFINE_SWWC_MT(i64, int64_t)
             const uint32_t *keys = (const uint32_t *)table[batch + r];     \
             const uint32_t *payloads =                                     \
                 (const uint32_t *)table[2 * batch + r];                    \
+            const int64_t offset = table[3 * batch + r];                   \
             memset(cursor, 0, (size_t)num_partitions * sizeof(int64_t));   \
             repro_hash_hist_##SUFFIX(keys, n, num_partitions, use_hash,    \
-                                     lanes, 0, parts, cursor, lane_hist);  \
+                                     lanes, offset, parts, cursor,         \
+                                     lane_hist);                           \
             lane_hist += num_partitions * lanes;                           \
             for (p = 0; p < num_partitions; p++) {                         \
                 const int64_t count = cursor[p];                           \
@@ -442,14 +449,48 @@ DEFINE_SWWC_MT(i64, int64_t)
                 repro_scatter_##SUFFIX(keys, payloads, parts, n, cursor,   \
                                        out, out_payloads);                 \
             else                                                           \
-                repro_scatter_ids_##SUFFIX(keys, parts, n, cursor, out,    \
-                                           out_payloads);                  \
+                repro_scatter_ids_##SUFFIX(keys, parts, n, offset, cursor, \
+                                           out, out_payloads);             \
         }                                                                  \
     }
 
 DEFINE_PARTITION_BATCH(u8, uint8_t)
 DEFINE_PARTITION_BATCH(u16, uint16_t)
 DEFINE_PARTITION_BATCH(i64, int64_t)
+
+/* ------------------------------------------------------------------ */
+/* 9: run copy                                                         */
+/*                                                                     */
+/* Pieces that are already partition-ordered (a partitioned chunk, as  */
+/* a CHUNK frame carries it) are written into partition-major output   */
+/* columns one run at a time: partition p of piece b is counts[b*P+p]  */
+/* consecutive tuples of its columns, copied with one memcpy per       */
+/* column to dest[b*P+p].  table[] holds batch key-column addresses,   */
+/* then batch payload-column addresses; counts[] and dest[] are        */
+/* batch x num_partitions.  The inputs are only read.                  */
+/* ------------------------------------------------------------------ */
+
+void repro_copy_runs(const intptr_t *table, int64_t batch,
+                     int64_t num_partitions, const int64_t *counts,
+                     const int64_t *dest, uint32_t *out_keys,
+                     uint32_t *out_payloads)
+{
+    int64_t b, p;
+    for (b = 0; b < batch; b++) {
+        const uint32_t *keys = (const uint32_t *)table[b];
+        const uint32_t *payloads = (const uint32_t *)table[batch + b];
+        const int64_t *row = counts + b * num_partitions;
+        const int64_t *at = dest + b * num_partitions;
+        int64_t src = 0;
+        for (p = 0; p < num_partitions; p++) {
+            const int64_t c = row[p];
+            if (c == 0) continue;
+            memcpy(out_keys + at[p], keys + src, (size_t)c * 4);
+            memcpy(out_payloads + at[p], payloads + src, (size_t)c * 4);
+            src += c;
+        }
+    }
+}
 
 /* ------------------------------------------------------------------ */
 /* 5 + 6: bucket-chaining hash join: build + probe (Section 3.3)       */
@@ -723,4 +764,4 @@ int64_t repro_sort_groups(uint32_t *keys, int64_t *values, int64_t *counts,
 }
 
 /* ABI version stamp so a stale cached .so is never silently reused. */
-int repro_kernels_abi(void) { return 8; }
+int repro_kernels_abi(void) { return 9; }

@@ -20,7 +20,7 @@ from repro.kernels.build import KernelBuildError, build_native
 
 #: bumped whenever a symbol is added, removed or re-typed, so a stale
 #: cached library is never silently reused
-ABI_VERSION = 8
+ABI_VERSION = 9
 
 #: C type per signature letter: ``p`` address, ``q`` int64, ``i`` int.
 #: Every array argument is a raw address (``ndarray.ctypes.data``):
@@ -46,6 +46,7 @@ SIGNATURES = {
     "bucket_probe": ("pppqpqppqp", "q", False),
     "join_aggregate": ("ppppppqqiipppp", "q", False),
     "sort_groups": ("pppqi", "q", False),
+    "copy_runs": ("pqqpppp", None, False),
 }
 
 

@@ -1,7 +1,7 @@
 """Pure-NumPy reference implementations of the hot-path kernels.
 
 These are the vectorised kernels the repo shipped before the native
-extension existed, factored behind the same eight-primitive API so the
+extension existed, factored behind the same nine-primitive API so the
 dispatch layer (:mod:`repro.kernels`) can swap freely between them.
 They are the always-available fallback *and* the correctness oracle:
 the native kernels must match them byte for byte (tests/test_kernels.py
@@ -121,11 +121,12 @@ def partition_batch(
     num_partitions: int,
     use_hash: bool,
     lanes: int,
+    offsets: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hash, histogram and stable scatter of every request of a batch;
     returns ``(out_keys, out_payloads, lane_matrix)`` (see
     :func:`repro.kernels.partition_batch`; a ``None`` payload column is
-    materialised here as the request's record ids).
+    materialised here as the request's record ids, from its offset).
 
     Where the native kernel loops over the requests, this twin
     vectorises across them: the columns of up to ``2**16 /
@@ -138,6 +139,7 @@ def partition_batch(
     """
     batch = len(columns)
     sizes = np.array([keys.shape[0] for keys, _ in columns], dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(batch)
     n = int(sizes.sum())
     out_keys = np.empty(n, dtype=np.uint32)
     out_payloads = np.empty(n, dtype=np.uint32)
@@ -150,6 +152,7 @@ def partition_batch(
         lane_matrix[start:stop] = _partition_group(
             columns[start:stop],
             sizes[start:stop],
+            offsets[start:stop],
             num_partitions,
             use_hash,
             lanes,
@@ -163,6 +166,7 @@ def partition_batch(
 def _partition_group(
     columns: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     sizes: np.ndarray,
+    offsets: np.ndarray,
     num_partitions: int,
     use_hash: bool,
     lanes: int,
@@ -176,8 +180,8 @@ def _partition_group(
     n = out_keys.shape[0]
     keys = np.concatenate([k for k, _ in columns])
     pays = np.concatenate([
-        np.arange(k.shape[0], dtype=np.uint32) if p is None else p
-        for k, p in columns
+        np.arange(o, o + k.shape[0], dtype=np.uint32) if p is None else p
+        for (k, p), o in zip(columns, offsets.tolist())
     ])
 
     # packed = request * P + partition, in uint16 (radix-sortable); a
@@ -197,14 +201,15 @@ def _partition_group(
     )
     packed += parts
 
-    # Lane of a tuple is its index *within its request* mod lanes;
-    # globally that is a cyclic pattern phase-shifted per request.
-    offsets = np.zeros(batch, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
+    # Lane of a tuple is (its request's offset + its index within the
+    # request) mod lanes; along the concatenated group that is a cyclic
+    # pattern phase-shifted per request.
+    starts = np.zeros(batch, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
     base_lane = np.tile(
         np.arange(lanes, dtype=np.uint8), n // lanes + 1
     )[:n]
-    shift = np.repeat((offsets % lanes).astype(np.uint8), sizes)
+    shift = np.repeat(((starts - offsets) % lanes).astype(np.uint8), sizes)
     lane = (base_lane - shift) & np.uint8(lanes - 1)
     lane_packed = packed * np.int32(lanes)
     lane_packed += lane
@@ -221,6 +226,29 @@ def _partition_group(
     np.cumsum(lane_matrix.sum(axis=2).reshape(-1)[:-1], out=cursor[1:])
     scatter(keys, pays, packed, cursor, out_keys, out_payloads)
     return lane_matrix
+
+
+def copy_runs(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+    counts: np.ndarray,
+    dest: np.ndarray,
+    out_keys: np.ndarray,
+    out_payloads: np.ndarray,
+) -> None:
+    """Partition-ordered pieces into partition-major columns: each
+    piece's tuple ``i`` of run ``p`` goes to ``dest[b, p] + (i -
+    start of run p)`` (see :func:`repro.kernels.copy_runs`)."""
+    num_partitions = counts.shape[1] if counts.ndim == 2 else 0
+    ids = np.arange(num_partitions)
+    for (keys, payloads), row, base in zip(columns, counts, dest):
+        n = keys.shape[0]
+        if n == 0:
+            continue
+        run_start = np.cumsum(row) - row
+        parts = np.repeat(ids, row)
+        at = (base - run_start)[parts] + np.arange(n, dtype=np.int64)
+        out_keys[at] = keys
+        out_payloads[at] = payloads
 
 
 def bucket_build(

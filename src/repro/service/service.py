@@ -55,6 +55,7 @@ from repro.core.partitioner import (
     OverflowPolicy,
     PartitionedOutput,
 )
+from repro.core.pieces import run_piece
 from repro.cpu.partitioner import CpuPartitioner
 from repro.errors import ReproError
 from repro.obs.tracing import resolve_tracer
@@ -110,6 +111,15 @@ class PartitionRequest:
         deadline_s: optional per-request deadline, seconds from submit;
             expired requests resolve ``TIMED_OUT`` instead of running.
         on_overflow: PAD-mode overflow policy, forwarded to the kernel.
+        offset: the global position of the relation's first tuple when
+            it is a *piece* of a longer run (a gateway chunk): its
+            generated record ids are then ``offset + i``, and the
+            response's output carries ``lane_counts``, the piece's
+            ``(partition, lane)`` histogram with lanes counted from
+            ``offset`` — whichever executor runs it (see
+            :func:`~repro.core.pieces.run_piece`).  Data, not a knob:
+            it never splits a batch.  ``None`` (default) is a whole
+            run.
     """
 
     relation: "Relation | np.ndarray"
@@ -120,6 +130,7 @@ class PartitionRequest:
     priority: int = Priority.NORMAL
     deadline_s: Optional[float] = None
     on_overflow: OverflowPolicy = "raise"
+    offset: Optional[int] = None
 
     @property
     def num_tuples(self) -> int:
@@ -309,18 +320,27 @@ def _call_many(partitioner, live):
         [entry.request.relation for entry in live],
         [entry.request.payloads for entry in live],
         on_overflow=live[0].request.on_overflow,
+        offsets=[entry.request.offset for entry in live],
     )
+
+
+def _each(live, run):
+    """``run(entry, relation, payloads)`` per entry, under the piece
+    contract for the entries that carry an offset."""
+    return [
+        run_piece(
+            e.request.config, e.request.relation, e.request.payloads,
+            e.request.offset, functools.partial(run, e),
+        )
+        for e in live
+    ]
 
 
 def _call_solo(partitioner, live):
     """``partition()`` per entry: a ``split`` request's morsel engine."""
-    return [
-        partitioner.partition(
-            e.request.relation, e.request.payloads,
-            on_overflow=e.request.on_overflow,
-        )
-        for e in live
-    ]
+    return _each(live, lambda e, relation, payloads: partitioner.partition(
+        relation, payloads, on_overflow=e.request.on_overflow
+    ))
 
 
 def _call_isolated(partitioner, live):
@@ -329,17 +349,14 @@ def _call_isolated(partitioner, live):
     raising at the client."""
     from repro.optimize.isolation import partition_isolated
 
-    return [
-        partition_isolated(
-            partitioner, e.request.relation, e.request.payloads,
-            hot_keys=e.decision.isolate_keys,
-            on_overflow=(
-                "hist" if e.request.on_overflow == "raise"
-                else e.request.on_overflow
-            ),
-        )
-        for e in live
-    ]
+    return _each(live, lambda e, relation, payloads: partition_isolated(
+        partitioner, relation, payloads,
+        hot_keys=e.decision.isolate_keys,
+        on_overflow=(
+            "hist" if e.request.on_overflow == "raise"
+            else e.request.on_overflow
+        ),
+    ))
 
 
 class PartitionService:
@@ -942,10 +959,12 @@ class PartitionService:
         """CPU (SWWC) backend: solo calls, no coalescing.  ``attempts``
         counts the FPGA calls that came before."""
         partitioner = self._cpu_for(live[0])
-        outputs = [
-            partitioner.partition(e.request.relation, e.request.payloads)
-            for e in live
-        ]
+        outputs = _each(
+            live,
+            lambda e, relation, payloads: partitioner.partition(
+                relation, payloads
+            ),
+        )
         self.metrics.increment("cpu_invocations")
         return _Outcome(
             "cpu",
@@ -993,29 +1012,39 @@ class PartitionService:
         """Out-of-core: stage the request into a store, stream it
         through a :class:`~repro.storage.spill.SpillPartitioner`, answer
         with the :class:`~repro.storage.spill.PartitionSpill` handle."""
-        from repro.core.modes import LayoutMode
-        from repro.storage import RelationStore, SpillPartitioner
-
-        (entry,) = live  # Batch.spill batches hold one entry
-        request = entry.request
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
             self._owns_spill_root = True
         root = pathlib.Path(self._spill_dir)
         root.mkdir(parents=True, exist_ok=True)
+        spills = []
+
+        def run(entry, relation, payloads):
+            spills.append(self._spill(entry, root, relation, payloads))
+            return spills[-1].to_output()
+
+        (output,) = _each(live, run)  # Batch.spill batches hold one entry
+        (spill,) = spills
+        self.metrics.increment("spilled")
+        return _Outcome("spill", [{"output": output, "spill": spill}])
+
+    def _spill(self, entry: _Pending, root, relation, payloads):
+        """Stage ``relation`` into a store under ``root`` and spill it
+        into the entry's run directory → the ``PartitionSpill``."""
+        from repro.core.modes import LayoutMode
+        from repro.storage import RelationStore, SpillPartitioner
+
+        request = entry.request
         request_id = entry.ticket.request_id
         # VRID payloads are positions; the store generates exactly
         # those when no payload column is given.
-        payloads = (
-            None
-            if request.config.layout_mode is LayoutMode.VRID
-            else request.payloads
-        )
+        if request.config.layout_mode is LayoutMode.VRID:
+            payloads = None
         store_dir = root / f"store-{request_id}"
         run_dir = root / f"run-{request_id}"
         try:
             store = RelationStore.ingest(
-                request.relation, store_dir, payloads=payloads
+                relation, store_dir, payloads=payloads
             ).seal()
             with SpillPartitioner(
                 config=request.config,
@@ -1042,10 +1071,7 @@ class PartitionService:
             # the staging store is internal scratch: the run files hold
             # all the data now, so drop it rather than leak 2x disk
             shutil.rmtree(store_dir, ignore_errors=True)
-        self.metrics.increment("spilled")
-        return _Outcome(
-            "spill", [{"output": spill.to_output(), "spill": spill}]
-        )
+        return spill
 
     def _fpga_for(self, entry: _Pending, hist: bool) -> FpgaPartitioner:
         partitioner = self._fpga.get(entry.signature)

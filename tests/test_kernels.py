@@ -210,6 +210,33 @@ def test_grouped_scatter_native_equals_numpy_equals_mapped_parts(case):
         assert np.array_equal(got[1], payloads[order])
 
 
+def test_grouped_scatter_twin_sorts_one_byte_per_tuple(monkeypatch):
+    """The NumPy twin of the grouped scatter stable-sorts the per-tuple
+    group column; cast to the groups' :func:`parts_dtype` first, that
+    is a 1 B/tuple radix sort, not an ``int64`` one."""
+    keys = np.random.default_rng(8).integers(0, 2**32, 5_000, np.uint64)
+    keys = keys.astype(np.uint32)
+    parts, _, _ = kernels.hash_histogram(keys, 256, True)
+    groups = (np.arange(256) % 3).astype(np.int64)
+    dest_base = np.zeros(3, dtype=np.int64)
+    np.cumsum(np.bincount(groups[parts], minlength=3)[:-1], out=dest_base[1:])
+    sorted_dtypes = []
+    scatter = numpy_impl.scatter
+    monkeypatch.setattr(
+        numpy_impl, "scatter",
+        lambda k, p, index, *rest: sorted_dtypes.append(index.dtype)
+        or scatter(k, p, index, *rest),
+    )
+    out = (np.empty(5_000, np.uint32), np.empty(5_000, np.uint32))
+    with kernels.using_backend("numpy"):
+        kernels.stable_scatter(
+            keys, keys, parts, dest_base, 3, *out, groups=groups
+        )
+    assert sorted_dtypes == [np.dtype(np.uint8)]
+    order = np.argsort(groups[parts], kind="stable")
+    assert np.array_equal(out[0], keys[order])
+
+
 @pytest.mark.parametrize("groups", [[0, 2, 1, 0], [0, -1, 1, 0]])
 def test_grouped_scatter_rejects_groups_outside_dest_base(groups):
     """A group without a ``dest_base`` slot would send the C cursor
@@ -874,6 +901,72 @@ class TestDispatch:
         assert kernels.build_native() == path
 
 
+@st.composite
+def _run_pieces(draw):
+    """Partition-ordered pieces (some empty) over 1–64 partitions."""
+    num_partitions = draw(st.sampled_from([1, 2, 16, 64]))
+    rows = draw(st.lists(
+        st.lists(
+            st.integers(0, 9), min_size=num_partitions,
+            max_size=num_partitions,
+        ),
+        min_size=0, max_size=6,
+    ))
+    counts = np.array(rows, dtype=np.int64).reshape(-1, num_partitions)
+    keys = np.arange(int(counts.sum()), dtype=np.uint32) * np.uint32(7)
+    return counts, keys
+
+
+@needs_native
+@given(case=_run_pieces())
+@settings(max_examples=60, deadline=None)
+def test_copy_runs_native_equals_numpy_equals_partition_major(case):
+    """Primitive 9 writes each piece's runs where a stable scatter of
+    the concatenated pieces by partition would put them."""
+    counts, keys = case
+    n = keys.shape[0]
+    payloads = keys ^ np.uint32(0xABCD)
+    sizes = counts.sum(axis=1)
+    cuts = np.cumsum(sizes)[:-1] if sizes.size else []
+    columns = list(zip(np.split(keys, cuts), np.split(payloads, cuts)))
+    columns = columns[:counts.shape[0]]
+    bounds = np.zeros(counts.shape[1] + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    dest = np.cumsum(counts, axis=0) - counts + bounds[:-1]
+
+    def run():
+        out = (np.zeros(n, np.uint32), np.zeros(n, np.uint32))
+        kernels.copy_runs(columns, counts, dest, *out)
+        return out
+
+    native, fallback = _both_backends(run)
+    parts = np.concatenate(
+        [np.repeat(np.arange(counts.shape[1]), row) for row in counts]
+        or [np.empty(0, np.int64)]
+    )
+    order = np.argsort(parts, kind="stable")
+    for got in (native, fallback):
+        assert np.array_equal(got[0], keys[order])
+        assert np.array_equal(got[1], payloads[order])
+
+
+def test_copy_runs_rejects_runs_outside_their_columns():
+    keys = np.arange(10, dtype=np.uint32)
+    out = (np.empty(10, np.uint32), np.empty(10, np.uint32))
+    counts = np.array([[6, 5]], dtype=np.int64)
+    with pytest.raises(ConfigurationError):
+        kernels.copy_runs([(keys, keys)], counts, np.zeros_like(counts), *out)
+    with pytest.raises(ConfigurationError):
+        kernels.copy_runs(
+            [(keys, keys[:9])], np.array([[5, 5]]), np.zeros((1, 2)), *out
+        )
+    for dest in ([[0, 6]], [[-1, 5]]):
+        with pytest.raises(ConfigurationError):
+            kernels.copy_runs(
+                [(keys, keys)], np.array([[5, 5]]), np.array(dest), *out
+            )
+
+
 #: the NumPy twin behind each primitive
 _TWINS = {
     "hash_histogram": "hash_histogram",
@@ -884,6 +977,7 @@ _TWINS = {
     "bucket_probe": "bucket_probe",
     "join_aggregate": "join_aggregate",
     "sort_groups": "sort_groups",
+    "copy_runs": "copy_runs",
 }
 _PARTITIONING = ("hash_histogram", "stable_scatter", "swwc_scatter")
 
@@ -918,6 +1012,21 @@ def _run_primitive(name, keys, index_dtype):
         return kernels.partition_batch(
             [(keys, payloads), (keys[:5], payloads[:5])], fanout, True, 4
         )
+    if name == "copy_runs":
+        # any column is partition-ordered for some run lengths: two
+        # pieces, each cut into 16 runs of uneven length
+        counts = np.stack([
+            np.bincount(np.arange(m) * 16 // m, minlength=16)
+            for m in (100, n - 100)
+        ])
+        bounds = np.zeros(17, dtype=np.int64)
+        np.cumsum(counts.sum(axis=0), out=bounds[1:])
+        out = (np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32))
+        kernels.copy_runs(
+            [(keys[:100], payloads[:100]), (keys[100:], payloads[100:])],
+            counts, np.cumsum(counts, axis=0) - counts + bounds[:-1], *out,
+        )
+        return out
     if name == "bucket_build":
         return kernels.bucket_build(keys, 64)
     if name == "bucket_probe":
@@ -969,7 +1078,8 @@ def _run_primitive(name, keys, index_dtype):
     + [
         (name, None, np.uint8)
         for name in (
-            "bucket_build", "bucket_probe", "join_aggregate", "sort_groups"
+            "bucket_build", "bucket_probe", "join_aggregate", "sort_groups",
+            "copy_runs",
         )
     ]
     + [
