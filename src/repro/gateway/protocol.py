@@ -96,6 +96,9 @@ class GatewayStreamError(ReproError):
         retry_after: Optional[float] = None,
     ):
         self.code = code
+        #: the message without the ``[code] `` prefix (what an ERROR
+        #: frame carries)
+        self.message = message
         self.retry_after = retry_after
         super().__init__(f"[{code}] {message}")
 

@@ -397,7 +397,7 @@ class _Connection:
             if flush_error is not None:
                 await self._send_error(
                     flush_error.code,
-                    str(flush_error),
+                    flush_error.message,
                     retry_after=flush_error.retry_after,
                 )
                 return False
@@ -527,11 +527,8 @@ class _Connection:
                 self.sketch.add(np.asarray(keys))
                 self._consult_optimizer()
             started_s = self.server._clock()
-            job = _ChunkJob(
-                seq,
-                n,
-                started_s,
-                asyncio.create_task(
+            if n:
+                task = asyncio.create_task(
                     self.server._backend.partition_chunk(
                         keys,
                         payloads if self.use_client_payloads else None,
@@ -541,8 +538,14 @@ class _Connection:
                         self.deadline_s,
                         self._on_stall,
                     )
-                ),
-            )
+                )
+            else:
+                # an empty piece reserves nothing and holds no tuple:
+                # _flush answers it with an empty CHUNK frame, in
+                # order, and the backend never sees it
+                task = asyncio.get_running_loop().create_future()
+                task.set_result(None)
+            job = _ChunkJob(seq, n, started_s, task)
             self._inflight += 1
             self.metrics.increment("chunks_in")
             self.metrics.increment("tuples_in", n)
@@ -558,23 +561,33 @@ class _Connection:
             if job is None:
                 return
             try:
-                result: _ChunkResult = await job.task
+                result: Optional[_ChunkResult] = await job.task
             finally:
                 self._inflight -= 1
                 self.metrics.adjust_gauge("inflight_chunks", -1)
-            output = result.output
-            self.accounting.fold(output.lane_counts)
-            self.backends_seen.add(result.backend or "unknown")
-            if result.degraded:
-                self.degraded = True
-                if result.reason:
-                    self.degrade_reasons.add(result.reason)
-            frame = protocol.encode_chunk(
-                job.seq,
-                output.counts,
-                output.partition_keys,
-                output.partition_payloads,
-            )
+            if result is None:  # an empty piece
+                backend = None
+                frame = protocol.encode_chunk(
+                    job.seq,
+                    np.zeros(self.config.num_partitions, dtype=np.int64),
+                    (),
+                    (),
+                )
+            else:
+                output = result.output
+                backend = result.backend
+                self.accounting.fold(output.lane_counts)
+                self.backends_seen.add(backend or "unknown")
+                if result.degraded:
+                    self.degraded = True
+                    if result.reason:
+                        self.degrade_reasons.add(result.reason)
+                frame = protocol.encode_chunk(
+                    job.seq,
+                    output.counts,
+                    output.partition_keys,
+                    output.partition_payloads,
+                )
             # writer.drain() is the slow-consumer stall point: a client
             # that stops reading parks this coroutine (and, since the
             # credit below is only returned after delivery, the read
@@ -594,7 +607,7 @@ class _Connection:
                 seq=job.seq,
                 tuples=job.tuples,
                 bytes=job.tuples * 8,
-                backend=result.backend,
+                backend=backend,
             )
 
     def _consult_optimizer(self) -> None:

@@ -15,19 +15,34 @@ in run order is *byte for byte* partition ``p`` of one giant in-memory
 ``partition()`` call (pinned by ``tests/test_storage.py``); the runs
 are the final output.
 
+**Write behind the hash.**  Like the circuit's write-back module,
+which drains full lines behind a FIFO so the hash stage never stalls
+on the memory link (Sections 4.2–4.3), one run-writer thread
+(``repro-spill-writer``, alive exactly as long as one
+:meth:`~SpillPartitioner.run` or :meth:`~SpillPartitioner.resume`)
+writes, CRCs and fsyncs run ``k`` while the calling thread hashes and
+scatters the chunks of run ``k + 1``.  Every checkpoint and fault
+check stays on the calling thread; see *Crash recovery*.
+
 Memory is bounded by ``max_bytes_in_memory``: a buffered chunk counts
 8 B per tuple, and the buffer is flushed into a run whenever it reaches
-the budget, so the run body a flush allocates is ~the budget plus one
-chunk, independent of relation size.
+the budget, so a run body is ~the budget plus one chunk, independent
+of relation size.  At most two bodies are alive at once — the one the
+writer is writing and the one the caller is filling — so a run's peak
+is two bodies plus the buffered chunks' partition indices.
 
 **Crash recovery.**  Every flush is a checkpoint: the run file is
-written and fsynced, then the accumulated per-(partition, lane)
-histogram is written to a fresh side file, then the run manifest is
-atomically replaced to name both.  A killed run therefore leaves (a) a
-manifest describing the last completed checkpoint and (b) possibly one
-run file it does not name; :meth:`SpillPartitioner.resume` unlinks
-that file and redoes only the chunks after ``next_chunk``.  Fault
-injection reuses :class:`~repro.service.degradation.FaultInjector` — a
+written and fsynced, then the per-(partition, lane) histogram as of
+that run is written to a fresh side file, then the run manifest is
+atomically replaced to name both.  The commit of run ``k`` is
+deferred: at the next flush (or at the end) the caller waits for the
+write of run ``k``, runs the torn-window fault check, and only then
+hands the commit to the writer, which runs it before it starts writing
+run ``k + 1``.  A killed run therefore leaves (a) a manifest
+describing the last completed checkpoint and (b) possibly one run file
+it does not name; :meth:`SpillPartitioner.resume` unlinks that file
+and redoes only the chunks after ``next_chunk``.  Fault injection
+reuses :class:`~repro.service.degradation.FaultInjector` — a
 checkpointed ``check()`` before each chunk and before each commit lets
 tests kill a run at any point, including *between* the run write and
 the manifest commit (the torn-write case).
@@ -43,12 +58,13 @@ meaningless here since the spill path already runs in software).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
 import pathlib
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -285,7 +301,7 @@ class _ChunkPrefetcher:
         return future.result()
 
     def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _read_manifest(path: pathlib.Path) -> dict:
@@ -317,15 +333,16 @@ class SpillPartitioner:
             ``resume`` spans with tuple and byte attributes.
         fault_injector: optional
             :class:`~repro.service.degradation.FaultInjector`; its
-            ``check()`` runs before every chunk and before every
-            checkpoint commit, so tests can kill the run at either
-            side of the torn-write window.
+            ``check()`` runs on the calling thread before every chunk
+            and before every checkpoint commit, so tests can kill the
+            run at either side of the torn-write window.
         skew_warn_factor: warn (``warnings.warn``) when the store's
             ingest sketch predicts the largest partition exceeds this
             many fair shares.
 
     Chunks are read ahead double-buffered (:class:`_ChunkPrefetcher`),
-    so disk I/O overlaps the histogram pass.
+    so disk I/O overlaps the histogram pass, and runs are written behind
+    it by one writer thread; both threads end with the run.
     """
 
     def __init__(
@@ -350,7 +367,8 @@ class SpillPartitioner:
         return self
 
     def __exit__(self, *exc) -> None:
-        """Nothing to release: each run owns its read-ahead thread."""
+        """Nothing to release: each run owns its read-ahead and writer
+        threads."""
 
     # -- checkpointed fault injection -----------------------------------
 
@@ -390,7 +408,7 @@ class SpillPartitioner:
             on_overflow,
             self.max_bytes_in_memory,
         )
-        state.commit(0)
+        state.commit()
         self._warn_on_skew(store)
         return self._drive(store, state)
 
@@ -434,6 +452,11 @@ class SpillPartitioner:
             prefetcher = _ChunkPrefetcher(
                 store, state.next_chunk, store.num_chunks
             )
+            writer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-spill-writer"
+            )
+            # the run whose write is handed off and whose commit is not
+            written: Optional[_Run] = None
             try:
                 for index in range(state.next_chunk, store.num_chunks):
                     keys, payloads = prefetcher.take(index)
@@ -444,23 +467,58 @@ class SpillPartitioner:
                     ):
                         state.buffer(keys, payloads)
                     if state.buffered_bytes >= self.max_bytes_in_memory:
-                        self._flush(state, next_chunk=index + 1)
+                        written = self._flush(
+                            state, writer, written, next_chunk=index + 1
+                        )
+                if state.buffered_bytes:
+                    written = self._flush(
+                        state, writer, written, next_chunk=store.num_chunks
+                    )
+                self._await_write(written)
+                last, written = written, None
+                writer.submit(state.commit_then_write, last, None).result()
+            except BaseException as exc:
+                if written is not None:
+                    _end_span(written.span, exc)
+                raise
             finally:
                 prefetcher.close()
-            if state.buffered_bytes:
-                self._flush(state, next_chunk=store.num_chunks)
+                # whatever was handed off finishes, even on failure
+                writer.shutdown(wait=True)
             return self._merge(state)
 
-    def _flush(self, state: "_RunState", next_chunk: int) -> None:
-        """Write the buffered outputs as one run and checkpoint."""
-        fsyncs = state.fsyncs
-        with self.tracer.span(
-            "spill_flush", next_chunk=next_chunk, bytes=state.buffered_bytes
-        ) as span:
-            run = state.write_run()
+    def _flush(
+        self,
+        state: "_RunState",
+        writer: ThreadPoolExecutor,
+        written: Optional["_Run"],
+        next_chunk: int,
+    ) -> "_Run":
+        """Scatter the buffered chunks into the next run's body, then
+        hand the writer thread one task: commit the run written before
+        it, then write this one."""
+        run = state.stage(
+            next_chunk,
+            self.tracer.start_span(
+                "spill_flush",
+                next_chunk=next_chunk,
+                bytes=state.buffered_bytes,
+            ),
+        )
+        try:
+            self._await_write(written)
+        except BaseException as exc:
+            _end_span(run.span, exc)
+            raise
+        run.write = writer.submit(state.commit_then_write, written, run)
+        return run
+
+    def _await_write(self, run: Optional["_Run"]) -> None:
+        """Wait for ``run``'s writer task (its write, and the commit of
+        the run before it), then run the torn-window check."""
+        if run is not None:
+            run.write.result()
             self._checkpoint()  # the torn-write window: data > manifest
-            state.commit(next_chunk, run)
-            span.set_attributes(run_file=run.file, fsyncs=state.fsyncs - fsyncs)
 
     def _warn_on_skew(self, store: RelationStore) -> None:
         if store.sketch is None:
@@ -513,6 +571,32 @@ class _CrcFile(io.FileIO):
         return done
 
 
+def _end_span(span, exc: BaseException) -> None:
+    span.set_attribute("error", type(exc).__name__).end()
+
+
+@dataclasses.dataclass
+class _Run:
+    """One flush in flight: staged (scattered) on the calling thread,
+    written and committed on the run-writer thread."""
+
+    file: str
+    next_chunk: int
+    header: np.ndarray
+    #: dropped once the run is on disk
+    body: Optional[np.ndarray]
+    #: the lane histogram as of the run's last chunk
+    lane_bytes: bytes
+    span: object
+    #: the writer task that writes this run (after committing the run
+    #: before it)
+    write: Optional[Future] = None
+    #: the state's fsync count when the write started
+    fsyncs: int = 0
+    #: the written file's entry, set by ``write_run``
+    meta: Optional[ChunkMeta] = None
+
+
 class _RunState:
     """On-disk state machine of one spill run (manifest + run files)."""
 
@@ -538,8 +622,12 @@ class _RunState:
         #: committed + buffered chunks (``None`` starts a fresh run)
         self.accounting = Accounting(config, lane_counts)
         self._lane_file = lane_file
+        #: the lane histogram the last commit wrote to ``_lane_file``
+        self._committed_lanes = self._lane_bytes()
         #: the committed run files, in flush order
         self.runs = list(runs)
+        #: runs staged so far, committed or not (names the next one)
+        self._staged = len(self.runs)
         #: fsync calls issued so far (``spill_flush`` reports its share)
         self.fsyncs = 0
         self.buffered_bytes = 0
@@ -591,44 +679,88 @@ class _RunState:
         self._counts.append(counts)
         self.buffered_bytes += int(keys.shape[0]) * 8
 
-    def write_run(self) -> ChunkMeta:
-        """Write everything buffered as the next run file: the header,
-        then one body of keys and payloads, each partition's tuples in
-        chunk order (:func:`~repro.core.pieces.partition_major`); fsync
-        it and its directory entry so the following manifest commit
-        orders after the data."""
-        name = f"run-{len(self.runs):06d}.bin"
+    def stage(self, next_chunk: int, span) -> "_Run":
+        """Scatter everything buffered into the next run's body: the
+        header, then keys and payloads, each partition's tuples in
+        chunk order (:func:`~repro.core.pieces.partition_major`).  The
+        run keeps the lane histogram as of its last chunk, so its
+        commit does not read the accounting the next run folds into."""
         counts = np.stack(self._counts)
         tuples = int(counts.sum())
         body = np.empty(2 * tuples, dtype=np.uint32)
         partition_major(self._buffered, counts, body[:tuples], body[tuples:])
-        with _CrcFile(self.runs_dir / name, "w") as handle:
-            handle.write(counts.sum(axis=0).astype("<i8"))
-            handle.write(body)
-            os.fsync(handle.fileno())
-        fsync_dir(self.runs_dir)
-        self.fsyncs += 2
+        run = _Run(
+            file=f"run-{self._staged:06d}.bin",
+            next_chunk=next_chunk,
+            header=counts.sum(axis=0).astype("<i8"),
+            body=body,
+            lane_bytes=self._lane_bytes(),
+            span=span,
+        )
+        self._staged += 1
         self._buffered = []
         self._counts = []
         self.buffered_bytes = 0
-        return ChunkMeta(file=name, tuples=tuples, crc32=handle.crc32)
+        return run
 
-    def commit(self, next_chunk: int, run: Optional[ChunkMeta] = None) -> None:
+    def write_run(self, run: "_Run") -> None:
+        """Write a staged run as its file; fsync it and its directory
+        entry so the following manifest commit orders after the data.
+        The body is dropped once it is on disk."""
+        run.fsyncs = self.fsyncs
+        tuples = run.body.shape[0] // 2
+        with _CrcFile(self.runs_dir / run.file, "w") as handle:
+            handle.write(run.header)
+            handle.write(run.body)
+            os.fsync(handle.fileno())
+        run.body = None
+        fsync_dir(self.runs_dir)
+        self.fsyncs += 2
+        run.meta = ChunkMeta(file=run.file, tuples=tuples, crc32=handle.crc32)
+
+    def commit_then_write(
+        self, written: Optional["_Run"], staged: Optional["_Run"]
+    ) -> None:
+        """The writer thread's task per flush: commit the run written
+        last (ending its ``spill_flush`` span), then write the staged
+        one.  A failed commit fails the task, so no later run is
+        written or committed after it."""
+        if written is not None:
+            try:
+                self.commit(written)
+            except BaseException as exc:
+                _end_span(written.span, exc)
+                raise
+            written.span.set_attributes(
+                run_file=written.file, fsyncs=self.fsyncs - written.fsyncs
+            )
+            written.span.end()
+        if staged is not None:
+            self.write_run(staged)
+
+    def commit(self, run: Optional["_Run"] = None) -> None:
         """Checkpoint: lane histogram side file, then atomic manifest
-        naming it, ``next_chunk`` and (if given) the run just written."""
+        naming it, ``next_chunk`` and (if given) the run just written —
+        with the histogram and ``next_chunk`` as of that run (without
+        one: as of now, the start of a run)."""
+        if run is None:
+            next_chunk, lane_bytes = self.next_chunk, self._lane_bytes()
+        else:
+            next_chunk, lane_bytes = run.next_chunk, run.lane_bytes
         lane_file = f"lane_counts-{next_chunk:06d}.bin"
         lane_tmp = self.run_dir / (lane_file + ".tmp")
         with open(lane_tmp, "wb") as handle:
-            handle.write(self._lane_bytes())
+            handle.write(lane_bytes)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(lane_tmp, self.run_dir / lane_file)
         self.fsyncs += 1
         previous = self._lane_file
         self._lane_file = lane_file
+        self._committed_lanes = lane_bytes
         self.next_chunk = next_chunk
         if run is not None:
-            self.runs.append(run)
+            self.runs.append(run.meta)
         self._write_manifest(state="running")
         if previous and previous != lane_file:
             (self.run_dir / previous).unlink(missing_ok=True)
@@ -668,7 +800,7 @@ class _RunState:
             "max_bytes_in_memory": self.max_bytes_in_memory,
             "next_chunk": self.next_chunk,
             "lane_file": self._lane_file,
-            "lane_crc32": zlib.crc32(self._lane_bytes()),
+            "lane_crc32": zlib.crc32(self._committed_lanes),
             "runs": [run.to_dict() for run in self.runs],
         }
         payload.update(extra)

@@ -42,7 +42,12 @@ from repro.core.pieces import (
 )
 from repro.core.tuples import DUMMY_PAYLOAD
 from repro.errors import ConfigurationError
-from repro.gateway import GatewayServer, GatewayStreamError, stream_partition
+from repro.gateway import (
+    GatewayClient,
+    GatewayServer,
+    GatewayStreamError,
+    stream_partition,
+)
 from repro.gateway import server as gateway_server
 from repro.gateway.chunking import StreamAccounting
 from repro.gateway.protocol import ErrorCode
@@ -451,6 +456,43 @@ def test_gateway_stream_past_the_dummy_id_ends_with_an_error_frame(
     error = asyncio.run(main())
     assert error.code == ErrorCode.FAILED.value
     assert "ConfigurationError" in str(error) and "dummy" in str(error)
+    # the ERROR frame carries the bare message: one prefix, the client's
+    assert str(error).startswith("[failed] ConfigurationError")
+    assert str(error).count("[failed] ") == 1
+
+
+@pytest.mark.parametrize("backend", ["service", "router"])
+def test_an_empty_chunk_is_an_empty_piece(backend):
+    """``send(keys[:0])`` between two chunks is legal stream data: the
+    server answers it with an empty CHUNK frame in order, and the
+    stitched output is the offline partition of the concatenation."""
+    config = PartitionerConfig(num_partitions=16)
+    keys = np.random.default_rng(12).integers(0, 2**32, 100, np.uint64)
+    keys = keys.astype(np.uint32)
+
+    async def main():
+        if backend == "service":
+            service = PartitionService().start()
+            server = GatewayServer(service=service, drain_backend=True)
+        else:
+            router = ShardRouter(2, seed=1).start()
+            server = GatewayServer(router=router, drain_backend=True)
+        await server.start()
+        try:
+            client = await GatewayClient.connect("127.0.0.1", server.port)
+            try:
+                stream = await client.open_stream(config)
+                for chunk in (keys[:50], keys[:0], keys[50:]):
+                    await stream.send(chunk)
+                return await stream.finish()
+            finally:
+                await client.close()
+        finally:
+            await server.drain()
+
+    output = asyncio.run(main())
+    with FpgaPartitioner(config) as partitioner:
+        assert outputs_identical(output, partitioner.partition(keys))
 
 
 # ---------------------------------------------------------------------------

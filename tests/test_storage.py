@@ -9,8 +9,11 @@ and across a crash + :meth:`SpillPartitioner.resume`.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.analysis.verify import outputs_identical
 from repro.core.modes import (
     HashKind,
@@ -36,6 +40,7 @@ from repro.storage import (
     SpillPartitioner,
     StorageError,
 )
+from repro.storage import spill as spill_module
 from repro.storage.spill import _CrcFile
 from tests.conftest import needs_native
 
@@ -416,6 +421,212 @@ class TestCrashRecovery:
 
         victim.write_bytes(good)
         spill.verify()
+
+
+class TestRunWriter:
+    """The run-writer thread: run ``k`` is written, CRC'd and fsynced
+    behind the calling thread while it hashes run ``k + 1``; its commit
+    waits for the caller's torn-window check."""
+
+    def _setup(self, tmp_path, n=16_000, chunk_tuples=1_000):
+        keys = random_keys(n, seed=31)
+        cfg = PartitionerConfig(num_partitions=16)
+        store = RelationStore.ingest(
+            keys, tmp_path / "s", chunk_tuples=chunk_tuples
+        ).seal()
+        return cfg, store, FpgaPartitioner(cfg).partition(keys)
+
+    @staticmethod
+    def _spill_threads():
+        return [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-spill")
+        ]
+
+    @pytest.mark.parametrize("failing", ["run_write", "commit"])
+    def test_a_failure_on_the_writer_surfaces_and_the_run_resumes(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """ENOSPC while the writer writes the second run, or while it
+        commits it: ``run()`` raises it, no thread is left, the
+        manifest names only the first run, and resume finishes."""
+        cfg, store, mem = self._setup(tmp_path)
+        no_space = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if failing == "run_write":
+            write = _CrcFile.write
+
+            def no_space_for_the_second_run(handle, data):
+                if str(handle.name).endswith("run-000001.bin"):
+                    raise no_space
+                return write(handle, data)
+
+            monkeypatch.setattr(_CrcFile, "write", no_space_for_the_second_run)
+        else:
+            write_json = spill_module.write_json_atomic
+            manifests = []
+
+            def no_space_for_the_third_manifest(path, payload):
+                manifests.append(payload["runs"])
+                if len(manifests) == 3:  # start, run 0, run 1
+                    raise no_space
+                write_json(path, payload)
+
+            monkeypatch.setattr(
+                spill_module, "write_json_atomic",
+                no_space_for_the_third_manifest,
+            )
+        spiller = SpillPartitioner(cfg, max_bytes_in_memory=16_000)
+        with pytest.raises(OSError) as error:
+            spiller.run(store, tmp_path / "run")
+        assert error.value.errno == errno.ENOSPC
+        assert self._spill_threads() == []
+        manifest = json.loads(
+            (tmp_path / "run" / "SPILL_MANIFEST.json").read_text()
+        )
+        assert manifest["state"] == "running"
+        assert [run["file"] for run in manifest["runs"]] == ["run-000000.bin"]
+        monkeypatch.undo()
+        spill = spiller.resume(tmp_path / "run")
+        assert_byte_identical(spill, mem)
+        spill.verify()
+        assert self._spill_threads() == []
+
+    def test_the_next_chunk_is_hashed_while_a_run_is_written(
+        self, tmp_path, monkeypatch
+    ):
+        """The first run's write blocks until the first chunk of the
+        second run has been hashed: only a writer that runs behind the
+        hash lets that happen (in line, the wait times out)."""
+        cfg, store, mem = self._setup(tmp_path)
+        hashed = []
+        released = threading.Event()
+        seen = {}
+        hash_histogram = kernels.hash_histogram
+        write = _CrcFile.write
+
+        def counted_hash(*args, **kwargs):
+            hashed.append(threading.current_thread())
+            if len(hashed) == 3:  # two chunks per run: run 1's first
+                released.set()
+            return hash_histogram(*args, **kwargs)
+
+        def blocked_write(handle, data):
+            if not seen:
+                seen["thread"] = threading.current_thread()
+                seen["released"] = released.wait(timeout=60)
+            return write(handle, data)
+
+        monkeypatch.setattr(kernels, "hash_histogram", counted_hash)
+        monkeypatch.setattr(_CrcFile, "write", blocked_write)
+        spill = SpillPartitioner(cfg, max_bytes_in_memory=16_000).run(
+            store, tmp_path / "run"
+        )
+        assert seen["released"]
+        assert seen["thread"] is not threading.current_thread()
+        assert set(hashed) == {threading.current_thread()}
+        assert len(hashed) == store.num_chunks
+        assert_byte_identical(spill, mem)
+
+    def test_every_fault_check_runs_on_the_calling_thread(self, tmp_path):
+        cfg, store, mem = self._setup(tmp_path)
+
+        class Recording(FaultInjector):
+            def check(self):
+                threads.append(threading.current_thread())
+                super().check()
+
+        threads = []
+        tracer = Tracer()
+        spill = SpillPartitioner(
+            cfg,
+            max_bytes_in_memory=16_000,
+            tracer=tracer,
+            fault_injector=Recording(),
+        ).run(store, tmp_path / "run")
+        assert_byte_identical(spill, mem)
+        flushes = [s for s in tracer.export() if s.name == "spill_flush"]
+        assert len(flushes) == len(spill.runs) == 8
+        assert len(threads) == store.num_chunks + len(flushes)
+        assert set(threads) == {threading.current_thread()}
+
+    def test_concurrent_runs_under_a_short_switch_interval(self, tmp_path):
+        """Three spills at once (six spill threads on two cores), a
+        flush per chunk, the interpreter switching threads every
+        microsecond: each run's state is shared by its caller and its
+        writer only through handed-off tasks, so every output is still
+        byte-identical with five fsyncs per flush."""
+        import sys
+
+        cfg, store, mem = self._setup(tmp_path, n=12_000)
+        outcomes = {}
+
+        def spill(i):
+            tracer = Tracer()
+            try:
+                result = SpillPartitioner(
+                    cfg, max_bytes_in_memory=1, tracer=tracer
+                ).run(store, tmp_path / f"run-{i}")
+                result.verify()
+                outcomes[i] = (result, tracer.export())
+            except BaseException as exc:  # reported by the assertions
+                outcomes[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=spill, args=(i,)) for i in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == [0, 1, 2]
+        for outcome in outcomes.values():
+            assert not isinstance(outcome, BaseException), outcome
+            result, spans = outcome
+            assert_byte_identical(result, mem)
+            flushes = [s for s in spans if s.name == "spill_flush"]
+            assert [s.attributes["run_file"] for s in flushes] == [
+                run.file for run in result.runs
+            ]
+            assert all(s.attributes["fsyncs"] == 5 for s in flushes)
+        assert self._spill_threads() == []
+
+    @needs_native
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 19])
+    def test_a_run_holds_at_most_two_bodies(self, tmp_path, n):
+        """Peak traced memory is two run bodies (the one being written,
+        the one being filled) plus the buffered chunks' partition
+        indices, whatever the relation size; the chunks themselves are
+        the store's memory maps.  Native kernels: the NumPy twins add
+        per-chunk temporaries of their own."""
+        import tracemalloc
+
+        chunk_tuples, budget = 8_192, 256 << 10
+        keys = random_keys(n, seed=32)
+        store = RelationStore.ingest(
+            keys, tmp_path / "s", chunk_tuples=chunk_tuples
+        ).seal()
+        spiller = SpillPartitioner(
+            PartitionerConfig(num_partitions=16), max_bytes_in_memory=budget
+        )
+        body = budget + 8 * chunk_tuples
+        tracemalloc.start()
+        try:
+            with kernels.using_backend("native"):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                spill = spiller.run(store, tmp_path / "run")
+                peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(spill.runs) == n * 8 // budget
+        assert peak <= 2 * body + body // 4, peak
 
 
 class TestFaultInjectorFailAt:
