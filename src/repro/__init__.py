@@ -48,7 +48,7 @@ from repro.join import (
     hybrid_join,
 )
 from repro.join.no_partition_join import no_partition_join
-from repro.ops import RangePartitioner, partitioned_groupby
+from repro.ops import partitioned_groupby
 from repro.platform import (
     Agent,
     BandwidthModel,
@@ -110,7 +110,6 @@ __all__ = [
     "JoinTiming",
     # ops
     "partitioned_groupby",
-    "RangePartitioner",
     # platform
     "XeonFpgaPlatform",
     "BandwidthModel",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import importlib.util
 import pathlib
 import sys
@@ -110,16 +111,50 @@ def _load_bench(module_name: str):
     return module
 
 
-def _parse_mode(mode: str) -> PartitionerConfig:
+def _parse_mode(mode: Optional[str], partitions: int) -> PartitionerConfig:
+    """The request config of ``--mode`` (e.g. ``PAD/VRID``; ``None``
+    keeps the default modes) and ``--partitions``."""
+    if not mode:
+        return PartitionerConfig(num_partitions=partitions)
     try:
         output, layout = mode.upper().split("/")
-        return PartitionerConfig(
+        modes = dict(
             output_mode=OutputMode(output), layout_mode=LayoutMode(layout)
         )
     except (ValueError, KeyError) as error:
         raise SystemExit(
             f"invalid mode {mode!r}; expected e.g. PAD/VRID"
         ) from error
+    return PartitionerConfig(num_partitions=partitions, **modes)
+
+
+def _offline_reference(config, relation, on_overflow):
+    """One single-shot ``partition()``: what ``--check-identity``
+    compares every served, spilled, routed or streamed output with."""
+    with FpgaPartitioner(config) as partitioner:
+        return partitioner.partition(relation, on_overflow=on_overflow)
+
+
+def _write_prometheus(path: str, text: str) -> None:
+    """Write one ``--prometheus-out`` exposition page."""
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"wrote Prometheus exposition to {path}")
+
+
+def _optimizer(args):
+    """The ``--optimize`` adaptive optimizer, or ``None``."""
+    if not args.optimize:
+        return None
+    from repro.optimize import AdaptiveOptimizer
+
+    return AdaptiveOptimizer(seed=args.seed)
+
+
+def _experiment_table(experiment_id: str) -> ExperimentTable:
+    """Build one experiment's table from its benchmark module."""
+    module_name, build_table = _EXPERIMENTS[experiment_id]
+    return build_table(_load_bench(module_name))
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +171,12 @@ def cmd_list(_args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    """Regenerate one paper table/figure (optionally charted)."""
+    """Regenerate one paper table/figure."""
     if args.id not in _EXPERIMENTS:
         raise SystemExit(
             f"unknown experiment {args.id!r}; see 'repro list'"
         )
-    module_name, builder = _EXPERIMENTS[args.id]
-    module = _load_bench(module_name)
-    table: ExperimentTable = builder(module)
-    print(table.render())
-    if args.chart:
-        from repro.bench.charts import chart_table_column
-
-        print()
-        print(chart_table_column(table, args.chart))
+    print(_experiment_table(args.id).render())
     return 0
 
 
@@ -180,13 +207,9 @@ def cmd_validate(args) -> int:
 
 def cmd_partition(args) -> int:
     """Partition a generated relation and print its stats."""
-    config = _parse_mode(args.mode)
-    config = PartitionerConfig(
-        num_partitions=args.partitions,
-        output_mode=config.output_mode,
-        layout_mode=config.layout_mode,
-        hash_kind=HashKind.RADIX if args.radix else HashKind.MURMUR,
-    )
+    config = _parse_mode(args.mode, args.partitions)
+    if args.radix:
+        config = dataclasses.replace(config, hash_kind=HashKind.RADIX)
     relation = make_relation(args.tuples, args.distribution, seed=args.seed)
     if args.backend == "cpu":
         out = CpuPartitioner(
@@ -287,9 +310,7 @@ def cmd_report(args) -> int:
     """Regenerate the light experiments into one markdown report."""
     sections = []
     for experiment_id in _REPORT_EXPERIMENTS:
-        module_name, builder = _EXPERIMENTS[experiment_id]
-        module = _load_bench(module_name)
-        table: ExperimentTable = builder(module)
+        table = _experiment_table(experiment_id)
         sections.append(f"## {experiment_id}\n\n```\n{table.render()}\n```")
         print(f"  reproduced {experiment_id}", flush=True)
     body = (
@@ -309,21 +330,12 @@ def cmd_report(args) -> int:
 
 def _synthetic_requests(args):
     """Build the synthetic request stream ``serve``/``trace`` share."""
-    import dataclasses
-
     import numpy as np
 
     from repro.service import PartitionRequest, Priority
 
     rng = np.random.default_rng(args.seed)
-    mode = getattr(args, "mode", None)
-    config = (
-        dataclasses.replace(
-            _parse_mode(mode), num_partitions=args.partitions
-        )
-        if mode
-        else PartitionerConfig(num_partitions=args.partitions)
-    )
+    config = _parse_mode(getattr(args, "mode", None), args.partitions)
     distribution = getattr(args, "distribution", None)
     zipf = getattr(args, "zipf", 0.0) or 0.0
     priorities = (Priority.LOW, Priority.NORMAL, Priority.HIGH)
@@ -366,45 +378,34 @@ def _write_trace_outputs(args, tracer, service) -> None:
     if getattr(args, "prometheus_out", None):
         from repro.obs import render_prometheus
 
-        text = render_prometheus(
-            service.metrics.to_dict(), tracer.export()
+        _write_prometheus(
+            args.prometheus_out,
+            render_prometheus(service.metrics.to_dict(), tracer.export()),
         )
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(text)
-        print(f"wrote Prometheus exposition to {args.prometheus_out}")
 
 
 def _check_serve_identity(requests, responses) -> int:
     """Count responses whose contents differ from the static reference.
 
-    The reference is a fresh single-shot partitioner per config with
-    ``on_overflow="hist"`` — partition contents and counts are
-    identical across output modes and backends, so every successful
-    response (optimized or not) must match it byte for byte.
+    The reference is the offline partition with ``on_overflow="hist"``
+    — partition contents and counts are identical across output modes
+    and backends, so every successful response (optimized or not) must
+    match it byte for byte.  The synthetic requests carry no payloads.
     """
     from repro.analysis.verify import outputs_identical
-    from repro.core.partitioner import FpgaPartitioner
     from repro.service import RequestStatus
 
     mismatches = 0
-    partitioners = {}
-    try:
-        for request, response in zip(requests, responses):
-            if response.status is not RequestStatus.OK:
-                continue
-            key = request.config
-            if key not in partitioners:
-                partitioners[key] = FpgaPartitioner(config=request.config)
-            reference = partitioners[key].partition(
-                request.relation, request.payloads, on_overflow="hist"
-            )
-            if not outputs_identical(
-                response.output, reference, check_accounting=False
-            ):
-                mismatches += 1
-    finally:
-        for partitioner in partitioners.values():
-            partitioner.close()
+    for request, response in zip(requests, responses):
+        if response.status is not RequestStatus.OK:
+            continue
+        reference = _offline_reference(
+            request.config, request.relation, "hist"
+        )
+        if not outputs_identical(
+            response.output, reference, check_accounting=False
+        ):
+            mismatches += 1
     return mismatches
 
 
@@ -435,11 +436,7 @@ def cmd_serve(args) -> int:
     tracer = (
         Tracer() if (args.trace_out or args.prometheus_out) else None
     )
-    optimizer = None
-    if args.optimize:
-        from repro.optimize import AdaptiveOptimizer
-
-        optimizer = AdaptiveOptimizer(seed=args.seed)
+    optimizer = _optimizer(args)
     service = PartitionService(
         max_queue_requests=args.queue,
         max_batch_requests=1 if args.naive else args.batch,
@@ -511,18 +508,12 @@ def cmd_serve(args) -> int:
 
 def cmd_optimize(args) -> int:
     """Explain optimizer decisions for a sweep of synthetic workloads."""
-    import dataclasses
-
     from repro.optimize import AdaptiveOptimizer, WorkloadProfile
 
     if args.action != "explain":  # pragma: no cover - argparse enforces
         raise SystemExit(f"unknown optimize action {args.action!r}")
     optimizer = AdaptiveOptimizer(seed=args.seed)
-    config = None
-    if args.mode:
-        config = dataclasses.replace(
-            _parse_mode(args.mode), num_partitions=args.partitions
-        )
+    config = _parse_mode(args.mode, args.partitions) if args.mode else None
     workloads = {}
     for spec in args.workloads:
         name, _, factor = spec.partition(":")
@@ -578,12 +569,7 @@ def cmd_spill(args) -> int:
     from repro.obs import Tracer
     from repro.storage import RelationStore, SpillPartitioner
 
-    mode = _parse_mode(args.mode)
-    config = PartitionerConfig(
-        num_partitions=args.partitions,
-        output_mode=mode.output_mode,
-        layout_mode=mode.layout_mode,
-    )
+    config = _parse_mode(args.mode, args.partitions)
     relation = make_relation(args.tuples, args.distribution, seed=args.seed)
     base = pathlib.Path(
         args.dir or tempfile.mkdtemp(prefix="repro-spill-")
@@ -619,7 +605,7 @@ def cmd_spill(args) -> int:
     if args.check_identity:
         from repro.analysis.verify import outputs_identical
 
-        mem = FpgaPartitioner(config).partition(relation)
+        mem = _offline_reference(config, relation, "raise")
         report = outputs_identical(out, mem)
         print(f"  vs in-memory      : "
               f"{'byte-identical' if report else 'MISMATCH'}"
@@ -646,13 +632,7 @@ def cmd_cluster(args) -> int:
     from repro.cluster import ShardRouter
     from repro.obs import Tracer
 
-    mode = _parse_mode(args.mode)
-    config = PartitionerConfig(
-        num_partitions=args.partitions,
-        output_mode=mode.output_mode,
-        layout_mode=mode.layout_mode,
-    )
-
+    config = _parse_mode(args.mode, args.partitions)
     tracer = Tracer() if args.prometheus_out else None
     router = ShardRouter(
         args.shards,
@@ -682,9 +662,7 @@ def cmd_cluster(args) -> int:
             if not response.ok:
                 raise SystemExit(f"request {i} failed: {response.error}")
             if args.check_identity:
-                single = FpgaPartitioner(config).partition(
-                    relation, on_overflow="hist"
-                )
+                single = _offline_reference(config, relation, "hist")
                 report = outputs_identical(response.output, single)
                 if not report:
                     raise SystemExit(
@@ -694,9 +672,7 @@ def cmd_cluster(args) -> int:
                 identical += 1
         snap = router.snapshot()
         if args.prometheus_out:
-            with open(args.prometheus_out, "w") as handle:
-                handle.write(router.prometheus())
-            print(f"wrote Prometheus exposition to {args.prometheus_out}")
+            _write_prometheus(args.prometheus_out, router.prometheus())
     stats = snap["router"]
     print(f"served {stats['requests']} requests on {args.shards} shards "
           f"({stats['completed']} ok, {stats['failed']} failed)")
@@ -716,12 +692,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Run the cycle-level circuit and print its counters."""
-    config = _parse_mode(args.mode)
-    config = PartitionerConfig(
-        num_partitions=args.partitions,
-        output_mode=config.output_mode,
-        layout_mode=config.layout_mode,
-    )
+    config = _parse_mode(args.mode, args.partitions)
     relation = make_relation(args.tuples, args.distribution, seed=args.seed)
     circuit = PartitionerCircuit(
         config, qpi_bandwidth_gbs=args.bandwidth or None
@@ -849,11 +820,6 @@ async def _gateway_serve(args) -> int:
     from repro.obs import Tracer
 
     tracer = Tracer() if args.prometheus_out else None
-    optimizer = None
-    if args.optimize:
-        from repro.optimize import AdaptiveOptimizer
-
-        optimizer = AdaptiveOptimizer(seed=args.seed)
     service, router = _gateway_backend(args)
     server = GatewayServer(
         service=service,
@@ -863,7 +829,7 @@ async def _gateway_serve(args) -> int:
         chunk_tuples=args.chunk_tuples,
         credits=args.credits,
         tracer=tracer,
-        optimizer=optimizer,
+        optimizer=_optimizer(args),
         drain_backend=True,
     )
     await server.start()
@@ -888,25 +854,23 @@ async def _gateway_serve(args) -> int:
     if args.prometheus_out:
         from repro.obs import prometheus_from_spans
 
-        text = server.metrics.to_prometheus()
-        text += prometheus_from_spans(tracer.export())
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(text)
-        print(f"wrote Prometheus exposition to {args.prometheus_out}")
+        _write_prometheus(
+            args.prometheus_out,
+            server.metrics.to_prometheus()
+            + prometheus_from_spans(tracer.export()),
+        )
     return 0
 
 
 async def _gateway_bench(args) -> int:
     """In-process gateway + N concurrent client streams (CI smoke)."""
     import asyncio
-    import dataclasses
 
     from repro.analysis.verify import outputs_identical
     from repro.gateway import GatewayClient, GatewayServer
+    from repro.gateway.chunking import iter_chunks
 
-    config = dataclasses.replace(
-        _parse_mode(args.mode), num_partitions=args.partitions
-    )
+    config = _parse_mode(args.mode, args.partitions)
     relations = [
         make_relation(
             args.tuples, args.distribution, seed=args.seed + i,
@@ -914,19 +878,13 @@ async def _gateway_bench(args) -> int:
         ).keys
         for i in range(args.streams)
     ]
-
-    optimizer = None
-    if args.optimize:
-        from repro.optimize import AdaptiveOptimizer
-
-        optimizer = AdaptiveOptimizer(seed=args.seed)
     service, router = _gateway_backend(args)
     server = GatewayServer(
         service=service,
         router=router,
         chunk_tuples=args.chunk_tuples,
         credits=args.credits,
-        optimizer=optimizer,
+        optimizer=_optimizer(args),
         drain_backend=True,
     )
     await server.start()
@@ -934,23 +892,12 @@ async def _gateway_bench(args) -> int:
     loop = asyncio.get_running_loop()
 
     async def run_stream(index: int) -> dict:
-        keys = relations[index]
-        from repro.gateway.chunking import iter_chunks
-
-        chunks = iter_chunks(keys, None, args.chunk_tuples)
+        chunks = iter_chunks(relations[index], None, args.chunk_tuples)
         kill_at = (
             max(1, len(chunks) // 2)
             if index == args.kill_stream
             else None
         )
-        offsets = None
-        if args.arrival != "closed":
-            from repro.workloads import generate_arrivals
-
-            offsets = generate_arrivals(
-                args.arrival, len(chunks), args.rate,
-                seed=args.seed + index,
-            )
         client = await GatewayClient.connect("127.0.0.1", server.port)
         try:
             stream = await client.open_stream(
@@ -964,10 +911,6 @@ async def _gateway_bench(args) -> int:
                     # streams must stay byte-identical
                     client.abort()
                     return {"stream": index, "killed": True, "chunks": j}
-                if offsets is not None:
-                    delay = started + offsets[j] - loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
                 await stream.send(chunk_keys)
             output = await stream.finish()
             return {
@@ -981,15 +924,11 @@ async def _gateway_bench(args) -> int:
         finally:
             await client.close()
 
-    arrival = (
-        "closed loop" if args.arrival == "closed"
-        else f"open loop, {args.arrival} arrivals at {args.rate:g} chunks/s"
-    )
     backend = f"{args.cluster}-shard cluster" if args.cluster else "service"
     print(f"gateway bench: {args.streams} streams x {args.tuples} "
           f"{args.distribution} tuples ({config.mode_label}, "
           f"{args.partitions} partitions, {args.chunk_tuples} tuples/chunk, "
-          f"{backend} backend, {arrival})")
+          f"{backend} backend, closed loop)")
     results = await asyncio.gather(
         *(run_stream(i) for i in range(args.streams)),
         return_exceptions=True,
@@ -1015,14 +954,9 @@ async def _gateway_bench(args) -> int:
     mismatches = 0
     if args.check_identity:
         for result in survivors:
-            partitioner = FpgaPartitioner(config)
-            try:
-                reference = partitioner.partition(
-                    relations[result["stream"]],
-                    on_overflow=args.on_overflow,
-                )
-            finally:
-                partitioner.close()
+            reference = _offline_reference(
+                config, relations[result["stream"]], args.on_overflow
+            )
             if not outputs_identical(result["output"], reference):
                 mismatches += 1
                 print(f"  stream-{result['stream']} : "
@@ -1049,9 +983,9 @@ async def _gateway_bench(args) -> int:
     print(f"  leaked tasks      : {len(leaked_tasks)}")
     print(f"  leaked fds        : {leaked_fds}")
     if args.prometheus_out:
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(server.metrics.to_prometheus())
-        print(f"wrote Prometheus exposition to {args.prometheus_out}")
+        _write_prometheus(
+            args.prometheus_out, server.metrics.to_prometheus()
+        )
     if failures or mismatches or leaked_tasks or leaked_fds:
         return 1
     return 0
@@ -1081,11 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("id", help="experiment id (see 'repro list')")
-    p.add_argument(
-        "--chart",
-        metavar="COLUMN",
-        help="also render an ASCII bar chart of this table column",
-    )
 
     p = sub.add_parser("validate", help="Section 4.8 model validation")
     p.add_argument("--tuples", type=int, default=128 * 10**6)
@@ -1305,14 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-identity", action="store_true",
                    help="verify every surviving bench stream against "
                         "an offline partition() (exit 1 on mismatch)")
-    p.add_argument("--arrival", default="closed",
-                   choices=["closed", "poisson", "burst", "diurnal",
-                            "ramp"],
-                   help="bench pacing: closed loop, or open-loop "
-                        "arrival pattern for chunk sends")
-    p.add_argument("--rate", type=float, default=64.0,
-                   help="open-loop mean chunk rate per stream "
-                        "(chunks/s)")
     p.add_argument("--on-overflow", default="hist",
                    choices=["raise", "hist"],
                    help="PAD overflow policy for bench streams")

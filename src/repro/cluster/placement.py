@@ -148,37 +148,6 @@ class PlacementPolicy:
         with self._lock:
             self.sketch.add(keys)
 
-    def observe_profile(self, profile, num_partitions: int = 64) -> None:
-        """Absorb an optimizer :class:`~repro.optimize.profile.WorkloadProfile`.
-
-        The optimizer's sketch-detected hot set feeds the replication
-        decision twice over: each hot key joins the Misra–Gries
-        counters at its share lower bound (so :meth:`hot_mask` flags
-        its partition even before this policy has seen the key
-        itself), and the implied partition imbalance — the top key's
-        share times the fan-out — drives the same adaptive replication
-        boost that exchange-plan skew does, raising the effective R.
-        """
-        if profile.num_tuples <= 0 or not profile.hot_keys:
-            return
-        with self._lock:
-            counters = self.sketch.counters
-            for key, share in zip(profile.hot_keys, profile.hot_shares):
-                estimate = int(share * profile.num_tuples)
-                if estimate <= 0:
-                    continue
-                counters[int(key)] = max(counters.get(int(key), 0), estimate)
-            if len(counters) > self.sketch.capacity:
-                ranked = sorted(counters.items(), key=lambda kv: -kv[1])
-                shed = ranked[self.sketch.capacity][1]
-                self.sketch.counters = {
-                    k: v - shed for k, v in ranked if v > shed
-                }
-            implied = profile.max_key_share * num_partitions
-            self._observed_imbalance = max(
-                self._observed_imbalance, implied
-            )
-
     def observe_plan(self, plan) -> None:
         """Absorb an :class:`~repro.ops.distributed.ExchangePlan`.
 

@@ -23,7 +23,7 @@ the property a real deployment needs for client-side routing.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -207,28 +207,3 @@ class ConsistentHashRing:
                 if len(chosen) == count:
                     break
         return chosen
-
-    def preference_ids(
-        self, partition: int, num_partitions: int, count: Optional[int] = None
-    ) -> List:
-        """:meth:`preference`, resolved to shard ids."""
-        return [
-            self._shards[i]
-            for i in self.preference(partition, num_partitions, count)
-        ]
-
-    # -- diagnostics ----------------------------------------------------
-
-    def load_shares(self, num_partitions: int) -> np.ndarray:
-        """Fraction of partitions owned per shard (diagnostics)."""
-        owners = self.owners(num_partitions)
-        counts = np.bincount(owners, minlength=len(self._shards))
-        return counts / float(num_partitions)
-
-    def describe(self, num_partitions: int = 1024) -> List[Tuple]:
-        """(shard_id, owned-partition share) pairs, for reports."""
-        shares = self.load_shares(num_partitions)
-        return [
-            (shard, float(share))
-            for shard, share in zip(self._shards, shares)
-        ]

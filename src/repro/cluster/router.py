@@ -155,11 +155,6 @@ class ShardRouter:
         placement: a :class:`PlacementPolicy`, ``None`` for the default
             policy, or ``False`` for plain consistent hashing (no
             replication — the benchmark baseline).
-        optimizer: optional
-            :class:`~repro.optimize.optimizer.AdaptiveOptimizer`; when
-            given, each request's key column is profiled and the
-            sketch-hot set feeds the placement policy's adaptive
-            replication degree (``observe_profile``).
         service_kwargs: forwarded to every shard's
             :class:`~repro.service.service.PartitionService`.
         handoff_tuples: default memory-pressure threshold applied to
@@ -188,10 +183,8 @@ class ShardRouter:
         request_timeout_s: float = 30.0,
         tracer=None,
         clock=time.monotonic,
-        optimizer=None,
     ):
         self.tracer = resolve_tracer(tracer)
-        self.optimizer = optimizer
         self._clock = clock
         self.request_timeout_s = request_timeout_s
         #: storage root this router created itself (removed on stop)
@@ -420,17 +413,6 @@ class ShardRouter:
                 # replica before anything is scattered.
                 if self.placement is not None:
                     self.placement.observe_keys(keys)
-                    if self.optimizer is not None:
-                        # the optimizer's sketch-hot set feeds the
-                        # adaptive replication degree (observe_profile)
-                        from repro.optimize.profile import WorkloadProfile
-
-                        self.placement.observe_profile(
-                            WorkloadProfile.from_keys(
-                                keys, tuple_bytes=cfg.tuple_bytes
-                            ),
-                            num_partitions=cfg.num_partitions,
-                        )
                 banned = {
                     i
                     for i, node in enumerate(self._nodes)

@@ -3,17 +3,11 @@
 The paper's discussion section points out that the partitioner is not
 join-specific: "the partitioning we have described can also be used for
 a hardware conscious group by aggregation [1] and in other operators
-involving partitioning [27]".  This package provides two such
-consumers:
-
-* :func:`partitioned_groupby` — cache-conscious group-by aggregation
-  driven by the FPGA (or CPU) partitioner;
-* :class:`RangePartitioner` — the third partitioning flavour of
-  Polychroniou et al. [27] (and the Wu et al. [41] ASIC), with
-  sampled equi-depth splitters.
+involving partitioning [27]".  This package provides one such consumer,
+:func:`partitioned_groupby` — cache-conscious group-by aggregation
+driven by the FPGA (or CPU) partitioner.
 """
 
 from repro.ops.groupby import GroupByResult, partitioned_groupby
-from repro.ops.range_partitioner import RangePartitioner
 
-__all__ = ["partitioned_groupby", "GroupByResult", "RangePartitioner"]
+__all__ = ["partitioned_groupby", "GroupByResult"]

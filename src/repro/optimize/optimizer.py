@@ -507,34 +507,6 @@ class AdaptiveOptimizer:
             )
         return config
 
-    def plan_chain_config(
-        self,
-        build_tuples: int,
-        tuple_bytes: int = 8,
-        layout_mode: LayoutMode = LayoutMode.RID,
-        max_partitions: int = 8192,
-    ) -> PartitionerConfig:
-        """Config for a fused partition→join→aggregate chain.
-
-        Unlike :meth:`plan_config` (which sizes partitions for a
-        *staged* downstream join), the fused chain consumes each
-        partition immediately, so the binding constraint is the build
-        table fitting the build+probe cache budget — delegated to
-        :func:`plan_fused_fanout`.  HIST mode: the fused executor keeps
-        partitions as lazy slices, so PAD's single-pass layout buys
-        nothing while its overflow risk would still apply.
-        """
-        return PartitionerConfig(
-            num_partitions=plan_fused_fanout(
-                build_tuples,
-                tuple_bytes=tuple_bytes,
-                max_partitions=max_partitions,
-            ),
-            output_mode=OutputMode.HIST,
-            layout_mode=layout_mode,
-            tuple_bytes=tuple_bytes,
-        )
-
     def explain(
         self,
         workloads: Dict[str, WorkloadProfile],

@@ -2,8 +2,8 @@
 
 ``compile_plan`` turns a :class:`~repro.plan.nodes.LogicalPlan` into a
 :class:`CompiledSchedule` — the resolved per-input configs plus the
-knobs (engine, tracer, optimizer) the executor needs.  Compilation
-checks the **fusion rules**:
+knobs (engine, tracer) the executor needs.  Compilation checks the
+**fusion rules**:
 
 1. every input of a join must share the partition-relevant config
    (fan-out, hash kind, hash-vs-radix) — a key must land in the same
@@ -23,7 +23,7 @@ staged execution with the reason recorded on the result.  The configs
 are resolved before the rules are checked, so a declined plan carries
 the same schedule a fused one would run.
 
-When no config is given, the fan-out comes from the optimizer:
+When no config is given,
 :func:`~repro.optimize.optimizer.plan_fused_fanout` sizes partitions so
 each per-partition build table fits the build+probe cache budget.
 """
@@ -65,7 +65,6 @@ class CompiledSchedule:
     on_overflow: str
     engine: object = None
     tracer: object = None
-    optimizer: object = None
 
     @property
     def num_partitions(self) -> int:
@@ -77,7 +76,7 @@ def _partition_signature(config: PartitionerConfig) -> tuple:
     return (config.num_partitions, config.hash_kind, config.uses_hash)
 
 
-def _default_config(plan: LogicalPlan, optimizer) -> PartitionerConfig:
+def _default_config(plan: LogicalPlan) -> PartitionerConfig:
     """Plan a config for scans that did not bring one.
 
     Fan-out sizes the *build side* (scan 0) per-partition table to the
@@ -86,8 +85,6 @@ def _default_config(plan: LogicalPlan, optimizer) -> PartitionerConfig:
     while its overflow risk remains).
     """
     build_tuples = plan.scans[0].num_tuples
-    if optimizer is not None and hasattr(optimizer, "plan_chain_config"):
-        return optimizer.plan_chain_config(build_tuples)
     from repro.optimize.optimizer import plan_fused_fanout
 
     return PartitionerConfig(num_partitions=plan_fused_fanout(build_tuples))
@@ -98,7 +95,6 @@ def compile_plan(
     engine=None,
     threads: Optional[int] = None,
     tracer=None,
-    optimizer=None,
     platform=None,
 ) -> CompiledSchedule:
     """Compile a plan into a fused schedule (or raise).
@@ -151,7 +147,7 @@ def compile_plan(
             )
         shared = explicit[0]
     else:
-        shared = _default_config(plan, optimizer)
+        shared = _default_config(plan)
     resolved = tuple(c if c is not None else shared for c in configs)
 
     schedule = CompiledSchedule(
@@ -160,7 +156,6 @@ def compile_plan(
         on_overflow=on_overflow,
         engine=resolve_engine(engine, threads, tracer=tracer),
         tracer=resolve_tracer(tracer),
-        optimizer=optimizer,
     )
     if plan.join is None and plan.aggregate is None:
         raise FusionDeclined(

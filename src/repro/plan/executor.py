@@ -135,7 +135,6 @@ def execute_plan(
     threads: Optional[int] = None,
     fused: bool = True,
     tracer=None,
-    optimizer=None,
     platform=None,
 ) -> QueryResult:
     """Compile and run a plan.
@@ -153,7 +152,6 @@ def execute_plan(
             engine=engine,
             threads=threads,
             tracer=tracer,
-            optimizer=optimizer,
             platform=platform,
         )
     except FusionDeclined as fell:

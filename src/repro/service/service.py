@@ -987,7 +987,6 @@ class PartitionService:
             request.plan,
             engine=self._engine_spec,
             tracer=self.tracer,
-            optimizer=self.optimizer,
         )
         reason: Optional[str] = None
         try:

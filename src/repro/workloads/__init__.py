@@ -14,14 +14,7 @@ from repro.workloads.distributions import (
     zipf_keys,
     generate_keys,
 )
-from repro.workloads.arrivals import (
-    ArrivalPattern,
-    burst_arrivals,
-    diurnal_arrivals,
-    generate_arrivals,
-    poisson_arrivals,
-    ramp_arrivals,
-)
+from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.relations import (
     Relation,
     Workload,
@@ -31,12 +24,7 @@ from repro.workloads.relations import (
 )
 
 __all__ = [
-    "ArrivalPattern",
-    "burst_arrivals",
-    "diurnal_arrivals",
-    "generate_arrivals",
     "poisson_arrivals",
-    "ramp_arrivals",
     "KeyDistribution",
     "linear_keys",
     "random_keys",

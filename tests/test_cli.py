@@ -209,6 +209,40 @@ class TestCluster:
         assert "repro_cluster_requests_total" in text
 
 
+class TestOptimize:
+    @staticmethod
+    def _rows(out):
+        """The explain table's rows (title, rule, headers, rule, rows,
+        blank line, note), keyed by workload label."""
+        lines = out.splitlines()
+        headers = lines[2].split()
+        body = lines[4:lines.index("", 4)]
+        return {
+            cells[0]: dict(zip(headers, cells))
+            for cells in map(str.split, body)
+        }
+
+    def test_explain_plans_each_default_workload(self, capsys):
+        assert main(["optimize", "explain", "--tuples", "20000"]) == 0
+        out = capsys.readouterr().out
+        assert "(planned configs)" in out
+        rows = self._rows(out)
+        assert sorted(rows) == ["random", "zipf(0.9)", "zipf(1.2)"]
+        assert rows["zipf(1.2)"]["pad_strategy"] == "isolate"
+
+    def test_explain_against_a_request_mode(self, capsys):
+        argv = ["optimize", "explain", "--tuples", "20000",
+                "--mode", "PAD/RID", "--partitions", "64"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(request config)" in out
+        rows = self._rows(out)
+        assert sorted(rows) == ["random", "zipf(0.9)", "zipf(1.2)"]
+        assert {row["config"] for row in rows.values()} == {"PAD/RID"}
+        assert {row["fanout"] for row in rows.values()} == {"64"}
+        assert rows["zipf(1.2)"]["pad_strategy"] == "isolate"
+
+
 class TestReport:
     def test_report_written(self, tmp_path, capsys):
         out = tmp_path / "REPORT.md"
@@ -228,11 +262,6 @@ class TestExperiment:
         assert main(["experiment", "tab2"]) == 0
         out = capsys.readouterr().out
         assert "[Table 2]" in out
-
-    def test_chart_option(self, capsys):
-        assert main(["experiment", "tab2", "--chart", "bram"]) == 0
-        out = capsys.readouterr().out
-        assert "#" in out and "[Table 2] bram" in out
 
     def test_every_registered_experiment_has_a_module(self):
         from repro.cli import _benchmarks_dir

@@ -12,7 +12,7 @@ from repro.core.modes import OutputMode, PartitionerConfig
 from repro.core.partitioner import FpgaPartitioner
 from repro.cpu.swwc_buffers import swwc_partition
 from repro.join.radix_join import cpu_radix_join
-from repro.ops import RangePartitioner, partitioned_groupby
+from repro.ops import partitioned_groupby
 from repro.workloads.distributions import random_keys, zipf_keys
 from repro.workloads.relations import make_workload
 
@@ -61,12 +61,6 @@ class TestPartitioners:
         b = swwc_partition(small_keys, small_payloads, 16, threads=4)
         for pa, pb in zip(a[0], b[0]):
             assert np.array_equal(pa, pb)
-
-    def test_range_partitioner_stable(self):
-        keys = random_keys(5000, seed=9)
-        a = RangePartitioner(16, seed=1).partition(keys)
-        b = RangePartitioner(16, seed=1).partition(keys)
-        assert np.array_equal(a.splitters, b.splitters)
 
 
 class TestPipelines:

@@ -18,7 +18,6 @@ from repro.obs import (
     Tracer,
     critical_path_table,
     interval_coverage,
-    prometheus_from_snapshot,
     prometheus_from_spans,
     render_prometheus,
     resolve_tracer,

@@ -10,7 +10,7 @@ from repro.core.hash_module import HashedTuple
 from repro.core.modes import PartitionerConfig
 from repro.core.write_combiner import WriteCombiner
 from repro.core.tuples import DUMMY_PAYLOAD
-from repro.ops import RangePartitioner, partitioned_groupby
+from repro.ops import partitioned_groupby
 from repro.ops.distributed import DistributedPartitioner
 from repro.core.partitioner import FpgaPartitioner
 from repro.workloads.relations import Relation
@@ -42,20 +42,6 @@ def test_groupby_matches_dict_reference(keys, values, aggregate):
     assert result.num_groups == len(reference)
     for k, v in result.as_dict().items():
         assert v == reducer(reference[k])
-
-
-@given(keys=small_key_arrays)
-@settings(max_examples=50, deadline=None)
-def test_range_partitioning_is_an_ordered_permutation(keys):
-    out = RangePartitioner(num_partitions=8, seed=1).partition(keys)
-    collected = np.concatenate(out.partition_keys)
-    assert sorted(map(int, collected)) == sorted(map(int, keys))
-    previous_max = -1
-    for p_keys in out.partition_keys:
-        if p_keys.size == 0:
-            continue
-        assert int(p_keys.min()) >= previous_max
-        previous_max = int(p_keys.max())
 
 
 @given(keys=small_key_arrays, nodes=st.sampled_from([1, 2, 4]))

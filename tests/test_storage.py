@@ -288,9 +288,14 @@ class TestCrashRecovery:
         for flush in range(store.num_chunks):
             run_dir = tmp_path / f"run-{flush}"
             injector = FaultInjector()
-            # with a flush per chunk, checks alternate chunk, commit,
-            # chunk, commit...; the commit check sits exactly in the
-            # torn window (after write_run, before commit)
+            # with a flush per chunk the checks run chunk 0, chunk 1,
+            # flush 1, chunk 2, flush 2, ..., end: check 2k is chunk
+            # k's, 2k + 1 is flush k's torn-window check (run k - 1
+            # written, its commit deferred), 2N the end's.  So check
+            # 2 * flush + 2 is chunk flush + 1's: run `flush` is with
+            # the writer, which finishes it before run() raises, and
+            # is not committed — the same torn state.  Only the last
+            # flush's kill (check 2N) is the torn-window check itself
             injector.fail_at(2 * flush + 2)
             with pytest.raises(BackendFault):
                 spiller(injector).run(store, run_dir)

@@ -200,7 +200,7 @@ class TestWorkloads:
 
 
 class TestArrivals:
-    """Open-loop arrival-pattern generators (repro.workloads.arrivals)."""
+    """Open-loop arrival timestamps (repro.workloads.arrivals)."""
 
     def test_poisson_shape_and_determinism(self):
         from repro.workloads import poisson_arrivals
@@ -215,69 +215,9 @@ class TestArrivals:
         # mean rate within 10% over 5000 events
         assert abs(a[-1] - 50.0) < 5.0
 
-    def test_burst_preserves_average_rate(self):
-        from repro.workloads import burst_arrivals
-
-        a = burst_arrivals(
-            4096, rate=200.0, burst_size=64, duty_cycle=0.1, seed=1
-        )
-        assert np.all(np.diff(a) >= 0)
-        # 4096 events at 200/s average ≈ 20.5s of trace
-        assert abs(a[-1] - 4096 / 200.0) < 2.0
-        # every event lands inside the first 10% of its period
-        period = 64 / 200.0
-        assert np.all((a % period) <= period * 0.1 + 1e-9)
-
-    def test_diurnal_modulates_but_keeps_mean(self):
-        from repro.workloads import diurnal_arrivals
-
-        a = diurnal_arrivals(
-            3000, mean_rate=100.0, period_s=10.0, amplitude=0.9, seed=2
-        )
-        assert np.all(np.diff(a) >= 0)
-        # total duration near the homogeneous expectation (30s)
-        assert 20.0 < a[-1] < 45.0
-        # crest (first quarter-period) is denser than trough (third)
-        crest = np.sum((a % 10.0) < 2.5)
-        trough = np.sum(((a % 10.0) >= 5.0) & ((a % 10.0) < 7.5))
-        assert crest > 2 * trough
-
-    def test_ramp_accelerates(self):
-        from repro.workloads import ramp_arrivals
-
-        a = ramp_arrivals(4000, start_rate=50.0, end_rate=500.0, seed=5)
-        assert np.all(np.diff(a) >= 0)
-        first_half = a[1999] - a[0]
-        second_half = a[-1] - a[2000]
-        # ten-fold rate sweep: the back half runs much faster
-        assert first_half > 2 * second_half
-
-    def test_dispatch_and_enum(self):
-        from repro.workloads import ArrivalPattern, generate_arrivals
-
-        for pattern in ArrivalPattern:
-            offsets = generate_arrivals(pattern, 256, 100.0, seed=7)
-            assert offsets.shape == (256,)
-            assert np.all(np.diff(offsets) >= 0)
-        by_name = generate_arrivals("burst", 64, 10.0, seed=1)
-        assert by_name.shape == (64,)
-
     def test_empty_and_validation(self):
-        from repro.workloads import (
-            burst_arrivals,
-            diurnal_arrivals,
-            poisson_arrivals,
-            ramp_arrivals,
-        )
+        from repro.workloads import poisson_arrivals
 
         assert poisson_arrivals(0, 10.0).shape == (0,)
         with pytest.raises(ConfigurationError):
             poisson_arrivals(10, rate=0.0)
-        with pytest.raises(ConfigurationError):
-            burst_arrivals(10, rate=5.0, burst_size=0)
-        with pytest.raises(ConfigurationError):
-            burst_arrivals(10, rate=5.0, duty_cycle=1.5)
-        with pytest.raises(ConfigurationError):
-            diurnal_arrivals(10, mean_rate=5.0, amplitude=1.0)
-        with pytest.raises(ConfigurationError):
-            ramp_arrivals(10, start_rate=5.0, end_rate=-1.0)
