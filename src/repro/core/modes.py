@@ -176,7 +176,8 @@ class PartitionerConfig:
         key column.  Writes are whatever the write-back emitted, in
         64 B cache-line units.  This is the accounting both the
         in-memory partitioner and the out-of-core spill path use, so
-        their reported traffic stays byte-identical.
+        their reported traffic stays byte-identical.  Elementwise over
+        ``int64`` arrays of runs, too (a batch's layouts).
         """
         passes = 2 if self.output_mode is OutputMode.HIST else 1
         if self.layout_mode is LayoutMode.VRID:

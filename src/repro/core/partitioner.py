@@ -419,8 +419,8 @@ class FpgaPartitioner:
                 one is a *piece request* (see
                 :func:`~repro.core.pieces.run_piece`): its generated
                 record ids are ``offset + i``, and its output carries
-                ``lane_counts``, its row of the kernel's lane matrix
-                with lanes counted from ``offset``.  ``None`` entries
+                ``lane_counts``, its lane row from the kernel, with
+                lanes counted from ``offset``.  ``None`` entries
                 are whole runs, and their outputs carry no lane row.
 
         Returns:
@@ -480,25 +480,25 @@ class FpgaPartitioner:
             partitions=cfg.num_partitions,
             mode=cfg.mode_label,
         ):
-            sorted_keys, sorted_payloads, lane_matrix = (
+            sorted_keys, sorted_payloads, counts, lines, lane_rows = (
                 kernels.partition_batch(
                     columns, cfg.num_partitions, cfg.uses_hash,
-                    cfg.num_lanes, [offset or 0 for offset in offsets],
+                    cfg.num_lanes, offsets,
                 )
             )
             # An overflowing request falls back individually: under
             # ``hist`` its slice of the batch scatter already holds the
             # contents.
-            layouts = batch_layouts(cfg, lane_matrix, on_overflow)
-            counts = np.array([layout.counts for layout in layouts])
+            layouts = batch_layouts(cfg, counts, lines, on_overflow)
             boundaries = np.zeros(
                 (len(layouts), cfg.num_partitions + 1), dtype=np.int64
             )
             np.cumsum(counts, axis=1, out=boundaries[:, 1:])
+            pieces = iter(lane_rows)
             outputs: List[PartitionedOutput] = []
             low = 0
-            for r, ((keys, payloads), offset, layout, bounds) in enumerate(
-                zip(columns, offsets, layouts, boundaries)
+            for (keys, payloads), offset, layout, bounds in zip(
+                columns, offsets, layouts, boundaries
             ):
                 high = low + keys.shape[0]
                 if layout.overflow is not None:
@@ -517,8 +517,8 @@ class FpgaPartitioner:
                         bounds,
                     )
                 if offset is not None:
-                    # a copy: a view would keep the batch's matrix alive
-                    output.lane_counts = lane_matrix[r].copy()
+                    # a copy: a view would keep the batch's rows alive
+                    output.lane_counts = next(pieces).copy()
                 outputs.append(output)
                 low = high
             return outputs

@@ -49,6 +49,7 @@ from repro import kernels
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
 from repro.core.tuples import DUMMY_PAYLOAD, check_payloads_valid
 from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.kernels.numpy_impl import lane_lines
 from repro.workloads.relations import Relation
 
 __all__ = [
@@ -318,27 +319,33 @@ class Accounting:
         """Replay the offline layout, overflow policy and traffic math:
         the one-row case of :func:`batch_layouts`, whose arguments it
         takes."""
+        counts, lines = lane_lines(
+            self.lane_counts, self.config.tuples_per_line
+        )
         return batch_layouts(
-            self.config, self.lane_counts[None], on_overflow, hot
+            self.config, counts[None], lines[None], on_overflow, hot
         )[0]
 
 
 def batch_layouts(
     config: PartitionerConfig,
-    lane_matrix: np.ndarray,
+    counts: np.ndarray,
+    lines: np.ndarray,
     on_overflow: str = "raise",
     hot: Sequence[int] = (),
 ) -> List[Layout]:
-    """One :class:`Layout` per row of a ``(runs, P, lanes)`` lane
-    matrix, each run's input being exactly the tuples its row counts —
-    the layout math of the four modes stated once, as ``(runs, P)``
-    array operations, so a batch of runs pays it once.
+    """One :class:`Layout` per row of the ``(runs, P)`` tuple counts and
+    cache lines of a batch of runs, each run's input being exactly the
+    tuples its row counts — the layout math of the four modes stated
+    once, as ``(runs, P)`` array operations, so a batch of runs pays it
+    once.
 
     Args:
         config: the *requested* configuration of every run.
-        lane_matrix: the lane-exact ``(partition, lane)`` histogram of
-            each run (what :func:`~repro.kernels.partition_batch`
-            returns).
+        counts, lines: each run's tuples and write-combiner lines per
+            partition, each lane rounding its own partial line up (what
+            :func:`~repro.kernels.partition_batch` returns, and
+            :meth:`Accounting.finalize` derives from its lane matrix).
         on_overflow: PAD overflow policy, applied to each run on its
             own.  ``"raise"`` raises :class:`PartitionOverflowError` for
             the first overflowing run (the hardware aborts before
@@ -353,19 +360,15 @@ def batch_layouts(
     """
     per_line = config.tuples_per_line
     num_partitions = config.num_partitions
-    runs = lane_matrix.shape[0]
-    # (einsum: numpy's axis reduction over a handful of lanes is
-    # several times slower)
-    counts = np.einsum("rpl->rp", lane_matrix)
-    # each lane's write combiner flushes its own partial line per
-    # partition, dummy-padded: lines are rounded up per lane (a line
-    # holds a power of two of tuples, so the ceil is a shift)
-    rounded = lane_matrix + (per_line - 1)
-    rounded >>= per_line.bit_length() - 1
-    lines = np.einsum("rpl->rp", rounded)
+    runs = counts.shape[0]
     tuples = counts.sum(axis=1)
     total_lines = lines.sum(axis=1)
     hot = np.asarray(hot, dtype=np.int64) if len(hot) else _NO_HOT
+    # the traffic of every run that keeps the requested config; a run
+    # the ``hist`` policy relabels is recounted below
+    traffic = config.traffic_bytes(tuples, total_lines)
+    bytes_read, bytes_written = (column.tolist() for column in traffic)
+    dummy_slots = (total_lines * per_line - tuples).tolist()
 
     effective = [config] * runs
     surcharge = [0] * runs
@@ -395,6 +398,10 @@ def batch_layouts(
                     config, output_mode=OutputMode.HIST
                 )
                 surcharge[run] = config.traffic_bytes(n, 0)[0]
+                bytes_read[run], bytes_written[run] = (
+                    effective[run].traffic_bytes(n, int(total_lines[run]))
+                )
+                bytes_read[run] += surcharge[run]
                 grid[run] = False
             elif on_overflow == "cpu":
                 overflow[run] = first
@@ -415,30 +422,26 @@ def batch_layouts(
                 - hot_lines
             )
 
-    layouts = []
-    for run, (n, run_lines) in enumerate(
-        zip(tuples.tolist(), total_lines.tolist())
-    ):
-        bytes_read, bytes_written = effective[run].traffic_bytes(
-            n, run_lines
+    return [
+        Layout(
+            requested_config=config,
+            config=effective[run],
+            counts=counts[run],
+            lines_per_partition=lines[run],
+            base_lines=base_lines[run],
+            bytes_read=bytes_read[run],
+            bytes_written=bytes_written[run],
+            dummy_slots=dummy_slots[run],
+            isolated_partitions=(
+                int(hot.size)
+                if effective[run].output_mode is OutputMode.PAD
+                else 0
+            ),
+            overflow=overflow[run],
+            aborted_scan_bytes=surcharge[run],
         )
-        on_grid = effective[run].output_mode is OutputMode.PAD
-        layouts.append(
-            Layout(
-                requested_config=config,
-                config=effective[run],
-                counts=counts[run],
-                lines_per_partition=lines[run],
-                base_lines=base_lines[run],
-                bytes_read=bytes_read + surcharge[run],
-                bytes_written=bytes_written,
-                dummy_slots=run_lines * per_line - n,
-                isolated_partitions=int(hot.size) if on_grid else 0,
-                overflow=overflow[run],
-                aborted_scan_bytes=surcharge[run],
-            )
-        )
-    return layouts
+        for run in range(runs)
+    ]
 
 
 def partition_major(

@@ -372,26 +372,30 @@ def partition_batch(
     num_partitions: int,
     use_hash: bool,
     lanes: int,
-    offsets: Optional[Sequence[int]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    offsets: Optional[Sequence[Optional[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Primitive 4: primitives 1 and 2 over every request of a batch.
 
     ``columns`` holds one ``(keys, payloads)`` pair per request (empty
-    requests allowed); the inputs are only read.  ``offsets`` (default
-    all ``0``) gives the global input position of each request's first
-    tuple: a request that is a piece of a longer run.  A ``None``
-    payload column means generated record ids — tuple ``i`` of the
-    request carries payload ``offsets[r] + i``, the virtual record ids
-    the circuit appends itself (Section 4.5) — written by the kernel,
-    never materialised as an input; the caller keeps them below the
-    reserved dummy payload.  Returns ``(out_keys, out_payloads,
-    lane_matrix)``: one shared pair of fresh ``uint32`` output columns
-    in which request ``r`` owns the slice ``[sum(sizes[:r]),
-    sum(sizes[:r + 1]))``, stable-sorted by partition index — the bytes
-    :func:`hash_histogram` + :func:`stable_scatter` produce for that
-    request alone — and the ``(batch, num_partitions, lanes)``
-    ``int64`` histogram, a tuple's lane being ``(offsets[r] + i) %
-    lanes`` (:func:`hash_histogram` with ``global_offset=offsets[r]``).
+    requests allowed); the inputs are only read.  An ``int`` entry of
+    ``offsets`` marks a *piece request*: the global input position of
+    its first tuple in a longer run; ``None`` (the default) is a whole
+    run from position ``0``.  A ``None`` payload column means generated
+    record ids ``offset + i`` — the virtual record ids the circuit
+    appends itself (Section 4.5) — written by the kernel; the caller
+    keeps them below the reserved dummy payload.  Returns ``(out_keys,
+    out_payloads, counts, lines, lane_rows)``: one shared pair of fresh
+    ``uint32`` columns in which request ``r`` owns the slice
+    ``[sum(sizes[:r]), sum(sizes[:r + 1]))``, stable-sorted by
+    partition index — the bytes :func:`hash_histogram` +
+    :func:`stable_scatter` produce for that request alone; every
+    request's ``(batch, num_partitions)`` ``int64`` tuples and cache
+    lines (a line holds one tuple per lane and each lane rounds up on
+    its own: Σ over lanes of ⌈lane count / lanes⌉, what
+    :func:`~repro.core.pieces.batch_layouts` takes); and one
+    ``(num_partitions, lanes)`` histogram per piece request, in batch
+    order, lanes counted from its offset (:func:`hash_histogram` with
+    ``global_offset=offset``).
 
     Natively this is one foreign call (one GIL release) per batch with
     no input concatenation; a batch holding any non-``uint32`` or
@@ -406,16 +410,20 @@ def partition_batch(
             raise ConfigurationError("keys and payloads must align")
     batch = len(columns)
     if offsets is None:
-        offsets = [0] * batch
-    if len(offsets) != batch or min(offsets, default=0) < 0:
+        offsets = [None] * batch
+    # -1 marks a whole run, in the kernel's table and the twin alike
+    marks = [-1 if offset is None else offset for offset in offsets]
+    if len(marks) != batch or any(
+        offset is not None and offset < 0 for offset in offsets
+    ):
         raise ConfigurationError(
-            "offsets must be one non-negative position per request"
+            "offsets must be one non-negative position or None per request"
         )
     if not _eligible(
         [array for pair in columns for array in pair if array is not None]
     ):
         return numpy_impl.partition_batch(
-            columns, num_partitions, use_hash, lanes, offsets
+            columns, num_partitions, use_hash, lanes, marks
         )
     sizes = [keys.shape[0] for keys, _ in columns]
     # Few, wide buffers: ``ndarray.ctypes.data`` costs about as much as
@@ -429,14 +437,18 @@ def partition_batch(
             0 if payloads is None else payloads.ctypes.data
             for _, payloads in columns
         ]
-        + list(offsets),
+        + marks,
         dtype=np.intp,
     )
     n = sum(sizes)
+    pieces = batch - marks.count(-1)
     parts = np.empty(max(sizes, default=0), dtype=parts_dtype(num_partitions))
     out = np.empty(2 * n, dtype=np.uint32)
-    # cursor scratch, then the lane matrix
-    acc = np.zeros(num_partitions * (1 + batch * lanes), dtype=np.int64)
+    # counts, lines, cursor and lane scratch, then the pieces' lane rows
+    row = num_partitions * lanes
+    acc = np.zeros(
+        num_partitions * (2 * batch + 1) + row * (1 + pieces), dtype=np.int64
+    )
     _lib["partition_batch"][parts.dtype](
         table.ctypes.data,
         batch,
@@ -447,8 +459,11 @@ def partition_batch(
         out.ctypes.data,
         acc.ctypes.data,
     )
-    lane_matrix = acc[num_partitions:].reshape(batch, num_partitions, lanes)
-    return out[:n], out[n:], lane_matrix
+    grid = acc[:2 * batch * num_partitions].reshape(2, batch, num_partitions)
+    lane_rows = acc[acc.shape[0] - row * pieces:].reshape(
+        pieces, num_partitions, lanes
+    )
+    return out[:n], out[n:], grid[0], grid[1], lane_rows
 
 
 def bucket_build(

@@ -121,12 +121,14 @@ def partition_batch(
     num_partitions: int,
     use_hash: bool,
     lanes: int,
-    offsets: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    marks: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hash, histogram and stable scatter of every request of a batch;
-    returns ``(out_keys, out_payloads, lane_matrix)`` (see
-    :func:`repro.kernels.partition_batch`; a ``None`` payload column is
-    materialised here as the request's record ids, from its offset).
+    returns ``(out_keys, out_payloads, counts, lines, lane_rows)`` (see
+    :func:`repro.kernels.partition_batch`; ``marks`` holds each
+    request's offset, ``-1`` for a whole run, and a ``None`` payload
+    column is materialised here as the request's record ids, from its
+    offset).
 
     Where the native kernel loops over the requests, this twin
     vectorises across them: the columns of up to ``2**16 /
@@ -139,7 +141,8 @@ def partition_batch(
     """
     batch = len(columns)
     sizes = np.array([keys.shape[0] for keys, _ in columns], dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64).reshape(batch)
+    marks = np.asarray(marks, dtype=np.int64).reshape(batch)
+    offsets = np.maximum(marks, 0)
     n = int(sizes.sum())
     out_keys = np.empty(n, dtype=np.uint32)
     out_payloads = np.empty(n, dtype=np.uint32)
@@ -160,7 +163,22 @@ def partition_batch(
             out_payloads[low:high],
         )
         low = high
-    return out_keys, out_payloads, lane_matrix
+    counts, lines = lane_lines(lane_matrix, lanes)
+    return out_keys, out_payloads, counts, lines, lane_matrix[marks >= 0]
+
+
+def lane_lines(
+    lane_counts: np.ndarray, per_line: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(counts, lines)`` per partition of ``(..., P, lanes)`` lane
+    histograms: each lane's write combiner flushes its own partial
+    line, dummy-padded, so lines are rounded up per lane (a line holds
+    a power of two of tuples, so the ceil is a shift).  (einsum:
+    numpy's axis reduction over a handful of lanes is several times
+    slower.)"""
+    rounded = lane_counts + (per_line - 1)
+    rounded >>= per_line.bit_length() - 1
+    return np.einsum("...l->...", lane_counts), np.einsum("...l->...", rounded)
 
 
 def _partition_group(

@@ -204,30 +204,50 @@ class PartitionResponse:
 
 
 class PartitionTicket:
-    """Client-side handle for an in-flight request."""
+    """Client-side handle for an in-flight request.
+
+    A one-shot latch: one lock, acquired at creation and released once,
+    by the resolution; a waiter acquires it and hands it straight back.
+    Done-callbacks sit in a list that the resolving thread drains — and
+    so does any thread adding one after the resolution — popping one
+    entry at a time, so each runs exactly once.
+    """
+
+    __slots__ = (
+        "request_id", "_latch", "_response", "_callbacks", "_metrics"
+    )
 
     def __init__(
         self, request_id: int, metrics: Optional[ServiceMetrics] = None
     ):
         self.request_id = request_id
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._response: Optional[PartitionResponse] = None
-        self._lock = threading.Lock()
         self._callbacks: List[Callable[[PartitionResponse], None]] = []
         self._metrics = metrics
 
     def done(self) -> bool:
         """True once the request has resolved (any terminal status)."""
-        return self._event.is_set()
+        return self._response is not None
 
     def result(self, timeout: Optional[float] = None) -> PartitionResponse:
         """Block until resolved; raises :class:`TimeoutError` if the
         client-side wait (not the request deadline) expires first."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not resolved within {timeout}s"
-            )
-        assert self._response is not None
+        if self._response is None:
+            latch = self._latch
+            if timeout is None:
+                acquired = latch.acquire()
+            elif timeout > 0:
+                acquired = latch.acquire(timeout=timeout)
+            else:
+                acquired = latch.acquire(False)
+            if not acquired:
+                raise TimeoutError(
+                    f"request {self.request_id} not resolved within "
+                    f"{timeout}s"
+                )
+            latch.release()
         return self._response
 
     def add_done_callback(
@@ -241,29 +261,31 @@ class PartitionTicket:
         is caught, logged and counted (``callback_errors``), never
         propagated: it must not take the dispatcher down with it.
         """
-        with self._lock:
-            if self._response is None:
-                self._callbacks.append(fn)
-                return
-        self._run_callback(fn)
+        self._callbacks.append(fn)
+        if self._response is not None:
+            self._drain()
 
-    def _run_callback(self, fn) -> None:
-        try:
-            fn(self._response)
-        except Exception:  # noqa: BLE001 - the dispatcher must survive
-            _LOG.exception(
-                "done-callback of request %d raised", self.request_id
-            )
-            if self._metrics is not None:
-                self._metrics.increment("callback_errors")
+    def _drain(self) -> None:
+        # list.pop is atomic: whichever thread pops an entry runs it
+        callbacks = self._callbacks
+        while callbacks:
+            try:
+                fn = callbacks.pop(0)
+            except IndexError:
+                return
+            try:
+                fn(self._response)
+            except Exception:  # noqa: BLE001 - the dispatcher must survive
+                _LOG.exception(
+                    "done-callback of request %d raised", self.request_id
+                )
+                if self._metrics is not None:
+                    self._metrics.increment("callback_errors")
 
     def _resolve(self, response: PartitionResponse) -> None:
-        with self._lock:
-            self._response = response
-            callbacks, self._callbacks = self._callbacks, []
-        self._event.set()
-        for fn in callbacks:
-            self._run_callback(fn)
+        self._response = response
+        self._latch.release()
+        self._drain()
 
 
 @dataclasses.dataclass

@@ -544,7 +544,8 @@ def test_partition_batch_native_equals_numpy_equals_solo(
 ):
     """The fused batch kernel, its NumPy twin, and one
     ``hash_histogram`` + ``stable_scatter`` per request all write the
-    same bytes; the inputs are left untouched."""
+    same bytes and count the same tuples and lines; whole runs return
+    no lane rows, and the inputs are left untouched."""
     columns = _batch_columns(sizes, seed=sum(sizes) + len(sizes))
     before = [(k.copy(), p.copy()) for k, p in columns]
     native, fallback = _both_backends(
@@ -554,15 +555,17 @@ def test_partition_batch_native_equals_numpy_equals_solo(
     )
     for got, want in zip(native, fallback):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    out_keys, out_payloads, lane_matrix = native
-    assert lane_matrix.shape == (len(sizes), num_partitions, lanes)
+    out_keys, out_payloads, counts, lines, lane_rows = native
+    assert counts.shape == lines.shape == (len(sizes), num_partitions)
+    assert lane_rows.shape == (0, num_partitions, lanes)
     low = 0
-    for (keys, payloads), lane_counts in zip(columns, lane_matrix):
+    for (keys, payloads), row_counts, row_lines in zip(columns, counts, lines):
         n = keys.shape[0]
         parts, hist, lane_hist = kernels.hash_histogram(
             keys, num_partitions, use_hash, lanes=lanes
         )
-        assert np.array_equal(lane_counts, lane_hist)
+        assert np.array_equal(row_counts, hist)
+        assert np.array_equal(row_lines, (-(-lane_hist // lanes)).sum(axis=1))
         base = np.zeros(num_partitions, dtype=np.int64)
         np.cumsum(hist[:-1], out=base[1:])
         solo_keys = np.empty(n, dtype=np.uint32)
@@ -670,11 +673,12 @@ class TestPartitionBatchDispatch:
             kernels.partition_batch([(keys, keys)], 16, True, 3)
 
     def test_empty_batch(self):
-        out_keys, out_payloads, lane_matrix = kernels.partition_batch(
-            [], 16, True, 8
+        out_keys, out_payloads, counts, lines, lane_rows = (
+            kernels.partition_batch([], 16, True, 8)
         )
         assert out_keys.shape == out_payloads.shape == (0,)
-        assert lane_matrix.shape == (0, 16, 8)
+        assert counts.shape == lines.shape == (0, 16)
+        assert lane_rows.shape == (0, 16, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1014,8 @@ def _run_primitive(name, keys, index_dtype):
         )
     if name == "partition_batch":
         return kernels.partition_batch(
-            [(keys, payloads), (keys[:5], payloads[:5])], fanout, True, 4
+            [(keys, payloads), (keys[:5], payloads[:5])], fanout, True, 4,
+            [3, None],
         )
     if name == "copy_runs":
         # any column is partition-ordered for some run lengths: two

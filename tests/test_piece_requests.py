@@ -151,7 +151,9 @@ def _check_stream(config, keys, pieces, outputs, check_accounting=True):
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(0, 300), min_size=1, max_size=6),
-    offsets=st.lists(st.integers(0, 2**32 - 400), min_size=6, max_size=6),
+    offsets=st.lists(
+        st.none() | st.integers(0, 2**32 - 400), min_size=6, max_size=6
+    ),
     generated=st.lists(st.booleans(), min_size=6, max_size=6),
     fan_out=st.sampled_from([16, 512]),
     seed=st.integers(0, 2**16),
@@ -159,9 +161,11 @@ def _check_stream(config, keys, pieces, outputs, check_accounting=True):
 def test_partition_batch_offsets_native_twin_and_one_request(
     sizes, offsets, generated, fan_out, seed
 ):
-    """Empty requests included: each request's slice and lane row are
-    ``hash_histogram(global_offset=offset)`` + a stable scatter of its
-    payloads, or of ``offset + i`` when they are generated."""
+    """Empty requests and whole runs (``None`` offsets) included: each
+    request's slice, counts and lines are ``hash_histogram(global_offset
+    =offset)`` + a stable scatter of its payloads, or of ``offset + i``
+    when they are generated, and only a piece returns a lane row — its
+    histogram."""
     rng = np.random.default_rng(seed)
     columns = []
     for size, is_generated in zip(sizes, generated):
@@ -181,20 +185,68 @@ def test_partition_batch_offsets_native_twin_and_one_request(
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    out_keys, out_payloads, lane_matrix = results[0]
+    out_keys, out_payloads, counts, lines, lane_rows = results[0]
+    pieces = [offset for offset in offsets if offset is not None]
+    assert lane_rows.shape == (len(pieces), fan_out, 8)
+    rows = iter(lane_rows)
     low = 0
-    for (keys, payloads), offset, lanes in zip(columns, offsets, lane_matrix):
+    for (keys, payloads), offset, row_counts, row_lines in zip(
+        columns, offsets, counts, lines
+    ):
+        first = offset or 0
         if payloads is None:
-            payloads = np.arange(offset, offset + len(keys), dtype=np.uint32)
-        parts, _, want = kernels.hash_histogram(
-            keys, fan_out, True, lanes=8, global_offset=offset
+            payloads = np.arange(first, first + len(keys), dtype=np.uint32)
+        parts, hist, want = kernels.hash_histogram(
+            keys, fan_out, True, lanes=8, global_offset=first
         )
         order = np.argsort(parts, kind="stable")
         high = low + len(keys)
-        assert np.array_equal(lanes, want)
+        if offset is not None:
+            assert np.array_equal(next(rows), want)
+        assert np.array_equal(row_counts, hist)
+        assert np.array_equal(row_lines, (-(-want // 8)).sum(axis=1))
         assert np.array_equal(out_keys[low:high], keys[order])
         assert np.array_equal(out_payloads[low:high], payloads[order])
         low = high
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 400), min_size=1, max_size=5),
+    offsets=st.lists(
+        st.none() | st.integers(0, 2**31), min_size=5, max_size=5
+    ),
+    tuple_bytes=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**16),
+)
+def test_partition_many_lines_and_lane_rows(
+    backend, sizes, offsets, tuple_bytes, seed
+):
+    """Per request of a mixed batch: its lines are Σ⌈lane /
+    tuples_per_line⌉ of its own ``hash_histogram(lanes=,
+    global_offset=)``, a piece's ``lane_counts`` is that histogram, and
+    a whole run's is ``None``."""
+    config = PartitionerConfig(num_partitions=32, tuple_bytes=tuple_bytes)
+    rng = np.random.default_rng(seed)
+    relations = [
+        rng.integers(0, 2**32, size, dtype=np.uint64).astype(np.uint32)
+        for size in sizes
+    ]
+    offsets = offsets[:len(sizes)]
+    with kernels.using_backend(backend):
+        with FpgaPartitioner(config) as partitioner:
+            outputs = partitioner.partition_many(relations, offsets=offsets)
+    for keys, offset, output in zip(relations, offsets, outputs):
+        lanes = _lanes(config, keys, offset or 0)
+        per_line = config.tuples_per_line
+        assert np.array_equal(
+            output.lines_per_partition, (-(-lanes // per_line)).sum(axis=1)
+        )
+        if offset is None:
+            assert output.lane_counts is None
+        else:
+            assert np.array_equal(output.lane_counts, lanes)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.core.pieces import (
 )
 from repro.core.tuples import DUMMY_PAYLOAD
 from repro.errors import ConfigurationError, PartitionOverflowError
+from repro.kernels.numpy_impl import lane_lines
 from repro.optimize.isolation import hot_partitions, partition_isolated
 from repro.platform.machine import XeonFpgaPlatform
 from repro.workloads.relations import Relation, make_relation
@@ -354,6 +355,7 @@ class TestBatchLayouts:
         of run r alone; under ``raise`` the batch reports the first
         overflowing run exactly as that run alone does."""
         config, lane_matrix, policy, hot = batch
+        counts, lines = lane_lines(lane_matrix, config.tuples_per_line)
         expected, error = [], None
         for row in lane_matrix:
             try:
@@ -365,17 +367,30 @@ class TestBatchLayouts:
                 break
         if error is not None:
             with pytest.raises(PartitionOverflowError) as ours:
-                batch_layouts(config, lane_matrix, policy, hot)
+                batch_layouts(config, counts, lines, policy, hot)
             assert (
                 ours.value.partition,
                 ours.value.capacity,
                 ours.value.tuples_seen,
             ) == (error.partition, error.capacity, error.tuples_seen)
             return
-        got = batch_layouts(config, lane_matrix, policy, hot)
+        got = batch_layouts(config, counts, lines, policy, hot)
         assert [_layout_fields(layout) for layout in got] == [
             _layout_fields(layout) for layout in expected
         ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=lane_batches())
+    def test_lane_lines_round_each_lane_up(self, batch):
+        """The counts and lines a lane matrix stands for: every lane's
+        partial line is a whole line."""
+        config, lane_matrix, _, _ = batch
+        per_line = config.tuples_per_line
+        counts, lines = lane_lines(lane_matrix, per_line)
+        assert np.array_equal(counts, lane_matrix.sum(axis=2))
+        assert np.array_equal(
+            lines, (-(-lane_matrix // per_line)).sum(axis=2)
+        )
 
     @pytest.mark.parametrize("policy", ["raise", "hist", "cpu"])
     def test_one_overflowing_request_in_a_batch(self, policy):
@@ -390,7 +405,7 @@ class TestBatchLayouts:
             make_relation(5_000, "zipf", seed=2, zipf_factor=1.3).keys,
             make_relation(4_001, "random", seed=3).keys,
         ]
-        _, _, lane_matrix = kernels.partition_batch(
+        _, _, counts, lines, _ = kernels.partition_batch(
             [(keys, None) for keys in requests],
             config.num_partitions, config.uses_hash, config.num_lanes,
         )
@@ -399,7 +414,7 @@ class TestBatchLayouts:
             with pytest.raises(PartitionOverflowError) as solo:
                 partitioner.partition(requests[1])
             with pytest.raises(PartitionOverflowError) as ours:
-                batch_layouts(config, lane_matrix, policy)
+                batch_layouts(config, counts, lines, policy)
             assert (
                 ours.value.partition,
                 ours.value.capacity,
@@ -410,7 +425,7 @@ class TestBatchLayouts:
                 solo.value.tuples_seen,
             )
             return
-        layouts = batch_layouts(config, lane_matrix, policy)
+        layouts = batch_layouts(config, counts, lines, policy)
         assert layouts[0].overflow is layouts[2].overflow is None
         assert layouts[0].config == layouts[2].config == config
         if policy == "cpu":

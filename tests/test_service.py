@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import collections
 import pathlib
+import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from repro.service import (
     LatencyHistogram,
     MetricsRegistry,
     PartitionRequest,
+    PartitionResponse,
     PartitionService,
+    PartitionTicket,
     QueueFullError,
     RequestStatus,
     ServiceMetrics,
@@ -1273,6 +1277,134 @@ class TestLatencyBuckets:
             ) == expected
 
 
+class TestObserveMany:
+    """``observe_many`` buckets a batch with NumPy: the histogram is
+    the one per-value ``record`` builds, batch after batch."""
+
+    EDGES = [
+        0.0, -0.0, -1.0, -1e-9,
+        1e-6, 2e-6, 2.0**10 / 1e6, 2.0**26 / 1e6,  # powers of two in µs
+        67.0, 2.0**26 / 1e6 * (1 + 2**-52), 68.0, 1e9, float("inf"),
+    ]
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 13, 64])
+    def test_edges_in_batches_of_every_size(self, size):
+        values = (self.EDGES * (size // len(self.EDGES) + 1))[:size]
+        one_by_one, batched = LatencyHistogram(), LatencyHistogram()
+        for value in values:
+            one_by_one.record(value)
+        batched.record_many(values)
+        assert vars(batched) == vars(one_by_one)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(_latencies, min_size=1, max_size=64), max_size=4
+        )
+    )
+    def test_batches_equal_per_value_record(self, batches):
+        one_by_one, batched = ServiceMetrics(), ServiceMetrics()
+        for values in batches:
+            for value in values:
+                one_by_one.observe("total", value)
+            batched.observe_many("total", values)
+        assert vars(batched.histograms["total"]) == vars(
+            one_by_one.histograms["total"]
+        )
+
+
+class TestTicketLatch:
+    """``PartitionTicket`` is a one-shot latch: one lock held from
+    creation to resolution."""
+
+    @staticmethod
+    def _response(request_id=1):
+        return PartitionResponse(
+            request_id=request_id, status=RequestStatus.OK
+        )
+
+    def test_many_waiters_get_the_one_response(self):
+        ticket = PartitionTicket(1)
+        got = [None] * 8
+        ready = threading.Barrier(len(got) + 1)
+
+        def wait(index):
+            ready.wait()
+            got[index] = ticket.result(timeout=30)
+
+        threads = [
+            threading.Thread(target=wait, args=(index,))
+            for index in range(len(got))
+        ]
+        for thread in threads:
+            thread.start()
+        ready.wait()
+        time.sleep(0.05)  # let them block in result()
+        assert not ticket.done()
+        response = self._response()
+        ticket._resolve(response)
+        for thread in threads:
+            thread.join(30)
+        assert all(result is response for result in got)
+        assert ticket.result(0) is response
+
+    def test_result_zero_on_an_unresolved_ticket_raises_at_once(self):
+        ticket = PartitionTicket(7)
+        for timeout in (0, 0.0, -1.0):
+            started = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                ticket.result(timeout)
+            assert time.perf_counter() - started < 0.5
+        started = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            ticket.result(0.05)
+        assert time.perf_counter() - started >= 0.04
+
+    def test_callback_added_while_resolving_runs_once(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(300):
+                ticket = PartitionTicket(round_)
+                calls = []
+                ticket.add_done_callback(lambda r: calls.append("early"))
+                start = threading.Barrier(2)
+
+                def resolve():
+                    start.wait()
+                    ticket._resolve(self._response(round_))
+
+                resolver = threading.Thread(target=resolve)
+                resolver.start()
+                start.wait()
+                ticket.add_done_callback(lambda r: calls.append("racing"))
+                resolver.join(30)
+                assert sorted(calls) == ["early", "racing"], round_
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_done_only_once_result_zero_returns(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(300):
+                ticket = PartitionTicket(round_)
+                assert not ticket.done()
+                with pytest.raises(TimeoutError):
+                    ticket.result(0)
+                response = self._response(round_)
+                resolver = threading.Thread(
+                    target=ticket._resolve, args=(response,)
+                )
+                resolver.start()
+                while not ticket.done():
+                    pass
+                assert ticket.result(0) is response
+                resolver.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestOnePassPerBatch:
     """Per coalesced batch, whatever its size: one native call, one
     layout pass, one latency update per stage — in the style of
@@ -1286,9 +1418,10 @@ class TestOnePassPerBatch:
         layout_rows = []
         real_layouts = partitioner_module.batch_layouts
 
-        def layouts(config, lane_matrix, *args, **kwargs):
-            layout_rows.append(lane_matrix.shape[0])
-            return real_layouts(config, lane_matrix, *args, **kwargs)
+        def layouts(config, counts, lines, *args, **kwargs):
+            assert counts.shape == lines.shape
+            layout_rows.append(counts.shape[0])
+            return real_layouts(config, counts, lines, *args, **kwargs)
 
         observed = collections.Counter()
         real_observe_many = MetricsRegistry.observe_many
