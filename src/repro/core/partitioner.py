@@ -517,7 +517,7 @@ class FpgaPartitioner:
                         bounds,
                     )
                 if offset is not None:
-                    # a copy: a view would keep the batch's rows alive
+                    # a copy: a view would keep the lane buffer alive
                     output.lane_counts = next(pieces).copy()
                 outputs.append(output)
                 low = high

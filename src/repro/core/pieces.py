@@ -335,17 +335,14 @@ def batch_layouts(
     hot: Sequence[int] = (),
 ) -> List[Layout]:
     """One :class:`Layout` per row of the ``(runs, P)`` tuple counts and
-    cache lines of a batch of runs, each run's input being exactly the
-    tuples its row counts — the layout math of the four modes stated
-    once, as ``(runs, P)`` array operations, so a batch of runs pays it
-    once.
+    lines of a batch of runs — the layout math of the four modes stated
+    once, as ``(runs, P)`` array operations, so a batch pays it once.
 
     Args:
         config: the *requested* configuration of every run.
         counts, lines: each run's tuples and write-combiner lines per
-            partition, each lane rounding its own partial line up (what
-            :func:`~repro.kernels.partition_batch` returns, and
-            :meth:`Accounting.finalize` derives from its lane matrix).
+            partition (what :func:`~repro.kernels.partition_batch`
+            returns).
         on_overflow: PAD overflow policy, applied to each run on its
             own.  ``"raise"`` raises :class:`PartitionOverflowError` for
             the first overflowing run (the hardware aborts before
@@ -432,10 +429,8 @@ def batch_layouts(
             bytes_read=bytes_read[run],
             bytes_written=bytes_written[run],
             dummy_slots=dummy_slots[run],
-            isolated_partitions=(
-                int(hot.size)
-                if effective[run].output_mode is OutputMode.PAD
-                else 0
+            isolated_partitions=int(hot.size) * (
+                effective[run].output_mode is OutputMode.PAD
             ),
             overflow=overflow[run],
             aborted_scan_bytes=surcharge[run],

@@ -390,12 +390,9 @@ def partition_batch(
     partition index — the bytes :func:`hash_histogram` +
     :func:`stable_scatter` produce for that request alone; every
     request's ``(batch, num_partitions)`` ``int64`` tuples and cache
-    lines (a line holds one tuple per lane and each lane rounds up on
-    its own: Σ over lanes of ⌈lane count / lanes⌉, what
-    :func:`~repro.core.pieces.batch_layouts` takes); and one
-    ``(num_partitions, lanes)`` histogram per piece request, in batch
-    order, lanes counted from its offset (:func:`hash_histogram` with
-    ``global_offset=offset``).
+    lines (Σ over lanes of ⌈lane count / lanes⌉: a line holds one tuple
+    per lane); and each piece request's ``(num_partitions, lanes)``
+    :func:`hash_histogram` with ``global_offset=offset``.
 
     Natively this is one foreign call (one GIL release) per batch with
     no input concatenation; a batch holding any non-``uint32`` or
@@ -413,9 +410,7 @@ def partition_batch(
         offsets = [None] * batch
     # -1 marks a whole run, in the kernel's table and the twin alike
     marks = [-1 if offset is None else offset for offset in offsets]
-    if len(marks) != batch or any(
-        offset is not None and offset < 0 for offset in offsets
-    ):
+    if len(marks) != batch or min(marks, default=0) < -1 or -1 in offsets:
         raise ConfigurationError(
             "offsets must be one non-negative position or None per request"
         )
@@ -444,11 +439,11 @@ def partition_batch(
     pieces = batch - marks.count(-1)
     parts = np.empty(max(sizes, default=0), dtype=parts_dtype(num_partitions))
     out = np.empty(2 * n, dtype=np.uint32)
-    # counts, lines, cursor and lane scratch, then the pieces' lane rows
-    row = num_partitions * lanes
-    acc = np.zeros(
-        num_partitions * (2 * batch + 1) + row * (1 + pieces), dtype=np.int64
-    )
+    grid = np.empty((2, batch, num_partitions), dtype=np.int64)
+    # cursor and lane scratch, then the pieces' lane rows: apart from
+    # the counts and lines, which the outputs keep
+    row = num_partitions * (1 + lanes)
+    lane_acc = np.zeros(row + num_partitions * lanes * pieces, dtype=np.int64)
     _lib["partition_batch"][parts.dtype](
         table.ctypes.data,
         batch,
@@ -457,12 +452,10 @@ def partition_batch(
         lanes,
         parts.ctypes.data,
         out.ctypes.data,
-        acc.ctypes.data,
+        grid.ctypes.data,
+        lane_acc.ctypes.data,
     )
-    grid = acc[:2 * batch * num_partitions].reshape(2, batch, num_partitions)
-    lane_rows = acc[acc.shape[0] - row * pieces:].reshape(
-        pieces, num_partitions, lanes
-    )
+    lane_rows = lane_acc[row:].reshape(pieces, num_partitions, lanes)
     return out[:n], out[n:], grid[0], grid[1], lane_rows
 
 

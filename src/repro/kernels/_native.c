@@ -17,8 +17,7 @@
  *      the whole output;
  *   4. batch partition — 1 and 2 run per request of a batch, straight
  *      from each request's own columns into its slice of one shared
- *      output, with each request's counts and cache lines per
- *      partition: one call (one GIL release) per batch;
+ *      output, with its counts and lines: one call (one GIL release);
  *   5 + 6. bucket-chaining join build and probe;
  *   7. fused join + aggregate — 5 and 6 per partition of a range, with
  *      an exact int64 aggregate per matched build tuple: the consumer
@@ -397,16 +396,15 @@ DEFINE_SWWC_MT(i64, int64_t)
 /* 4: fused batch partition                                            */
 /*                                                                     */
 /* For each request r of the batch, in order: primitive 1 on its keys  */
-/* into parts[] and a (partition, lane) histogram, a tuple's lane      */
-/* being (offset + its index within the request) mod lanes; one pass   */
-/* over that histogram for counts[r][p], lines[r][p] and the cursors   */
-/* (an exclusive prefix sum from the request's first output slot); and */
-/* primitive 2.  A line holds one tuple per lane and each lane flushes */
-/* its own partial line, so lines = sum over lanes of ceil(count /     */
-/* lanes).  Request r's tuples land in out[sum(sizes[:r]) :            */
-/* sum(sizes[:r+1])], stable-sorted by partition: the bytes of         */
-/* hash_hist + scatter on that request alone.  The inputs are only     */
-/* read.                                                               */
+/* (cursor[] as the histogram, a tuple's lane being (offset + its      */
+/* index within the request) mod lanes); one pass over the lane        */
+/* histogram for lines[r][p] (a line holds one tuple per lane and each */
+/* lane flushes its own partial line: sum over lanes of ceil(count /   */
+/* lanes)), counts[r][p] and the cursors (an exclusive prefix sum from */
+/* the request's first output slot); and primitive 2.  Request r's     */
+/* tuples land in out[sum(sizes[:r]) : sum(sizes[:r+1])], stable-      */
+/* sorted by partition: the bytes of hash_hist + scatter on that       */
+/* request alone.  The inputs are only read.                           */
 /*                                                                     */
 /* Few, wide arguments, because taking an ndarray's address costs the  */
 /* caller about as much as partitioning 200 tuples: table[] holds      */
@@ -414,30 +412,29 @@ DEFINE_SWWC_MT(i64, int64_t)
 /* generated record ids, offset + i, the circuit's VRIDs, Section      */
 /* 4.5) and offsets (a piece request's global first position, -1 for   */
 /* a whole run at 0); out[] is the key column, then the payload        */
-/* column; acc[], zeroed by the caller, is counts and lines (batch x P */
-/* each), P cursors, one P x lanes lane scratch (a whole run's,        */
-/* cleared after it), then one P x lanes lane row per piece request.   */
-/* parts[] holds max(sizes) entries; lanes and P are powers of two.    */
+/* column; grid[] is counts, then lines (batch x P each); lane_acc[],  */
+/* zeroed by the caller, is P cursors, one P x lanes lane scratch (a   */
+/* whole run's, cleared after it), then one P x lanes lane row per     */
+/* piece request.  parts[] holds max(sizes) entries; lanes and P are   */
+/* powers of two.                                                      */
 /* ------------------------------------------------------------------ */
 
 #define DEFINE_PARTITION_BATCH(SUFFIX, PART_T)                             \
     void repro_partition_batch_##SUFFIX(                                   \
         const intptr_t *table, int64_t batch, int64_t num_partitions,      \
         int use_hash, int64_t lanes, PART_T *parts, uint32_t *out,         \
-        int64_t *acc)                                                      \
+        int64_t *grid, int64_t *lane_acc)                                  \
     {                                                                      \
-        const uint32_t mask = (uint32_t)(num_partitions - 1);              \
         const int64_t lane_mask = lanes - 1;                               \
         const int64_t row_slots = num_partitions * lanes;                  \
-        int64_t *counts = acc;                                             \
-        int64_t *lines = acc + batch * num_partitions;                     \
-        int64_t *cursor = lines + batch * num_partitions;                  \
+        int64_t *counts = grid;                                            \
+        int64_t *lines = grid + batch * num_partitions;                    \
+        int64_t *cursor = lane_acc;                                        \
         int64_t *scratch = cursor + num_partitions;                        \
         int64_t *piece_rows = scratch + row_slots;                         \
         uint32_t *out_payloads = out;                                      \
-        int64_t base = 0, r, p, i;                                         \
-        int lane_shift = 0;                                                \
-        while (((int64_t)1 << lane_shift) < lanes) lane_shift++;           \
+        int64_t base = 0, r, p, l;                                         \
+        const int lane_shift = __builtin_ctzll((unsigned long long)lanes); \
         for (r = 0; r < batch; r++) out_payloads += table[r];              \
         for (r = 0; r < batch; r++) {                                      \
             const int64_t n = table[r];                                    \
@@ -447,25 +444,19 @@ DEFINE_SWWC_MT(i64, int64_t)
             const int64_t piece = table[3 * batch + r] >= 0;               \
             const int64_t offset = piece ? table[3 * batch + r] : 0;       \
             int64_t *lane_hist = piece ? piece_rows : scratch;             \
-            for (i = 0; i < n; i++) {                                      \
-                uint32_t h = keys[i];                                      \
-                if (use_hash) h = murmur32(h);                             \
-                const uint32_t q = h & mask;                               \
-                parts[i] = (PART_T)q;                                      \
-                lane_hist[(int64_t)q * lanes +                             \
-                          ((offset + i) & lane_mask)]++;                   \
-            }                                                              \
+            memset(cursor, 0, (size_t)num_partitions * sizeof(int64_t));   \
+            repro_hash_hist_##SUFFIX(keys, n, num_partitions, use_hash,    \
+                                     lanes, offset, parts, cursor,         \
+                                     lane_hist);                           \
             for (p = 0; p < num_partitions; p++) {                         \
                 const int64_t *slot = lane_hist + p * lanes;               \
-                int64_t tuples = 0, line_sum = 0, l;                       \
-                for (l = 0; l < lanes; l++) {                              \
-                    tuples += slot[l];                                     \
+                int64_t line_sum = 0;                                      \
+                for (l = 0; l < lanes; l++)                                \
                     line_sum += (slot[l] + lane_mask) >> lane_shift;       \
-                }                                                          \
-                counts[p] = tuples;                                        \
                 lines[p] = line_sum;                                       \
+                counts[p] = cursor[p];                                     \
                 cursor[p] = base;                                          \
-                base += tuples;                                            \
+                base += counts[p];                                         \
             }                                                              \
             if (piece)                                                     \
                 piece_rows += row_slots;                                   \

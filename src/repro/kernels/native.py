@@ -41,7 +41,7 @@ SIGNATURES = {
     "scatter": ("pppqppp", None, True),
     "scatter_grouped": ("ppppqppp", None, True),
     "swwc_scatter_mt": ("pppqqqqppp", "i", True),
-    "partition_batch": ("pqqiqppp", None, True),
+    "partition_batch": ("pqqiqpppp", None, True),
     "bucket_build": ("pqqpp", None, False),
     "bucket_probe": ("pppqpqppqp", "q", False),
     "join_aggregate": ("ppppppqqiipppp", "q", False),

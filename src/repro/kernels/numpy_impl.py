@@ -125,10 +125,9 @@ def partition_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hash, histogram and stable scatter of every request of a batch;
     returns ``(out_keys, out_payloads, counts, lines, lane_rows)`` (see
-    :func:`repro.kernels.partition_batch`; ``marks`` holds each
-    request's offset, ``-1`` for a whole run, and a ``None`` payload
-    column is materialised here as the request's record ids, from its
-    offset).
+    :func:`repro.kernels.partition_batch`; ``marks`` are the offsets,
+    ``-1`` for a whole run, and a ``None`` payload column is
+    materialised here as the request's record ids).
 
     Where the native kernel loops over the requests, this twin
     vectorises across them: the columns of up to ``2**16 /
@@ -170,12 +169,8 @@ def partition_batch(
 def lane_lines(
     lane_counts: np.ndarray, per_line: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(counts, lines)`` per partition of ``(..., P, lanes)`` lane
-    histograms: each lane's write combiner flushes its own partial
-    line, dummy-padded, so lines are rounded up per lane (a line holds
-    a power of two of tuples, so the ceil is a shift).  (einsum:
-    numpy's axis reduction over a handful of lanes is several times
-    slower.)"""
+    """``(counts, lines)`` of ``(..., P, lanes)`` lane histograms, each
+    lane rounding its own partial line up (einsum beats an axis sum)."""
     rounded = lane_counts + (per_line - 1)
     rounded >>= per_line.bit_length() - 1
     return np.einsum("...l->...", lane_counts), np.einsum("...l->...", rounded)

@@ -67,25 +67,21 @@ class LatencyHistogram:
         self.max_seconds = max(self.max_seconds, seconds)
 
     def record_many(self, seconds: Sequence[float]) -> None:
-        """Add a batch of observations: :meth:`record` of each, in
-        order, with :func:`_bucket`'s rule applied to the whole batch
-        at once (capping the seconds, not the microseconds, keeps the
-        product finite)."""
+        """:meth:`record` of each value, in order, with :func:`_bucket`'s
+        rule over the whole batch (seconds capped: a finite product)."""
+        if len(seconds) < 12:  # where the NumPy calls cost more
+            for value in seconds:
+                self.record(value)
+            return
         values = np.fmax(np.asarray(seconds, dtype=np.float64), 0.0)
-        mantissa, exponent = np.frexp(
-            np.minimum(values, 2.0**_BUCKET_COUNT / 1e6) * 1e6
-        )
-        exponent -= mantissa == 0.5
-        np.maximum(exponent, 0, out=exponent)
-        np.minimum(exponent, _BUCKET_COUNT - 1, out=exponent)
+        scaled = np.minimum(values, 2.0**_BUCKET_COUNT / 1e6) * 1e6
+        mantissa, exponent = np.frexp(scaled)
+        exponent = np.clip(exponent - (mantissa == 0.5), 0, _BUCKET_COUNT - 1)
         tally = np.bincount(exponent, minlength=_BUCKET_COUNT).tolist()
         self.buckets = [a + b for a, b in zip(self.buckets, tally)]
         values = values.tolist()
-        # a running sum, in record()'s order (np.sum adds pairwise)
-        total = self.total_seconds
-        for value in values:
-            total += value
-        self.total_seconds = total
+        for value in values:  # record()'s order: np.sum adds pairwise
+            self.total_seconds += value
         self.max_seconds = max([self.max_seconds, *values])
         self.count += len(values)
 

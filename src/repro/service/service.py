@@ -204,18 +204,10 @@ class PartitionResponse:
 
 
 class PartitionTicket:
-    """Client-side handle for an in-flight request.
+    """Client-side handle for an in-flight request: a one-shot latch,
+    its lock acquired at creation and released by the resolution."""
 
-    A one-shot latch: one lock, acquired at creation and released once,
-    by the resolution; a waiter acquires it and hands it straight back.
-    Done-callbacks sit in a list that the resolving thread drains — and
-    so does any thread adding one after the resolution — popping one
-    entry at a time, so each runs exactly once.
-    """
-
-    __slots__ = (
-        "request_id", "_latch", "_response", "_callbacks", "_metrics"
-    )
+    __slots__ = ("request_id", "_latch", "_response", "_callbacks", "_metrics")
 
     def __init__(
         self, request_id: int, metrics: Optional[ServiceMetrics] = None
@@ -224,7 +216,7 @@ class PartitionTicket:
         self._latch = threading.Lock()
         self._latch.acquire()
         self._response: Optional[PartitionResponse] = None
-        self._callbacks: List[Callable[[PartitionResponse], None]] = []
+        self._callbacks: List[List[Callable[[PartitionResponse], None]]] = []
         self._metrics = metrics
 
     def done(self) -> bool:
@@ -235,19 +227,13 @@ class PartitionTicket:
         """Block until resolved; raises :class:`TimeoutError` if the
         client-side wait (not the request deadline) expires first."""
         if self._response is None:
-            latch = self._latch
-            if timeout is None:
-                acquired = latch.acquire()
-            elif timeout > 0:
-                acquired = latch.acquire(timeout=timeout)
-            else:
-                acquired = latch.acquire(False)
-            if not acquired:
+            if not self._latch.acquire(
+                timeout=-1 if timeout is None else max(timeout, 0)
+            ):
                 raise TimeoutError(
-                    f"request {self.request_id} not resolved within "
-                    f"{timeout}s"
+                    f"request {self.request_id} not resolved within {timeout}s"
                 )
-            latch.release()
+            self._latch.release()
         return self._response
 
     def add_done_callback(
@@ -256,36 +242,37 @@ class PartitionTicket:
         """Call ``fn(response)`` once the request resolves, whatever
         its terminal status: on the resolving thread (the service's
         dispatcher, so keep it short — hand the response to your own
-        thread or event loop), or right here if it already has.
-        Callbacks run in registration order.  An exception from ``fn``
-        is caught, logged and counted (``callback_errors``), never
-        propagated: it must not take the dispatcher down with it.
+        thread or event loop, in registration order), or right here if
+        it already has.  An exception from ``fn`` is caught, logged and
+        counted (``callback_errors``), never propagated: it must not
+        take the dispatcher down with it.
         """
-        self._callbacks.append(fn)
+        # whoever pops fn from its box runs it: the resolver, or this
+        # thread once the ticket has resolved (list.pop is atomic)
+        box = [fn]
+        self._callbacks.append(box)
         if self._response is not None:
-            self._drain()
+            self._run(box)
 
-    def _drain(self) -> None:
-        # list.pop is atomic: whichever thread pops an entry runs it
-        callbacks = self._callbacks
-        while callbacks:
-            try:
-                fn = callbacks.pop(0)
-            except IndexError:
-                return
-            try:
-                fn(self._response)
-            except Exception:  # noqa: BLE001 - the dispatcher must survive
-                _LOG.exception(
-                    "done-callback of request %d raised", self.request_id
-                )
-                if self._metrics is not None:
-                    self._metrics.increment("callback_errors")
+    def _run(self, box: List[Callable[[PartitionResponse], None]]) -> None:
+        try:
+            fn = box.pop()
+        except IndexError:
+            return
+        try:
+            fn(self._response)
+        except Exception:  # noqa: BLE001 - the dispatcher must survive
+            _LOG.exception(
+                "done-callback of request %d raised", self.request_id
+            )
+            if self._metrics is not None:
+                self._metrics.increment("callback_errors")
 
     def _resolve(self, response: PartitionResponse) -> None:
         self._response = response
         self._latch.release()
-        self._drain()
+        for box in self._callbacks:  # also sees boxes added meanwhile
+            self._run(box)
 
 
 @dataclasses.dataclass

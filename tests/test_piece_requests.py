@@ -293,6 +293,28 @@ def test_partition_many_mixes_pieces_and_whole_runs():
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_outputs_keep_only_the_counts_and_lines_alive(backend):
+    """Of the kernel's buffers, a batch's outputs hold only its
+    ``(batch, P)`` counts and lines — not the lane scratch, nor the
+    piece rows, each of which its output owns as a copy."""
+    config = PartitionerConfig(num_partitions=32)
+    keys = np.random.default_rng(4).integers(0, 2**32, 900, np.uint64)
+    keys = keys.astype(np.uint32)
+    with kernels.using_backend(backend):
+        with FpgaPartitioner(config) as partitioner:
+            outputs = partitioner.partition_many(
+                [keys[:300], keys[300:600], keys[600:]],
+                offsets=[None, 1_000, 2_000],
+            )
+    for output in outputs:
+        for array in (output.counts, output.lines_per_partition):
+            while array.base is not None:
+                array = array.base
+            assert array.nbytes <= 2 * len(outputs) * 32 * 8
+    assert all(output.lane_counts.base is None for output in outputs[1:])
+
+
 # ---------------------------------------------------------------------------
 # Every other executor, through run_piece
 

@@ -1262,7 +1262,7 @@ _latencies = st.one_of(
 
 class TestLatencyBuckets:
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(_latencies, max_size=40))
+    @given(values=st.lists(_latencies, max_size=64))
     def test_frexp_bucket_equals_the_doubling_loop(self, values):
         one_by_one, batched = ServiceMetrics(), ServiceMetrics()
         for value in values:
@@ -1278,8 +1278,9 @@ class TestLatencyBuckets:
 
 
 class TestObserveMany:
-    """``observe_many`` buckets a batch with NumPy: the histogram is
-    the one per-value ``record`` builds, batch after batch."""
+    """``record_many`` (behind ``observe_many``) buckets a batch with
+    NumPy: the histogram is the one per-value ``record`` builds, batch
+    after batch."""
 
     EDGES = [
         0.0, -0.0, -1.0, -1e-9,
@@ -1291,26 +1292,11 @@ class TestObserveMany:
     def test_edges_in_batches_of_every_size(self, size):
         values = (self.EDGES * (size // len(self.EDGES) + 1))[:size]
         one_by_one, batched = LatencyHistogram(), LatencyHistogram()
-        for value in values:
-            one_by_one.record(value)
-        batched.record_many(values)
-        assert vars(batched) == vars(one_by_one)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        batches=st.lists(
-            st.lists(_latencies, min_size=1, max_size=64), max_size=4
-        )
-    )
-    def test_batches_equal_per_value_record(self, batches):
-        one_by_one, batched = ServiceMetrics(), ServiceMetrics()
-        for values in batches:
+        for _ in range(2):  # the second batch adds to the first's state
             for value in values:
-                one_by_one.observe("total", value)
-            batched.observe_many("total", values)
-        assert vars(batched.histograms["total"]) == vars(
-            one_by_one.histograms["total"]
-        )
+                one_by_one.record(value)
+            batched.record_many(values)
+        assert vars(batched) == vars(one_by_one)
 
 
 class TestTicketLatch:
@@ -1361,13 +1347,27 @@ class TestTicketLatch:
         assert time.perf_counter() - started >= 0.04
 
     def test_callback_added_while_resolving_runs_once(self):
+        class SlowList(list):
+            """Yields inside ``append``: the resolver runs meanwhile."""
+
+            def append(self, item):
+                time.sleep(1e-4)
+                super().append(item)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for round_ in range(300):
                 ticket = PartitionTicket(round_)
+                if round_ % 2:
+                    ticket._callbacks = SlowList()
                 calls = []
-                ticket.add_done_callback(lambda r: calls.append("early"))
+                for name in ("a", "b"):
+                    ticket.add_done_callback(
+                        lambda r, name=name: calls.append(
+                            (name, threading.current_thread())
+                        )
+                    )
                 start = threading.Barrier(2)
 
                 def resolve():
@@ -1377,11 +1377,57 @@ class TestTicketLatch:
                 resolver = threading.Thread(target=resolve)
                 resolver.start()
                 start.wait()
-                ticket.add_done_callback(lambda r: calls.append("racing"))
+                ticket.add_done_callback(
+                    lambda r: calls.append(
+                        ("racing", threading.current_thread())
+                    )
+                )
                 resolver.join(30)
-                assert sorted(calls) == ["early", "racing"], round_
+                assert not resolver.is_alive()
+                # the early ones on the resolver, in order; the racing
+                # one once, on whichever thread claimed it
+                assert sorted(name for name, _ in calls) == [
+                    "a", "b", "racing"
+                ], round_
+                assert [call for call in calls if call[0] != "racing"] == [
+                    ("a", resolver), ("b", resolver)
+                ], round_
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_late_callback_runs_alone_on_the_adding_thread(self):
+        """Added once the ticket has resolved, a callback runs at once
+        on the adding thread — and only it: the ones registered before
+        stay on the resolver, in order, even while it is still busy."""
+        ticket = PartitionTicket(1)
+        calls = []
+        first_running, release = threading.Event(), threading.Event()
+
+        def first(response):
+            calls.append(("first", threading.current_thread()))
+            first_running.set()
+            release.wait(30)
+
+        ticket.add_done_callback(first)
+        ticket.add_done_callback(
+            lambda r: calls.append(("second", threading.current_thread()))
+        )
+        resolver = threading.Thread(
+            target=ticket._resolve, args=(self._response(),)
+        )
+        resolver.start()
+        try:
+            assert first_running.wait(30)
+            ticket.add_done_callback(
+                lambda r: calls.append(("late", threading.current_thread()))
+            )
+            me = threading.current_thread()
+            assert calls == [("first", resolver), ("late", me)]
+        finally:
+            release.set()
+            resolver.join(30)
+        assert not resolver.is_alive()
+        assert calls == [("first", resolver), ("late", me), ("second", resolver)]
 
     def test_done_only_once_result_zero_returns(self):
         interval = sys.getswitchinterval()
