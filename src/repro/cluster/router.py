@@ -21,6 +21,10 @@ being *partition subsets* rather than input sub-ranges:
   :func:`repro.kernels.hash_histogram` call per engine morsel (the
   kernel the single-node path uses), so it knows every tuple's
   partition and the exact global histogram before anything moves.
+  That histogram is also the only placement signal:
+  :func:`~repro.cluster.placement.place` spreads the partitions that
+  are hot in *this* request over their replica shards and leaves the
+  rest on their ring owner, so placement depends on the request alone.
   Then one grouped stable scatter per morsel routes each tuple through
   the partition → shard map inside the kernel — no per-tuple shard
   column — so each shard receives its partitions' tuples in input
@@ -63,7 +67,7 @@ import numpy as np
 
 from repro.cluster.handoff import DEFAULT_HANDOFF_BYTES, SpillHandoff
 from repro.cluster.node import ShardNode
-from repro.cluster.placement import PlacementPolicy
+from repro.cluster.placement import PlacementPlan, place
 from repro.cluster.ring import ConsistentHashRing
 from repro.core.modes import PartitionerConfig
 from repro.core.partitioner import (
@@ -109,7 +113,6 @@ class ClusterResponse:
     #: shard id serving each partition (None for empty partitions)
     shard_of_partition: Optional[List[Optional[str]]] = None
     replicated_partitions: int = 0
-    moved_partitions: int = 0
     failovers: int = 0
     handoffs: int = 0
     #: backends reported by the shards ("fpga"/"cpu"/"spill"/"handoff")
@@ -150,11 +153,10 @@ class ShardRouter:
             :class:`~repro.cluster.node.ShardNode` instances.
         virtual_nodes / seed: consistent-hash ring shape (see
             :class:`~repro.cluster.ring.ConsistentHashRing`).
-        replicas: replication degree for hot partitions (forwarded to
-            the default :class:`PlacementPolicy`).
-        placement: a :class:`PlacementPolicy`, ``None`` for the default
-            policy, or ``False`` for plain consistent hashing (no
-            replication — the benchmark baseline).
+        replicas: replication degree R — each request's hot partitions
+            may run on any of their first R ring-preference shards
+            (:func:`~repro.cluster.placement.place`); ``1`` is plain
+            consistent hashing, the ring owners only.
         service_kwargs: forwarded to every shard's
             :class:`~repro.service.service.PartitionService`.
         handoff_tuples: default memory-pressure threshold applied to
@@ -175,7 +177,6 @@ class ShardRouter:
         virtual_nodes: int = 64,
         seed: int = 0,
         replicas: int = 2,
-        placement=None,
         service_kwargs: Optional[dict] = None,
         handoff_tuples: Optional[int] = None,
         handoff_bytes_in_memory: int = DEFAULT_HANDOFF_BYTES,
@@ -199,12 +200,9 @@ class ShardRouter:
             virtual_nodes=virtual_nodes,
             seed=seed,
         )
-        if placement is False:
-            self.placement: Optional[PlacementPolicy] = None
-        elif placement is None:
-            self.placement = PlacementPolicy(replicas=replicas)
-        else:
-            self.placement = placement
+        if replicas < 1:
+            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
+        self.replicas = int(replicas)
         self.handoff = SpillHandoff(
             bytes_in_memory=handoff_bytes_in_memory,
             tracer=tracer,
@@ -293,14 +291,6 @@ class ShardRouter:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    # -- observations ---------------------------------------------------
-
-    def observe_plan(self, plan) -> None:
-        """Feed an :class:`~repro.ops.distributed.ExchangePlan`'s skew
-        metrics into the placement policy (no-op without one)."""
-        if self.placement is not None:
-            self.placement.observe_plan(plan)
 
     # -- the data plane -------------------------------------------------
 
@@ -407,19 +397,18 @@ class ShardRouter:
                         degrade_reasons=("pad-overflow-cpu",),
                     )
 
-                # 3. Placement: primaries from the ring, hot partitions
-                # spread over their replica sets; partitions whose
-                # chosen shard is unhealthy move to their next healthy
-                # replica before anything is scattered.
-                if self.placement is not None:
-                    self.placement.observe_keys(keys)
+                # 3. Placement: primaries from the ring, this request's
+                # hot partitions spread over their replica sets;
+                # partitions whose chosen shard is unhealthy move to
+                # their next healthy replica before anything is
+                # scattered.
                 banned = {
                     i
                     for i, node in enumerate(self._nodes)
                     if not node.healthy
                 }
-                owner, plan = self._place(layout.counts, cfg, banned)
-                if owner is None:
+                plan = self._place(layout.counts, banned)
+                if plan is None:
                     return ClusterResponse(
                         status=RequestStatus.FAILED,
                         error="no healthy shard in the cluster",
@@ -428,7 +417,7 @@ class ShardRouter:
                 # 4. One grouped stable scatter per morsel: each
                 # shard's slice holds its partitions' tuples in input
                 # order.
-                jobs = self._route(task, owner)
+                jobs = self._route(task, plan.owner)
 
         # 5. Submit / failover / handoff rounds.
         try:
@@ -461,12 +450,7 @@ class ShardRouter:
             status=RequestStatus.OK,
             output=output,
             shard_of_partition=serving,
-            replicated_partitions=(
-                plan.replicated_partitions if plan is not None else 0
-            ),
-            moved_partitions=(
-                plan.moved_partitions if plan is not None else 0
-            ),
+            replicated_partitions=plan.replicated_partitions,
             failovers=failovers,
             handoffs=handoffs,
             backends=tuple(sorted(backends)),
@@ -477,26 +461,19 @@ class ShardRouter:
     # -- placement + scatter --------------------------------------------
 
     def _place(
-        self,
-        counts: np.ndarray,
-        cfg: PartitionerConfig,
-        banned: set,
-    ):
-        """(owner array, placement plan) with unhealthy shards routed
-        around; owner is None when nothing is healthy."""
+        self, counts: np.ndarray, banned: set
+    ) -> Optional[PlacementPlan]:
+        """This request's placement with unhealthy shards routed
+        around; None when nothing is healthy."""
         P = len(counts)
         if len(banned) >= len(self._nodes):
-            return None, None
-        if self.placement is not None:
-            plan = self.placement.place(counts, self.ring, cfg.uses_hash)
-            owner = plan.owner.copy()
-        else:
-            plan = None
-            owner = self.ring.owners(P).copy()
+            return None
+        plan = place(counts, self.ring, self.replicas)
         if banned:
+            owner = plan.owner
             for p in np.nonzero(np.isin(owner, list(banned)))[0]:
                 owner[p] = self._next_healthy(int(p), P, banned)
-        return owner, plan
+        return plan
 
     def _next_healthy(
         self, partition: int, num_partitions: int, banned: set

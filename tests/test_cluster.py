@@ -4,8 +4,9 @@ Five layers:
 
 1. ring properties — bounded key movement on join/leave, disjoint
    replica sets, seed determinism;
-2. placement — heavy-hitter replication spreads hot partitions and
-   reduces max/mean shard load under Zipf counts;
+2. placement — the request's own histogram spreads hot partitions,
+   reduces max/mean shard load under Zipf counts, and carries nothing
+   from one request to the next;
 3. the router's byte-identity invariant — a hypothesis sweep across
    HIST/PAD x RID/VRID, including an injected shard failure and a
    forced spill handoff inside the property;
@@ -29,9 +30,9 @@ from repro import kernels
 from repro.analysis.verify import outputs_identical
 from repro.cluster import (
     ConsistentHashRing,
-    PlacementPolicy,
     ShardNode,
     ShardRouter,
+    place,
 )
 from repro.cluster.router import _serving_column
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
@@ -140,13 +141,14 @@ class TestPlacement:
         plain = np.bincount(
             ring.owners(P), weights=counts.astype(np.float64), minlength=4
         )
-        policy = PlacementPolicy(replicas=3)
-        plan = policy.place(counts, ring)
+        plan = place(counts, ring, 3)
         placed = np.bincount(
             plan.owner, weights=counts.astype(np.float64), minlength=4
         )
         assert placed.max() <= plain.max()
-        assert plan.replicated_partitions >= 0
+        assert plan.replicated_partitions == 4
+        for p in range(4):
+            assert plan.owner[p] in ring.preference(p, P, 3)
 
     def test_zipf_imbalance_reduced(self):
         ring = ConsistentHashRing(
@@ -165,53 +167,32 @@ class TestPlacement:
         plain = np.bincount(
             ring.owners(64), weights=counts.astype(np.float64), minlength=4
         )
-        plan = PlacementPolicy(replicas=3).place(counts, ring)
+        plan = place(counts, ring, 3)
         placed = np.bincount(
             plan.owner, weights=counts.astype(np.float64), minlength=4
         )
         assert placed.max() / placed.mean() <= plain.max() / plain.mean()
 
-    def test_clustered_zipf_keys_feed_sketch(self):
-        """Regression: the sketch sample must not alias with run-length-
-        clustered input.
-
-        The old strided sampler (``keys[::stride]``) drew only stream
-        positions congruent to 0 mod stride; with hot-key runs laid out
-        off that grid it never saw the dominant key at all.  A seeded
-        uniform sample sees it in proportion to its true share.
-        """
-        from repro.cluster.placement import _SKETCH_SAMPLE
-
-        rng = np.random.default_rng(11)
-        stride = 16  # what a strided sampler uses at this input size
-        n = _SKETCH_SAMPLE * stride
-        # One dominant key (~15/16 of the stream) in long runs, with
-        # run-length-clustered Zipf cold keys sitting exactly on the
-        # stride grid — the adversarial layout for strided sampling.
-        keys = np.full(n, 7, dtype=np.uint32)
-        cold = np.sort(
-            (rng.zipf(1.5, size=n // stride) % 50_000 + 1_000).astype(
-                np.uint32
-            )
-        )
-        keys[::stride] = cold
-        policy = PlacementPolicy(replicas=2, sketch_capacity=8)
-        policy.observe_keys(keys)
-        counters = policy.sketch.counters
-        assert counters, "sketch saw no keys"
-        top = max(counters, key=counters.get)
-        assert top == 7
-        assert counters[7] / _SKETCH_SAMPLE > 0.5
-
-    def test_sketch_sampling_is_seed_deterministic(self):
-        keys = np.random.default_rng(2).integers(
-            0, 1 << 20, size=200_000
-        ).astype(np.uint32)
-        a = PlacementPolicy(sample_seed=42)
-        b = PlacementPolicy(sample_seed=42)
-        a.observe_keys(keys)
-        b.observe_keys(keys)
-        assert a.sketch.counters == b.sketch.counters
+    def test_replication_depends_on_the_request_alone(self):
+        """Regression: a uniform relation has no hot partition however
+        often it is served, and a Zipf relation is placed the same on
+        its first and its tenth request (a cross-request key sketch
+        once made the uniform count read 1, 2, ..., 10)."""
+        cfg = PartitionerConfig(num_partitions=1024)
+        uniform = _relation(1 << 18, seed=5, distribution="random")
+        zipf = make_relation(1 << 18, "zipf", seed=5, zipf_factor=1.05)
+        with ShardRouter(2) as router:
+            for _ in range(10):
+                assert router.partition(
+                    uniform, config=cfg
+                ).replicated_partitions == 0
+            first = router.partition(zipf, config=cfg)
+            for _ in range(8):
+                router.partition(zipf, config=cfg)
+            tenth = router.partition(zipf, config=cfg)
+        assert first.replicated_partitions > 0
+        assert tenth.replicated_partitions == first.replicated_partitions
+        assert tenth.shard_of_partition == first.shard_of_partition
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +590,7 @@ class TestRoutingCrossings:
     ):
         cfg = PartitionerConfig(num_partitions=256)
         rel = _relation(20_000, seed=3, distribution="random")
-        # no placement policy: it hashes its sketch's hot keys too
-        with ShardRouter(2, seed=0, placement=False) as router:
+        with ShardRouter(2, seed=0) as router:
             assert router.partition(rel, config=cfg).ok
         (task,) = routing_tasks
         morsels = task.stats.num_morsels
@@ -658,7 +638,7 @@ class TestRoutingCrossings:
         rel = _relation(20_000, seed=6)
         single = FpgaPartitioner(cfg).partition(rel, on_overflow="hist")
         native_calls.clear()
-        with ShardRouter(2, seed=1, placement=False) as router:
+        with ShardRouter(2, seed=1, replicas=1) as router:
             victim = router.nodes[0].shard_id
             place = router._place
 

@@ -61,9 +61,7 @@ class TestPlan:
             cluster.plan(cluster.split_relation(relation)[:2])
 
     def test_partition_counts_exposed(self, cluster, relation):
-        """The plan carries the global per-partition histogram, which
-        the cluster router's placement policy consumes as a skew
-        signal."""
+        """The plan carries the global per-partition histogram."""
         chunks = cluster.split_relation(relation)
         plan = cluster.plan(chunks)
         assert plan.partition_counts is not None
@@ -85,20 +83,6 @@ class TestPlan:
         )
         with np.errstate(all="raise"):
             assert plan.receive_imbalance == 1.0
-
-    def test_feeds_router_placement(self, cluster, relation):
-        """ExchangePlan skew metrics flow into ShardRouter placement."""
-        from repro.cluster import ShardRouter
-
-        plan = cluster.plan(cluster.split_relation(relation))
-        router = ShardRouter(3, seed=0)
-        router.observe_plan(plan)
-        assert router.placement is not None
-        assert 64 in router.placement._plan_counts
-        assert router.placement._observed_imbalance == pytest.approx(
-            plan.receive_imbalance
-        )
-        router.stop()  # releases the storage root the router created
 
 
 class TestExecution:
